@@ -14,25 +14,19 @@ import sys
 
 import numpy as np
 
-from .model import PathParams, synthesize_channel, check_delay_validity
-from .frontend import noise_var_for_snr, observe, random_phase_combiner
-from .estimator import StoppingRule, reconstruct_channel, run_dps
+from .model import ArrayGeometry, SubcarrierGrid
+from .estimator import StoppingRule
 from .harness import (
     ConfigError,
     SimConfig,
     bounds_table,
+    draw_trial,
+    estimate,
     load_config,
-    ls_baseline,
     monte_carlo_sweep,
     nmse_db,
-    polar_omp_fallback,
     records_csv_text,
     run_trial,
-    trial_rng,
-    _STREAM_COMBINER,
-    _STREAM_NOISE,
-    _STREAM_PATHS,
-    draw_paths,
 )
 
 _OVERRIDE_FLAGS = (
@@ -84,15 +78,8 @@ def _build_config(args) -> SimConfig:
 def _cmd_simulate(args) -> int:
     cfg = _build_config(args)
     geom, grid = cfg.geometry(), cfg.grid()
-    trial = args.trial
-    paths = draw_paths(cfg, trial_rng(cfg.seed, trial, _STREAM_PATHS), grid)
-    check_delay_validity(paths, geom, grid)
-    H = synthesize_channel(paths, geom, grid)
-    W = random_phase_combiner(geom, trial_rng(cfg.seed, trial, _STREAM_COMBINER))
     snr = float(args.snr_db.split(",")[0]) if args.snr_db else cfg.snr_db[0]
-    noise_var = noise_var_for_snr(H, W, cfg.power, snr)
-    Y = observe(H, W, cfg.power, noise_var,
-                trial_rng(cfg.seed, trial, _STREAM_NOISE))
+    paths, H, W, noise_var, Y = draw_trial(cfg, args.trial, snr)
     np.savez(
         args.out,
         H=H, Y=Y, W=W,
@@ -101,10 +88,11 @@ def _cmd_simulate(args) -> int:
         r_m=[p.range_m for p in paths],
         gain=[p.gain for p in paths],
         n_antennas=geom.n_antennas, n_subarrays=geom.n_subarrays,
-        carrier_hz=geom.carrier_hz, n_subcarriers=grid.n_subcarriers,
+        carrier_hz=geom.carrier_hz, spacing_m=geom.spacing_m,
+        n_subcarriers=grid.n_subcarriers,
         bandwidth_hz=grid.n_subcarriers * grid.spacing_hz,
         snr_db=snr, noise_var=noise_var, power=cfg.power, seed=cfg.seed,
-        trial=trial,
+        trial=args.trial,
     )
     print(f"wrote scenario with L={len(paths)} paths, SNR {snr:g} dB -> {args.out}")
     return 0
@@ -115,10 +103,8 @@ def _cmd_estimate(args) -> int:
     algorithm = args.algorithm
     if args.scenario:
         data = np.load(args.scenario)
-        from .model import ArrayGeometry, SubcarrierGrid
-
         geom = ArrayGeometry(int(data["n_antennas"]), int(data["n_subarrays"]),
-                             float(data["carrier_hz"]))
+                             float(data["carrier_hz"]), float(data["spacing_m"]))
         grid = SubcarrierGrid.from_bandwidth(int(data["n_subcarriers"]),
                                              float(data["bandwidth_hz"]))
         H, Y, W = data["H"], data["Y"], data["W"]
@@ -126,24 +112,11 @@ def _cmd_estimate(args) -> int:
         power = float(data["power"])
         rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa,
                             max_paths=cfg.max_paths)
-        if algorithm == "dps":
-            res = run_dps(Y, W, geom, grid, rule, power=power)
-            est = res.paths
-            H_hat = reconstruct_channel(est, geom, grid)
-            extra = f" fallback={res.fallback} corr={res.corr_total}"
-        elif algorithm == "omp":
-            est, corr = polar_omp_fallback(
-                Y, W, geom, grid, rule, cfg.angle_grid_size,
-                np.geomspace(cfg.distance_grid_min_m, cfg.distance_grid_max_m,
-                             cfg.distance_grid_size), power)
-            H_hat = reconstruct_channel(est, geom, grid)
-            extra = f" corr={sum(corr)}"
-        elif algorithm == "ls":
-            est = []
-            H_hat = ls_baseline(Y, W, power)
-            extra = ""
-        else:
-            raise ConfigError(f"unknown algorithm {algorithm!r}")
+        est, H_hat, fallback, corr = estimate(
+            algorithm, Y, W, geom, grid, rule, cfg.angle_grid_size,
+            cfg.distance_grid(), power)
+        extra = {"dps": f" fallback={fallback} corr={corr}",
+                 "omp": f" corr={corr}", "ls": ""}[algorithm]
         print(f"algorithm={algorithm} L_hat={len(est)} "
               f"nmse_db={nmse_db(H_hat, H):.3f}{extra}")
         for i, p in enumerate(est):

@@ -7,15 +7,16 @@ decouple (theta, dist, range), fits one complex gain per subarray, and
 cancels the path from the residual.  A CFAR threshold on the central
 correlation peak stops the iteration.
 
-The computational kernels are free functions so that the message-passing
-runtime (:mod:`nfce.runtime`) can execute the identical math in the identical
-order — the equivalence between the two drivers is exact, not approximate.
+Every detection attempt appends one :class:`Iteration` (central peak, delay
+track, accepted path) to the result.  The message-passing runtime
+(:mod:`nfce.runtime`) replays that record as LPU/CPU messages instead of
+running a second copy of the loop, so the two entry points agree exactly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -396,6 +397,20 @@ class PathEstimate:
 
 
 @dataclass
+class Iteration:
+    """Record of one detection attempt of :func:`run_dps`.
+
+    ``track`` is None when the loop stopped at the detection (threshold or
+    path cap); ``path`` is None when it stopped after extrapolating
+    (fallback or rejected).
+    """
+
+    peak: float  # central-subarray grid score, compared to the CFAR threshold
+    track: SubarrayDelayTrack | None = None
+    path: PathEstimate | None = None
+
+
+@dataclass
 class DpsResult:
     paths: list
     fallback: bool
@@ -404,6 +419,8 @@ class DpsResult:
     corr_total: int  # includes the terminal stopping check
     stop_reason: str
     residual: np.ndarray
+    iterations: list  # one Iteration per detection attempt
+    threshold: float  # CFAR level each Iteration.peak is compared against
 
     @property
     def n_paths(self) -> int:
@@ -439,6 +456,30 @@ def decouple_profile(
     return theta, dist, rng_m, clamped, False
 
 
+def fit_and_cancel(
+    resid: np.ndarray,
+    theta: float,
+    dist_m: float,
+    range_m: float,
+    combiners: np.ndarray,
+    geom: ArrayGeometry,
+    grid: SubcarrierGrid,
+    power: float = 1.0,
+    steering: str = "exact",
+    track: SubarrayDelayTrack | None = None,
+    clamped: bool = False,
+    refined: bool = False,
+) -> PathEstimate:
+    """Fit one path's per-subarray gains and cancel it from ``resid`` in place."""
+    gains = np.zeros(geom.n_subarrays, dtype=complex)
+    for k in range(geom.n_subarrays):
+        v_gc = gain_column(k, theta, dist_m, range_m, combiners[k], geom, grid, steering)
+        gains[k] = estimate_gain_lpu(resid[k], v_gc, power)
+        resid[k] = residual_update(resid[k], gains[k], v_gc, power)
+    return PathEstimate(theta, dist_m, range_m, complex(np.mean(gains)), gains,
+                        track, clamped, refined)
+
+
 def run_dps(
     Y: np.ndarray,
     combiners: np.ndarray,
@@ -470,6 +511,7 @@ def run_dps(
     resid = np.array(Y, dtype=complex, copy=True)
 
     paths: list[PathEstimate] = []
+    iterations: list[Iteration] = []
     corr_per_iter: list[int] = []
     corr_total = 0
     rejected = 0
@@ -479,6 +521,8 @@ def run_dps(
     while True:
         idx, tau_c, peak = ml_delay_detect(resid[kc], dictionary)
         corr_total += M
+        step = Iteration(peak)
+        iterations.append(step)
         if peak <= threshold:
             stop_reason = "threshold"
             break
@@ -487,7 +531,8 @@ def run_dps(
             break
 
         track = extrapolate_delays(resid, tau_c, geom, dictionary, m_hop)
-        corr_iter = M + (K - 1) * (2 * m_hop + 1)
+        step.track = track
+        corr_per_iter.append(M + (K - 1) * (2 * m_hop + 1))
         corr_total += (K - 1) * (2 * m_hop + 1)
 
         if track.all_equal():
@@ -495,36 +540,19 @@ def run_dps(
             # still above threshold: hand off to a dictionary-based method
             fallback = True
             stop_reason = "fallback"
-            corr_per_iter.append(corr_iter)
             break
 
         decoupled = decouple_profile(track, geom, grid, refine)
         if decoupled is None:
             rejected += 1
             stop_reason = "rejected"
-            corr_per_iter.append(corr_iter)
             break
         theta, dist, rng_m, clamped, refined = decoupled
-
-        gains = np.zeros(K, dtype=complex)
-        for k in range(K):
-            v_gc = gain_column(k, theta, dist, rng_m, combiners[k], geom, grid, steering)
-            gains[k] = estimate_gain_lpu(resid[k], v_gc, power)
-            resid[k] = residual_update(resid[k], gains[k], v_gc, power)
-
-        paths.append(
-            PathEstimate(
-                theta=theta,
-                dist_m=dist,
-                range_m=rng_m,
-                gain=complex(np.mean(gains)),
-                lpu_gains=gains,
-                track=track,
-                clamped=clamped,
-                refined=refined,
-            )
+        step.path = fit_and_cancel(
+            resid, theta, dist, rng_m, combiners, geom, grid, power, steering,
+            track=track, clamped=clamped, refined=refined,
         )
-        corr_per_iter.append(corr_iter)
+        paths.append(step.path)
 
     return DpsResult(
         paths=paths,
@@ -534,6 +562,8 @@ def run_dps(
         corr_total=corr_total,
         stop_reason=stop_reason,
         residual=resid,
+        iterations=iterations,
+        threshold=threshold,
     )
 
 

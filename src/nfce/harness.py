@@ -28,7 +28,6 @@ from .model import (
 )
 from .frontend import (
     apply_impairments,
-    combining_matrix,
     noise_var_for_snr,
     observe,
     random_phase_combiner,
@@ -37,12 +36,10 @@ from .estimator import (
     DelayDictionary,
     PathEstimate,
     StoppingRule,
-    estimate_gain_lpu,
-    gain_column,
+    fit_and_cancel,
     max_hop,
     ml_delay_detect,
     reconstruct_channel,
-    residual_update,
     run_dps,
     stopping_threshold,
 )
@@ -99,7 +96,6 @@ class SimConfig:
     distance_grid_max_m: float = 40.0
     csv_path: str | None = None
     timing: bool = False
-    trace: bool = False
 
     def __post_init__(self):
         if self.n_paths < 0:
@@ -129,6 +125,12 @@ class SimConfig:
 
     def grid(self) -> SubcarrierGrid:
         return SubcarrierGrid.from_bandwidth(self.n_subcarriers, self.bandwidth_hz)
+
+    def distance_grid(self) -> np.ndarray:
+        """Polar-OMP distance grid, geometrically spaced."""
+        return np.geomspace(
+            self.distance_grid_min_m, self.distance_grid_max_m, self.distance_grid_size
+        )
 
     def derived_summary(self) -> dict:
         geom, grid = self.geometry(), self.grid()
@@ -175,7 +177,6 @@ _SCHEMA = {
     ("omp", "distance_grid_min_m"): ("distance_grid_min_m", float),
     ("omp", "distance_grid_max_m"): ("distance_grid_max_m", float),
     ("output", "csv_path"): ("csv_path", str),
-    ("output", "trace"): ("trace", "bool"),
 }
 
 
@@ -278,9 +279,14 @@ def nmse_db(H_est: np.ndarray, H_true: np.ndarray) -> float:
 
 
 def ls_baseline(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> np.ndarray:
-    """Minimum-norm LS estimate A^H Y / sqrt(P); rank-K in an N-dim space."""
-    A = combining_matrix(combiners)
-    return A.conj().T @ Y / np.sqrt(power)
+    """Minimum-norm LS estimate A^H Y / sqrt(P); rank-K in an N-dim space.
+
+    A is block diagonal with rows f_k^H, so subarray k's block of A^H Y is
+    the outer product f_k y_k^T; the dense K x N matrix is never formed.
+    """
+    K, ns = combiners.shape
+    blocks = combiners[:, :, None] * Y[:, None, :]
+    return blocks.reshape(K * ns, Y.shape[1]) / np.sqrt(power)
 
 
 def polar_omp_fallback(
@@ -345,22 +351,8 @@ def polar_omp_fallback(
         series = proj[i, j] / norms[i, j] ** 2
         _, tau, _ = ml_delay_detect(series, dictionary)
         rng_m = tau * SPEED_OF_LIGHT / grid.spacing_hz - d_g
-        gains = np.zeros(K, dtype=complex)
-        for k in range(K):
-            v_gc = gain_column(k, th_g, d_g, rng_m, combiners[k], geom, grid,
-                               steering)
-            gains[k] = estimate_gain_lpu(resid[k], v_gc, power)
-            resid[k] = residual_update(resid[k], gains[k], v_gc, power)
-        paths.append(
-            PathEstimate(
-                theta=th_g,
-                dist_m=d_g,
-                range_m=rng_m,
-                gain=complex(np.mean(gains)),
-                lpu_gains=gains,
-                track=None,
-            )
-        )
+        paths.append(fit_and_cancel(resid, th_g, d_g, rng_m, combiners, geom, grid,
+                                    power, steering))
     return paths, corr_per_iter
 
 
@@ -445,19 +437,52 @@ def parameter_errors(est: list, truth: list[PathParams], grid: SubcarrierGrid
 # trial execution and sweeps
 
 
+def estimate(
+    algorithm: str,
+    Y: np.ndarray,
+    combiners: np.ndarray,
+    geom: ArrayGeometry,
+    grid: SubcarrierGrid,
+    rule: StoppingRule,
+    angle_grid_size: int,
+    distance_grid: np.ndarray,
+    power: float = 1.0,
+):
+    """Run one algorithm on an observation: (paths, H_hat, fallback, corr_count).
+
+    ``angle_grid_size`` and ``distance_grid`` set the polar-OMP dictionary;
+    LS extracts no paths and counts no correlations.
+    """
+    if algorithm == "dps":
+        res = run_dps(Y, combiners, geom, grid, rule, power=power)
+        return (res.paths, reconstruct_channel(res.paths, geom, grid),
+                res.fallback, res.corr_total)
+    if algorithm == "omp":
+        paths, corr_iters = polar_omp_fallback(
+            Y, combiners, geom, grid, rule, angle_grid_size, distance_grid, power
+        )
+        return paths, reconstruct_channel(paths, geom, grid), False, int(sum(corr_iters))
+    if algorithm == "ls":
+        return [], ls_baseline(Y, combiners, power), False, 0
+    raise ConfigError(f"unknown algorithm {algorithm!r}")
+
+
+def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
+    """One trial's scenario before impairments: (paths, H, W, noise_var, Y)."""
+    geom, grid = cfg.geometry(), cfg.grid()
+    paths = draw_paths(cfg, trial_rng(cfg.seed, trial, _STREAM_PATHS), grid)
+    check_delay_validity(paths, geom, grid)
+    H = synthesize_channel(paths, geom, grid)
+    W = random_phase_combiner(geom, trial_rng(cfg.seed, trial, _STREAM_COMBINER))
+    noise_var = noise_var_for_snr(H, W, cfg.power, snr_db)
+    Y = observe(H, W, cfg.power, noise_var, trial_rng(cfg.seed, trial, _STREAM_NOISE))
+    return paths, H, W, noise_var, Y
+
+
 def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
               ) -> RunRecord:
     geom, grid = cfg.geometry(), cfg.grid()
-    rng_paths = trial_rng(cfg.seed, trial, _STREAM_PATHS)
-    rng_comb = trial_rng(cfg.seed, trial, _STREAM_COMBINER)
-    rng_noise = trial_rng(cfg.seed, trial, _STREAM_NOISE)
-
-    paths = draw_paths(cfg, rng_paths, grid)
-    check_delay_validity(paths, geom, grid)
-    H = synthesize_channel(paths, geom, grid)
-    W = random_phase_combiner(geom, rng_comb)
-    noise_var = noise_var_for_snr(H, W, cfg.power, snr_db)
-    Y = observe(H, W, cfg.power, noise_var, rng_noise)
+    paths, H, W, noise_var, Y = draw_trial(cfg, trial, snr_db)
 
     if cfg.clock_offset_frac_max > 0.0 or cfg.gain_factor_min < 1.0:
         rng_imp = trial_rng(cfg.seed, trial, _STREAM_IMPAIR)
@@ -473,29 +498,11 @@ def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
         Y = apply_impairments(Y, grid, geom.carrier_hz, offsets, factors)
 
     rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
+    dist_grid = cfg.distance_grid()
     t0 = time.perf_counter()
-    fallback = False
-    corr_count = 0
-    if algorithm == "dps":
-        res = run_dps(Y, W, geom, grid, rule, power=cfg.power)
-        est_paths = res.paths
-        fallback = res.fallback
-        corr_count = res.corr_total
-        H_hat = reconstruct_channel(est_paths, geom, grid)
-    elif algorithm == "omp":
-        dist_grid = np.geomspace(
-            cfg.distance_grid_min_m, cfg.distance_grid_max_m, cfg.distance_grid_size
-        )
-        est_paths, corr_iters = polar_omp_fallback(
-            Y, W, geom, grid, rule, cfg.angle_grid_size, dist_grid, cfg.power
-        )
-        corr_count = int(sum(corr_iters))
-        H_hat = reconstruct_channel(est_paths, geom, grid)
-    elif algorithm == "ls":
-        est_paths = []
-        H_hat = ls_baseline(Y, W, cfg.power)
-    else:
-        raise ConfigError(f"unknown algorithm {algorithm!r}")
+    est_paths, H_hat, fallback, corr_count = estimate(
+        algorithm, Y, W, geom, grid, rule, cfg.angle_grid_size, dist_grid, cfg.power
+    )
     elapsed_ms = (time.perf_counter() - t0) * 1e3
 
     th_err, d_err, r_err = parameter_errors(est_paths, paths, grid)

@@ -250,47 +250,28 @@ def subarray_centers(theta: float, dist_m: float, geom: ArrayGeometry):
     return dist_k, theta_k
 
 
-def subarray_squint_block(
-    theta: float, dist_m: float, geom: ArrayGeometry, grid: SubcarrierGrid
-) -> np.ndarray:
-    """Piecewise-constant approximation of the squint matrix.
-
-    Within subarray k every antenna shares the subarray-center extra distance
-    d~_k - d, so rows of subarray k all equal p(d~_k, -d).  Shape (N, M).
-    """
-    dist_k, _ = subarray_centers(theta, dist_m, geom)
-    rows = np.stack(
-        [freq_profile(dk, -dist_m, grid) for dk in dist_k]
-    )
-    return np.repeat(rows, geom.subarray_size, axis=0)
-
-
 def synthesize_channel(
     paths,
     geom: ArrayGeometry,
     grid: SubcarrierGrid,
     steering: str = "exact",
-    squint: str = "exact",
 ) -> np.ndarray:
     """Multipath frequency-domain channel H of shape (N, M).
 
     H = sum_l rho_l (w_l p_l^T) .* Q_l with w the carrier-frequency steering
     (``steering`` in {"exact", "fresnel"}), p the frequency profile of the
-    total path length, and Q the squint term (``squint`` in {"exact",
-    "subarray", "none"}).  With everything exact this reproduces the physical
-    model H[n, m] = g_l exp(j 2 pi f_m (r_l + d_n) / c) per path.
+    total path length, and Q the exact squint term.  With exact steering this
+    reproduces the physical model H[n, m] = g_l exp(j 2 pi f_m (r_l + d_n) / c)
+    per path.
     """
-    if squint not in ("exact", "subarray", "none"):
-        raise ValueError(f"unknown squint model {squint!r}")
     H = np.zeros((geom.n_antennas, grid.n_subcarriers), dtype=complex)
     for path in paths:
         w = steering_vector(path.theta, path.dist_m, geom, steering)
         p = freq_profile(path.dist_m, path.range_m, grid)
         rank1 = np.outer(w, p)
-        if squint == "exact":
-            rank1 = rank1 * squint_matrix(path.theta, path.dist_m, geom, grid)
-        elif squint == "subarray":
-            rank1 = rank1 * subarray_squint_block(path.theta, path.dist_m, geom, grid)
+        # two statements on purpose: fused, NumPy multiplies in place into
+        # the outer-product buffer and the last bits of H change
+        rank1 = rank1 * squint_matrix(path.theta, path.dist_m, geom, grid)
         H += combined_gain(path, geom) * rank1
     return H
 

@@ -1,38 +1,31 @@
-"""Message-passing simulation of the subarray/central-unit processing split.
+"""Message-passing view of the subarray/central-unit processing split.
 
 Each local processing unit (LPU) owns exactly one subarray's combined row and
 its own combiner weights; the central unit (CPU) only ever sees scalar delay,
-parameter, and gain messages.  The arithmetic path is the same kernel code as
-:mod:`nfce.estimator`, invoked row-by-row in the same order, so the result is
-exactly equal to ``run_dps`` on the same inputs — this module adds the
-information-flow structure (schedule, messages, per-unit counters), not a new
-algorithm.
+parameter, and gain messages.  ``run_distributed`` runs ``run_dps`` once and
+replays its per-iteration record (central peak, delay track, accepted path)
+as the messages and per-LPU correlation counters that split implies, so the
+result equals ``run_dps`` on the same inputs by construction.  This module
+adds the information-flow structure (schedule, messages, per-unit counters),
+not a second copy of the estimator loop.
 
 The simulation is deterministic and in-process; there is no transport layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .model import ArrayGeometry, SubcarrierGrid
 from .estimator import (
-    DelayDictionary,
     DpsResult,
-    PathEstimate,
+    Iteration,
     StoppingRule,
-    SubarrayDelayTrack,
     central_index,
-    decouple_profile,
-    estimate_gain_lpu,
-    extrapolate_step,
-    gain_column,
     max_hop,
-    ml_delay_detect,
-    residual_update,
-    stopping_threshold,
+    run_dps,
 )
 
 MESSAGE_KINDS = (
@@ -97,101 +90,19 @@ def schedule_extrapolation(n_subarrays: int, center: int) -> list[tuple[int, int
     return up + down
 
 
-class LpuNode:
-    """Holds one subarray's received row and combiner weights, nothing else."""
-
-    def __init__(self, k: int, row: np.ndarray, combiner_row: np.ndarray,
-                 geom: ArrayGeometry, grid: SubcarrierGrid,
-                 dictionary: DelayDictionary):
-        self.k = k                      # 0-based subarray index
-        self.row = np.array(row, dtype=complex, copy=True)
-        self.combiner_row = combiner_row
-        self.geom = geom
-        self.grid = grid
-        self.dictionary = dictionary
-        self.corr_count = 0
-        self.last_tau = 0.0
-        self.last_gain = 0.0 + 0.0j
-
-    @property
-    def label(self) -> int:
-        return self.k + 1
-
-    def detect(self) -> tuple[int, float, float]:
-        out = ml_delay_detect(self.row, self.dictionary)
-        self.corr_count += self.dictionary.size
-        self.last_tau = out[1]
-        return out
-
-    def extrapolate(self, seed_tau: float, m_hop: int) -> tuple[int, float, float]:
-        out = extrapolate_step(self.row, seed_tau, m_hop, self.dictionary)
-        self.corr_count += 2 * m_hop + 1
-        self.last_tau = out[1]
-        return out
-
-    def fit_gain(self, theta: float, dist_m: float, range_m: float,
-                 power: float, steering: str) -> complex:
-        v_gc = gain_column(self.k, theta, dist_m, range_m, self.combiner_row,
-                           self.geom, self.grid, steering)
-        gain = estimate_gain_lpu(self.row, v_gc, power)
-        self.row = residual_update(self.row, gain, v_gc, power)
-        self.last_gain = gain
-        return gain
-
-
 @dataclass
-class CpuState:
-    """Scalar-only aggregation state at the central unit."""
+class DistributedResult(DpsResult):
+    """``run_dps``'s result plus its LPU/CPU view: counters and message log."""
 
-    taus: list = field(default_factory=list)       # per-iteration K-vectors of scalars
-    gains: list = field(default_factory=list)
-    paths: list = field(default_factory=list)
-    fallback: bool = False
-
-
-def detect_fallback(values, grid_size: int | None = None) -> bool:
-    """True when every subarray reported the same dictionary bin.
-
-    ``values`` is either a vector of integer grid indices (``grid_size``
-    omitted) or a vector of delays, converted to bins the same way the delay
-    track does.
-    """
-    arr = np.asarray(values)
-    if grid_size is not None:
-        arr = np.mod(
-            np.round(np.mod(arr, 1.0) * grid_size - 0.5).astype(int), grid_size
-        )
-    return bool(np.all(arr == arr.flat[0]))
-
-
-@dataclass
-class DistributedResult:
-    paths: list
-    fallback: bool
-    rejected: int
-    corr_per_iter: list
-    corr_total: int
-    stop_reason: str
     corr_by_lpu: np.ndarray
     trace: list
-
-    @property
-    def n_paths(self) -> int:
-        return len(self.paths)
 
     def trace_lines(self) -> list[str]:
         return [m.format() for m in self.trace]
 
     def as_dps_result(self, residual: np.ndarray | None = None) -> DpsResult:
-        return DpsResult(
-            paths=self.paths,
-            fallback=self.fallback,
-            rejected=self.rejected,
-            corr_per_iter=self.corr_per_iter,
-            corr_total=self.corr_total,
-            stop_reason=self.stop_reason,
-            residual=residual,
-        )
+        shared = {f.name: getattr(self, f.name) for f in fields(DpsResult)}
+        return DpsResult(**{**shared, "residual": residual})
 
 
 def run_distributed(
@@ -207,106 +118,53 @@ def run_distributed(
 ) -> DistributedResult:
     """Run the estimator under the LPU/CPU message-passing constraint.
 
-    Exactly equal output to ``run_dps`` — the same kernels run on the same
-    rows in the same order; only the bookkeeping differs.  With ``trace=True``
-    every message is recorded; payloads are always scalars, so no message
-    grows with M or N.
+    Exactly equal output to ``run_dps``: it runs ``run_dps`` once and replays
+    its iteration record as messages and per-LPU counters.  With
+    ``trace=True`` every message is recorded; payloads are always scalars,
+    so no message grows with M or N.
     """
+    res = run_dps(Y, combiners, geom, grid, rule, power, steering, refine)
     K, M = geom.n_subarrays, grid.n_subcarriers
-    if Y.shape != (K, M):
-        raise ValueError(f"observation must be {K}x{M}, got {Y.shape}")
-    if K % 2 != 0:
-        raise ValueError(f"subarray count must be even, got {K}")
-    dictionary = DelayDictionary(M)
-    m_hop = max_hop(geom, grid)
     kc = central_index(K)
-    threshold = stopping_threshold(rule.noise_var, M, rule.p_fa)
-
-    lpus = [
-        LpuNode(k, Y[k], combiners[k], geom, grid, dictionary) for k in range(K)
-    ]
-    cpu = CpuState()
-    hops = schedule_extrapolation(K, kc + 1)
-    log: list[Message] = []
-    it = 0
-
-    def record(kind, sender, payload=()):
-        if trace:
-            log.append(Message(it, kind, sender, tuple(payload)))
-
-    corr_per_iter: list[int] = []
-    rejected = 0
-    stop_reason = "max_paths"
-
-    while True:
-        # central unit polls the central subarray's residual peak
-        record("StopQuery", "cpu")
-        _, tau_c, peak = lpus[kc].detect()
-        record("StopReport", lpus[kc].label, (peak,))
-        if peak <= threshold:
-            stop_reason = "threshold"
-            break
-        if len(cpu.paths) >= rule.max_paths:
-            stop_reason = "max_paths"
-            break
-
-        # serial extrapolation; seeds hop LPU-to-LPU, reports go to the CPU
-        taus = np.zeros(K)
-        kappas = np.zeros(K, dtype=int)
-        taus[kc] = tau_c
-        record("DelayReport", lpus[kc].label, (tau_c,))
-        for src1, tgt1 in hops:
-            src, tgt = src1 - 1, tgt1 - 1
-            record("DelaySeed", src1, (taus[src],))
-            kappas[tgt], taus[tgt], _ = lpus[tgt].extrapolate(taus[src], m_hop)
-            record("DelayReport", tgt1, (taus[tgt],))
-        track = SubarrayDelayTrack(taus, kappas, m_hop, kc, dictionary.size)
-        cpu.taus.append(taus)
-        corr_iter = M + (K - 1) * (2 * m_hop + 1)
-
-        if track.all_equal():
-            cpu.fallback = True
-            stop_reason = "fallback"
-            corr_per_iter.append(corr_iter)
-            break
-
-        decoupled = decouple_profile(track, geom, grid, refine)
-        if decoupled is None:
-            rejected += 1
-            stop_reason = "rejected"
-            corr_per_iter.append(corr_iter)
-            break
-        theta, dist, rng_m, clamped, refined = decoupled
-        record("ParamBroadcast", "cpu", (theta, dist, rng_m))
-
-        gains = np.zeros(K, dtype=complex)
-        for k in range(K):
-            gains[k] = lpus[k].fit_gain(theta, dist, rng_m, power, steering)
-            record("GainReport", lpus[k].label, (gains[k],))
-        cpu.gains.append(gains)
-
-        cpu.paths.append(
-            PathEstimate(
-                theta=theta,
-                dist_m=dist,
-                range_m=rng_m,
-                gain=complex(np.mean(gains)),
-                lpu_gains=gains,
-                track=track,
-                clamped=clamped,
-                refined=refined,
-            )
-        )
-        corr_per_iter.append(corr_iter)
-        it += 1
-
+    # the central LPU runs every full-grid detection; every other LPU runs
+    # one extrapolation hop per detection that went on to extrapolate
+    n_tracked = sum(step.track is not None for step in res.iterations)
+    corr_by_lpu = np.full(K, n_tracked * (2 * max_hop(geom, grid) + 1))
+    corr_by_lpu[kc] = len(res.iterations) * M
     return DistributedResult(
-        paths=cpu.paths,
-        fallback=cpu.fallback,
-        rejected=rejected,
-        corr_per_iter=corr_per_iter,
-        corr_total=int(sum(l.corr_count for l in lpus)),
-        stop_reason=stop_reason,
-        corr_by_lpu=np.array([l.corr_count for l in lpus]),
-        trace=log,
+        **vars(res),
+        corr_by_lpu=corr_by_lpu,
+        trace=_replay_messages(res.iterations, K) if trace else [],
     )
+
+
+def _replay_messages(iterations: list[Iteration], n_subarrays: int) -> list[Message]:
+    """The LPU/CPU message log of one ``run_dps`` iteration record.
+
+    Per detection attempt the CPU polls the central LPU's peak; if the loop
+    went on, delay seeds hop LPU-to-LPU along ``schedule_extrapolation`` and
+    every LPU reports its delay; an accepted path is broadcast as three
+    scalars and every LPU reports its fitted gain.
+    """
+    center = central_index(n_subarrays) + 1
+    hops = schedule_extrapolation(n_subarrays, center)
+    log: list[Message] = []
+    for it, step in enumerate(iterations):
+        log.append(Message(it, "StopQuery", "cpu"))
+        log.append(Message(it, "StopReport", center, (step.peak,)))
+        if step.track is None:
+            continue
+        taus = step.track.taus_unwrapped
+        # the central delay is the detector's own float, not an array element
+        log.append(Message(it, "DelayReport", center, (float(taus[center - 1]),)))
+        for src, tgt in hops:
+            log.append(Message(it, "DelaySeed", src, (taus[src - 1],)))
+            log.append(Message(it, "DelayReport", tgt, (taus[tgt - 1],)))
+        path = step.path
+        if path is None:
+            continue
+        log.append(Message(it, "ParamBroadcast", "cpu",
+                           (path.theta, path.dist_m, path.range_m)))
+        for k, gain in enumerate(path.lpu_gains):
+            log.append(Message(it, "GainReport", k + 1, (gain,)))
+    return log

@@ -1,4 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
+import re
+
 import numpy as np
 import pytest
 
@@ -111,3 +113,28 @@ def test_exit_codes(tmp_path, capsys):
     rc = main(["simulate", *COMMON, "--out", str(tmp_path / "no" / "dir" / "x.npz")])
     assert rc == 3
     assert "error: io:" in capsys.readouterr().err
+
+
+def test_scenario_round_trip_keeps_spacing(tmp_path, capsys):
+    # a non-default element spacing must survive simulate -> estimate --scenario
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(
+        "[geometry]\nn_antennas = 64\nn_subarrays = 16\nspacing_m = 0.01\n"
+        "[grid]\nn_subcarriers = 128\n"
+        "[paths]\ncount = 1\n"
+        "[sweep]\nseed = 5\nsnr_db = 20\n"
+    )
+    npz = tmp_path / "scene.npz"
+    assert main(["simulate", "--config", str(ini), "--out", str(npz)]) == 0
+    capsys.readouterr()
+
+    def fields(argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        return re.search(r"L_hat=(\d+) nmse_db=(\S+)", out).groups()
+
+    for alg in ("dps", "omp"):
+        replayed = fields(["estimate", "--config", str(ini), "--algorithm", alg,
+                           "--scenario", str(npz)])
+        fresh = fields(["estimate", "--config", str(ini), "--algorithm", alg])
+        assert replayed == fresh, alg

@@ -37,6 +37,7 @@ from nfce.estimator import (
     stopping_threshold,
     window_scores,
 )
+from nfce.harness import SimConfig, draw_paths, trial_rng
 
 
 def test_dictionary_grid_points():
@@ -367,3 +368,48 @@ def test_extrapolate_delays_tracks_profile():
     np.testing.assert_array_equal(track.grid_indices, idx_true)
     assert track.kappas[kc] == 0
     assert not track.all_equal()
+
+
+# a12's scenarios (64/16/128, 1 + seed % 3 paths, 15 dB, max_paths=8) whose
+# run_dps stops for each of the four reasons
+_STOP_SEEDS = {"max_paths": 0, "fallback": 2, "rejected": 3, "threshold": 15}
+
+
+def _a12_scenario(seed):
+    cfg = SimConfig(n_antennas=64, n_subarrays=16, n_subcarriers=128,
+                    n_paths=1 + seed % 3, seed=seed, snr_db=(15.0,))
+    geom, grid = cfg.geometry(), cfg.grid()
+    H = synthesize_channel(draw_paths(cfg, trial_rng(seed, 0, 0), grid), geom, grid)
+    W = random_phase_combiner(geom, trial_rng(seed, 0, 1))
+    nv = float(np.mean(np.abs(observe(H, W, 1.0, 0.0)) ** 2)) / 10 ** 1.5
+    Y = observe(H, W, 1.0, nv, rng=trial_rng(seed, 0, 2))
+    return geom, grid, W, Y, StoppingRule(noise_var=nv, p_fa=1e-3, max_paths=8)
+
+
+@pytest.mark.parametrize("reason", sorted(_STOP_SEEDS))
+def test_run_dps_iteration_record(reason):
+    geom, grid, W, Y, rule = _a12_scenario(_STOP_SEEDS[reason])
+    res = run_dps(Y, W, geom, grid, rule)
+    assert res.stop_reason == reason
+    K, M = geom.n_subarrays, grid.n_subcarriers
+    hop = max_hop(geom, grid)
+    assert res.threshold == stopping_threshold(rule.noise_var, M, rule.p_fa)
+    steps = res.iterations
+    tracked = [s for s in steps if s.track is not None]
+    # one record per detection attempt: each costs M correlations at the
+    # center, and each that went on to extrapolate (K-1)(2 M_s + 1) more
+    assert len(tracked) == len(res.corr_per_iter)
+    assert res.corr_total == len(steps) * M + len(tracked) * (K - 1) * (2 * hop + 1)
+    accepted = [s.path for s in steps if s.path is not None]
+    assert len(accepted) == res.n_paths
+    assert all(a is p for a, p in zip(accepted, res.paths))
+    assert all(s.peak > res.threshold for s in steps[:-1])
+    last = steps[-1]
+    if reason == "threshold":
+        assert last.peak <= res.threshold and last.track is None
+    elif reason == "max_paths":
+        assert last.peak > res.threshold and last.track is None
+        assert res.n_paths == rule.max_paths
+    else:
+        assert last.peak > res.threshold
+        assert last.track is not None and last.path is None

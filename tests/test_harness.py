@@ -135,6 +135,12 @@ def test_ls_baseline_projects_back():
     from nfce.frontend import combine
 
     np.testing.assert_allclose(combine(H_ls, W), Y / 2.0, atol=1e-10)
+    # the block form equals the dense A^H Y / sqrt(P) it replaces
+    from nfce.frontend import combining_matrix
+
+    np.testing.assert_allclose(
+        H_ls, combining_matrix(W).conj().T @ Y / np.sqrt(4.0), rtol=1e-12
+    )
 
 
 def test_draw_paths_ranges_and_rejection():

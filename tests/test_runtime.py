@@ -9,11 +9,16 @@ from nfce.model import (
     synthesize_channel,
 )
 from nfce.frontend import observe, random_phase_combiner
-from nfce.estimator import StoppingRule, central_index, max_hop, run_dps
+from nfce.estimator import (
+    StoppingRule,
+    SubarrayDelayTrack,
+    central_index,
+    max_hop,
+    run_dps,
+)
 from nfce.runtime import (
     MESSAGE_KINDS,
     Message,
-    detect_fallback,
     run_distributed,
     schedule_extrapolation,
 )
@@ -48,12 +53,22 @@ def test_schedule_extrapolation_chains():
         schedule_extrapolation(6, 0)
 
 
+def _track(taus, grid_size):
+    taus = np.asarray(taus, dtype=float)
+    return SubarrayDelayTrack(taus, np.zeros(taus.size, dtype=int), 1, 0, grid_size)
+
+
 def test_detect_fallback():
-    assert detect_fallback([7, 7, 7, 7])
-    assert not detect_fallback([7, 7, 8, 7])
-    # delay-valued input converted to bins
-    assert detect_fallback(np.full(5, 0.31), grid_size=16)
-    assert not detect_fallback(np.array([0.31, 0.38]), grid_size=16)
+    # the all-equal fallback check lives on the delay track alone
+    taus = (np.array([7, 7, 7, 7]) + 0.5) / 16  # bin 7 of 16
+    assert _track(taus, 16).all_equal()
+    taus[2] += 1 / 16  # bin 8
+    assert not _track(taus, 16).all_equal()
+    # off-grid delays are converted to bins
+    assert _track(np.full(5, 0.31), 16).all_equal()
+    assert not _track([0.31, 0.38], 16).all_equal()
+    # an unwrapped track that leaves [0, 1) compares wrapped bins
+    assert _track([0.31, 1.31, -0.69], 16).all_equal()
 
 
 def _scenario(seed, n_paths=1, snr=None, N=128, K=32, M=128):
