@@ -15,6 +15,7 @@ running a second copy of the loop, so the two entry points agree exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,12 +73,59 @@ def grid_scores(y: np.ndarray, dictionary: DelayDictionary) -> np.ndarray:
     return np.abs(spectrum) ** 2 / M
 
 
-def window_scores(y: np.ndarray, taus: np.ndarray, dictionary: DelayDictionary) -> np.ndarray:
-    """|b(tau)^H y|^2 / M for a handful of off-grid candidates (direct)."""
+def window_scores(
+    y: np.ndarray,
+    taus: np.ndarray,
+    dictionary: DelayDictionary,
+    atoms_h: np.ndarray | None = None,
+) -> np.ndarray:
+    """|b(tau)^H y|^2 / M for a handful of off-grid candidates (direct).
+
+    ``atoms_h`` holds the conjugated atoms b(tau)^* of ``taus`` row by row;
+    pass it to reuse one table across calls (see :func:`shift_table`).
+    """
     M = dictionary.size
-    delta = index_offsets(M)
-    atoms = np.exp(2j * np.pi * np.outer(np.asarray(taus, dtype=float), delta))
-    return np.abs(atoms.conj() @ y) ** 2 / M
+    if atoms_h is None:
+        delta = index_offsets(M)
+        atoms = np.exp(2j * np.pi * np.outer(np.asarray(taus, dtype=float), delta))
+        atoms_h = atoms.conj()
+    return np.abs(atoms_h @ y) ** 2 / M
+
+
+@functools.lru_cache(maxsize=8)
+def _ramp_split(count: int):
+    """(A, j * [c, f]) with c[a] + f[b] = index_offsets(count)[a*B + b], count = A B.
+
+    B is the largest divisor of ``count`` not above its square root; None
+    when that is 1 (count prime or 1), where factoring saves nothing.  The
+    array is shared by every caller, hence read-only.
+    """
+    inner = max(d for d in range(1, math.isqrt(count) + 1) if count % d == 0)
+    if inner == 1:
+        return None
+    outer = count // inner
+    coarse = (np.arange(outer) - (outer - 1) / 2.0) * inner
+    fine = np.arange(inner) - (inner - 1) / 2.0
+    j_offsets = 1j * np.concatenate([coarse, fine])
+    j_offsets.flags.writeable = False
+    return outer, j_offsets
+
+
+def phase_ramp(phi, count: int) -> np.ndarray:
+    """exp(j phi delta_m) over the offsets delta = index_offsets(count).
+
+    ``phi`` is a scalar or an array; the ramp runs along a new last axis.
+    Splitting count = A B, delta = c_a + f_b and the ramp is the outer
+    product of exp(j phi c) and exp(j phi f): A + B complex exponentials
+    instead of count.  A prime count falls back to the direct exponential.
+    """
+    phi = np.asarray(phi, dtype=float)
+    split = _ramp_split(count)
+    if split is None:
+        return np.exp(1j * (phi[..., None] * index_offsets(count)))
+    outer, j_offsets = split
+    e = np.exp(phi[..., None] * j_offsets)
+    return (e[..., :outer, None] * e[..., None, outer:]).reshape(phi.shape + (count,))
 
 
 def ml_delay_detect(y: np.ndarray, dictionary: DelayDictionary):
@@ -103,20 +151,40 @@ def max_hop(geom: ArrayGeometry, grid: SubcarrierGrid) -> int:
     return max(1, math.ceil(ratio - 1e-12))
 
 
+def shift_table(m_hop: int, dictionary: DelayDictionary) -> np.ndarray:
+    """Conjugated hop atoms b(kappa/M)^*, kappa = -m_hop..m_hop, shape (2 m_hop + 1, M).
+
+    b(tau + kappa/M) = b(tau) * b(kappa/M) elementwise, so after de-rotating
+    a row by b(tau)^* every hop is scored against this one fixed table.
+    """
+    kappas = np.arange(-m_hop, m_hop + 1)
+    delta = index_offsets(dictionary.size)
+    return np.exp(2j * np.pi * np.outer(kappas / dictionary.size, delta)).conj()
+
+
 def extrapolate_step(
-    y: np.ndarray, prev_tau: float, m_hop: int, dictionary: DelayDictionary
+    y: np.ndarray,
+    prev_tau: float,
+    m_hop: int,
+    dictionary: DelayDictionary,
+    shifts: np.ndarray | None = None,
 ):
     """One serial hop: pick kappa in [-m_hop, m_hop] maximizing the score.
 
     Candidates are prev_tau + kappa/M; b() is 1-periodic so no explicit wrap
     is needed for the correlation.  Returns (kappa, unwrapped tau, score).
-    Ties resolve to the most negative kappa (first maximum).
+    Ties resolve to the most negative kappa (first maximum).  ``shifts`` is
+    ``shift_table(m_hop, dictionary)``, built here when not given.
     """
+    M = dictionary.size
     kappas = np.arange(-m_hop, m_hop + 1)
-    cand = prev_tau + kappas / dictionary.size
-    scores = window_scores(y, cand, dictionary)
+    if shifts is None:
+        shifts = shift_table(m_hop, dictionary)
+    derotated = y * phase_ramp(-2.0 * np.pi * prev_tau, M)
+    scores = window_scores(derotated, kappas / M, dictionary, shifts)
     j = int(np.argmax(scores))
-    return int(kappas[j]), float(cand[j]), float(scores[j])
+    kappa = int(kappas[j])
+    return kappa, prev_tau + kappa / M, float(scores[j])
 
 
 def central_index(n_subarrays: int) -> int:
@@ -158,23 +226,29 @@ def extrapolate_delays(
     geom: ArrayGeometry,
     dictionary: DelayDictionary,
     m_hop: int | None = None,
+    shifts: np.ndarray | None = None,
 ) -> SubarrayDelayTrack:
     """Serial outward extrapolation of the central delay across subarrays.
 
     Ascending chain center -> K-1 and descending chain center -> 0, each hop
     evaluating exactly 2*m_hop+1 correlations on that subarray's row.
+    ``shifts`` is ``shift_table(m_hop, dictionary)``, built here when not given.
     """
     K = geom.n_subarrays
     kc = central_index(K)
     if m_hop is None:
         raise ValueError("m_hop is required (use max_hop(geom, grid))")
+    if shifts is None:
+        shifts = shift_table(m_hop, dictionary)
     taus = np.zeros(K)
     kappas = np.zeros(K, dtype=int)
     taus[kc] = seed_tau
     for k in range(kc + 1, K):
-        kappas[k], taus[k], _ = extrapolate_step(Y[k], taus[k - 1], m_hop, dictionary)
+        kappas[k], taus[k], _ = extrapolate_step(
+            Y[k], taus[k - 1], m_hop, dictionary, shifts)
     for k in range(kc - 1, -1, -1):
-        kappas[k], taus[k], _ = extrapolate_step(Y[k], taus[k + 1], m_hop, dictionary)
+        kappas[k], taus[k], _ = extrapolate_step(
+            Y[k], taus[k + 1], m_hop, dictionary, shifts)
     return SubarrayDelayTrack(taus, kappas, m_hop, kc, dictionary.size)
 
 
@@ -298,50 +372,101 @@ def fit_profile_exact(
 # gain fitting and residual update
 
 
+def path_ramps(range_m: float, dist_k: np.ndarray, grid: SubcarrierGrid) -> np.ndarray:
+    """Frequency profiles p(r + d~_k) of one path at every subarray, shape (K, M).
+
+    p_m = exp(j 2 pi df delta_m (r + d~_k) / c), one :func:`phase_ramp` per row.
+    """
+    phi = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * (range_m + dist_k)
+    return phase_ramp(phi, grid.n_subcarriers)
+
+
 def gain_column(
-    k: int,
     theta: float,
     dist_m: float,
     range_m: float,
-    combiner_row: np.ndarray,
+    combiners: np.ndarray,
     geom: ArrayGeometry,
     grid: SubcarrierGrid,
     steering: str = "exact",
 ) -> np.ndarray:
-    """Model column v_gc the k-th subarray's row projects onto.
+    """Model columns v_gc of every subarray, shape (K, M); row k is subarray k's.
 
     v_gc = (f_k^H w_k(theta, d)) * p(r + d~_k): the scalar combiner gain
     times the frequency profile of the estimated subarray-center length.
+    Row k reads only combiner row k.  The steering vector, the subarray
+    centers and the phase ramps are computed once for all K rows.
     """
     w = steering_vector(theta, dist_m, geom, steering)
-    fk_wk = complex(np.vdot(combiner_row, w[geom.subarray_slice(k)]))
-    dist_k, _ = subarray_centers(theta, dist_m, geom)
-    phase = (
-        2j * np.pi / SPEED_OF_LIGHT * grid.freq_offsets_hz * (range_m + dist_k[k])
+    fk_wk = np.einsum(
+        "kn,kn->k", combiners.conj(), w.reshape(geom.n_subarrays, geom.subarray_size)
     )
-    return fk_wk * np.exp(phase)
+    dist_k, _ = subarray_centers(theta, dist_m, geom)
+    return fk_wk[:, None] * path_ramps(range_m, dist_k, grid)
 
 
 def estimate_gain_lpu(
     y_row: np.ndarray, v_gc: np.ndarray, power: float = 1.0
-) -> complex:
-    """LS complex gain of one subarray row: v^H y / (sqrt(P) ||v||^2).
+):
+    """LS complex gain of each subarray row: v^H y / (sqrt(P) ||v||^2).
 
+    Rows run along the last axis: one row gives one complex gain, a (K, M)
+    pair gives K gains, each from its own row of ``y_row`` and ``v_gc``.
     On a matched noiseless row y = sqrt(P) rho v this returns rho exactly.
     A vanishing model column (combiner orthogonal to the steering) returns 0
     rather than amplifying noise.
     """
-    norm2 = float(np.vdot(v_gc, v_gc).real)
-    if norm2 <= 1e-12:
-        return 0.0 + 0.0j
-    return complex(np.vdot(v_gc, y_row)) / (math.sqrt(power) * norm2)
+    v_h = np.conj(v_gc)
+    norm2 = np.einsum("...m,...m->...", v_h, v_gc).real
+    usable = norm2 > 1e-12
+    corr = np.einsum("...m,...m->...", v_h, y_row)
+    gains = np.where(usable, corr / (math.sqrt(power) * np.where(usable, norm2, 1.0)), 0.0)
+    return gains[()]
 
 
 def residual_update(
-    y_row: np.ndarray, rho_k: complex, v_gc: np.ndarray, power: float = 1.0
+    y_row: np.ndarray, rho_k, v_gc: np.ndarray, power: float = 1.0
 ) -> np.ndarray:
-    """Remove the fitted path from one subarray row."""
-    return y_row - math.sqrt(power) * rho_k * v_gc
+    """Remove the fitted path from one subarray row, or from each of K rows."""
+    return y_row - math.sqrt(power) * np.asarray(rho_k)[..., None] * v_gc
+
+
+def check_inputs(
+    Y: np.ndarray,
+    combiners: np.ndarray,
+    power: float,
+    geom: ArrayGeometry | None = None,
+    grid: SubcarrierGrid | None = None,
+) -> None:
+    """Reject an estimator's inputs with a ValueError naming the problem.
+
+    Y must be a finite numeric (K, M) array, ``combiners`` a finite numeric
+    (K, N/K) array, and ``power`` finite and positive.  Without ``geom`` and
+    ``grid`` the two shapes are only checked against each other.
+    """
+    arrays = (("observation Y", Y), ("combiners", combiners))
+    for name, arr in arrays:
+        dtype = np.asarray(arr).dtype
+        if not np.issubdtype(dtype, np.number):
+            raise ValueError(f"{name} must be numeric, got dtype {dtype}")
+        if np.ndim(arr) != 2:
+            raise ValueError(f"{name} must be 2-D, got shape {np.shape(arr)}")
+    y_shape, w_shape = np.shape(Y), np.shape(combiners)
+    K, ns = w_shape if geom is None else (geom.n_subarrays, geom.subarray_size)
+    M = y_shape[1] if grid is None else grid.n_subcarriers
+    if y_shape != (K, M):
+        raise ValueError(f"observation Y must be {K}x{M}, got {y_shape}")
+    if w_shape != (K, ns):
+        raise ValueError(f"combiners must be {K}x{ns}, got {w_shape}")
+    for name, arr in arrays:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has NaN or infinite entries")
+    try:
+        ok = math.isfinite(power) and power > 0.0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"power must be finite and positive, got {power!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +595,14 @@ def fit_and_cancel(
     clamped: bool = False,
     refined: bool = False,
 ) -> PathEstimate:
-    """Fit one path's per-subarray gains and cancel it from ``resid`` in place."""
-    gains = np.zeros(geom.n_subarrays, dtype=complex)
-    for k in range(geom.n_subarrays):
-        v_gc = gain_column(k, theta, dist_m, range_m, combiners[k], geom, grid, steering)
-        gains[k] = estimate_gain_lpu(resid[k], v_gc, power)
-        resid[k] = residual_update(resid[k], gains[k], v_gc, power)
+    """Fit one path's per-subarray gains and cancel it from ``resid`` in place.
+
+    Each LPU's gain and cancellation use only its own residual row and
+    combiner row; the K rows are processed as one array.
+    """
+    v_gc = gain_column(theta, dist_m, range_m, combiners, geom, grid, steering)
+    gains = estimate_gain_lpu(resid, v_gc, power)
+    resid[...] = residual_update(resid, gains, v_gc, power)
     return PathEstimate(theta, dist_m, range_m, complex(np.mean(gains)), gains,
                         track, clamped, refined)
 
@@ -499,13 +626,13 @@ def run_dps(
     threshold, the path cap is reached, a path is rejected as
     unidentifiable, or the all-delays-equal fallback fires.
     """
+    check_inputs(Y, combiners, power, geom, grid)
     K, M = geom.n_subarrays, grid.n_subcarriers
-    if Y.shape != (K, M):
-        raise ValueError(f"observation must be {K}x{M}, got {Y.shape}")
     if K % 2 != 0:
         raise ValueError(f"subarray count must be even, got {K}")
     dictionary = DelayDictionary(M)
     m_hop = max_hop(geom, grid)
+    shifts = shift_table(m_hop, dictionary)
     kc = central_index(K)
     threshold = stopping_threshold(rule.noise_var, M, rule.p_fa)
     resid = np.array(Y, dtype=complex, copy=True)
@@ -530,7 +657,7 @@ def run_dps(
             stop_reason = "max_paths"
             break
 
-        track = extrapolate_delays(resid, tau_c, geom, dictionary, m_hop)
+        track = extrapolate_delays(resid, tau_c, geom, dictionary, m_hop, shifts)
         step.track = track
         corr_per_iter.append(M + (K - 1) * (2 * m_hop + 1))
         corr_total += (K - 1) * (2 * m_hop + 1)
@@ -583,20 +710,15 @@ def reconstruct_channel(
     """
     if gains not in ("per_lpu", "averaged"):
         raise ValueError(f"unknown gain mode {gains!r}")
-    N, M = geom.n_antennas, grid.n_subcarriers
-    H = np.zeros((N, M), dtype=complex)
+    K, ns, M = geom.n_subarrays, geom.subarray_size, grid.n_subcarriers
+    H = np.zeros((K * ns, M), dtype=complex)
+    blocks = H.reshape(K, ns, M)  # view: blocks[k] is subarray k's rows of H
+    block = np.empty_like(blocks)
     for est in paths:
-        w = steering_vector(est.theta, est.dist_m, geom, steering)
+        w = steering_vector(est.theta, est.dist_m, geom, steering).reshape(K, ns)
         dist_k, _ = subarray_centers(est.theta, est.dist_m, geom)
-        for k in range(geom.n_subarrays):
-            rho = est.lpu_gains[k] if gains == "per_lpu" else est.gain
-            if rho == 0:
-                continue
-            p = np.exp(
-                2j * np.pi / SPEED_OF_LIGHT
-                * grid.freq_offsets_hz
-                * (est.range_m + dist_k[k])
-            )
-            sl = geom.subarray_slice(k)
-            H[sl] += rho * np.outer(w[sl], p)
+        rho = est.lpu_gains if gains == "per_lpu" else np.full(K, est.gain)
+        profiles = rho[:, None] * path_ramps(est.range_m, dist_k, grid)
+        np.multiply(w[:, :, None], profiles[:, None, :], out=block)
+        blocks += block
     return H

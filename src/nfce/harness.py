@@ -36,6 +36,7 @@ from .estimator import (
     DelayDictionary,
     PathEstimate,
     StoppingRule,
+    check_inputs,
     fit_and_cancel,
     max_hop,
     ml_delay_detect,
@@ -284,6 +285,7 @@ def ls_baseline(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> np.
     A is block diagonal with rows f_k^H, so subarray k's block of A^H Y is
     the outer product f_k y_k^T; the dense K x N matrix is never formed.
     """
+    check_inputs(Y, combiners, power)
     K, ns = combiners.shape
     blocks = combiners[:, :, None] * Y[:, None, :]
     return blocks.reshape(K * ns, Y.shape[1]) / np.sqrt(power)
@@ -308,9 +310,8 @@ def polar_omp_fallback(
     per-subarray gains and residual use the same machinery as the main
     estimator.  Returns (paths, correlations_per_iteration).
     """
+    check_inputs(Y, combiners, power, geom, grid)
     K, M = geom.n_subarrays, grid.n_subcarriers
-    if Y.shape != (K, M):
-        raise ValueError(f"observation must be {K}x{M}, got {Y.shape}")
     if angle_grid_size < 1:
         raise ValueError("empty angle grid")
     if distance_grid is None:
@@ -468,7 +469,11 @@ def estimate(
 
 
 def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
-    """One trial's scenario before impairments: (paths, H, W, noise_var, Y)."""
+    """One trial's scenario: (paths, H, W, noise_var, Y).
+
+    Y carries the configured impairments, so every caller (``run_trial``,
+    ``simulate``) estimates from the same observation.
+    """
     geom, grid = cfg.geometry(), cfg.grid()
     paths = draw_paths(cfg, trial_rng(cfg.seed, trial, _STREAM_PATHS), grid)
     check_delay_validity(paths, geom, grid)
@@ -476,14 +481,6 @@ def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
     W = random_phase_combiner(geom, trial_rng(cfg.seed, trial, _STREAM_COMBINER))
     noise_var = noise_var_for_snr(H, W, cfg.power, snr_db)
     Y = observe(H, W, cfg.power, noise_var, trial_rng(cfg.seed, trial, _STREAM_NOISE))
-    return paths, H, W, noise_var, Y
-
-
-def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
-              ) -> RunRecord:
-    geom, grid = cfg.geometry(), cfg.grid()
-    paths, H, W, noise_var, Y = draw_trial(cfg, trial, snr_db)
-
     if cfg.clock_offset_frac_max > 0.0 or cfg.gain_factor_min < 1.0:
         rng_imp = trial_rng(cfg.seed, trial, _STREAM_IMPAIR)
         K = geom.n_subarrays
@@ -496,6 +493,13 @@ def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
             if cfg.gain_factor_min < 1.0 else None
         )
         Y = apply_impairments(Y, grid, geom.carrier_hz, offsets, factors)
+    return paths, H, W, noise_var, Y
+
+
+def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
+              ) -> RunRecord:
+    geom, grid = cfg.geometry(), cfg.grid()
+    paths, H, W, noise_var, Y = draw_trial(cfg, trial, snr_db)
 
     rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
     dist_grid = cfg.distance_grid()

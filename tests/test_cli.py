@@ -138,3 +138,28 @@ def test_scenario_round_trip_keeps_spacing(tmp_path, capsys):
                            "--scenario", str(npz)])
         fresh = fields(["estimate", "--config", str(ini), "--algorithm", alg])
         assert replayed == fresh, alg
+
+
+def test_scenario_round_trip_keeps_impairments(tmp_path, capsys):
+    # simulate must save the impaired observation that estimate runs on
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(
+        "[geometry]\nn_antennas = 64\nn_subarrays = 16\n"
+        "[grid]\nn_subcarriers = 128\n"
+        "[paths]\ncount = 1\n"
+        "[sweep]\nseed = 5\nsnr_db = 20\n"
+        "[impairments]\nclock_offset_frac_max = 0.3\ngain_factor_min = 0.5\n"
+    )
+    npz = tmp_path / "scene.npz"
+    assert main(["simulate", "--config", str(ini), "--out", str(npz)]) == 0
+    capsys.readouterr()
+
+    def nmse(argv):
+        assert main(argv) == 0
+        return re.search(r"nmse_db=(\S+)", capsys.readouterr().out).group(1)
+
+    for alg in ("dps", "omp"):
+        replayed = nmse(["estimate", "--config", str(ini), "--algorithm", alg,
+                         "--scenario", str(npz)])
+        fresh = nmse(["estimate", "--config", str(ini), "--algorithm", alg])
+        assert replayed == fresh, alg

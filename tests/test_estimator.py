@@ -10,6 +10,8 @@ from nfce.model import (
     SPEED_OF_LIGHT,
     SubcarrierGrid,
     delay_steering,
+    index_offsets,
+    steering_vector,
     subarray_centers,
     subarray_delay_profile,
     synthesize_channel,
@@ -26,14 +28,17 @@ from nfce.estimator import (
     estimate_gain_lpu,
     extrapolate_delays,
     extrapolate_step,
+    fit_and_cancel,
     fit_profile_exact,
     gain_column,
     grid_scores,
     max_hop,
     ml_delay_detect,
+    phase_ramp,
     reconstruct_channel,
     residual_update,
     run_dps,
+    shift_table,
     stopping_threshold,
     window_scores,
 )
@@ -224,7 +229,7 @@ def test_gain_fit_exact_on_matched_row():
     W = random_phase_combiner(geom, np.random.default_rng(8))
     rho = 0.7 - 1.1j
     power = 2.0
-    v = gain_column(5, 0.25, 13.0, 7.0, W[5], geom, grid)
+    v = gain_column(0.25, 13.0, 7.0, W, geom, grid)[5]
     y = math.sqrt(power) * rho * v
     rho_hat = estimate_gain_lpu(y, v, power)
     assert rho_hat == pytest.approx(rho, rel=1e-12)
@@ -413,3 +418,140 @@ def test_run_dps_iteration_record(reason):
     else:
         assert last.peak > res.threshold
         assert last.track is not None and last.path is None
+
+
+# ---------------------------------------------------------------------------
+# vectorized kernels against the plain formulas they replace.  Their
+# arithmetic is reordered (factored exponentials, row-wise reductions), so
+# they agree to 1e-12 relative, or absolute against the largest entry
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("M", [2, 7, 96, 128, 1024])
+def test_phase_ramp_matches_direct_exponential(M):
+    phis = np.concatenate([[0.0, 2 * np.pi, -2 * np.pi, 1e-9],
+                           np.random.default_rng(M).uniform(-2 * np.pi, 2 * np.pi, 12)])
+    for phi in phis:
+        np.testing.assert_allclose(phase_ramp(phi, M),
+                                   np.exp(1j * phi * index_offsets(M)),
+                                   rtol=1e-12, atol=0)
+    # an array of phases gives one ramp per entry along a new last axis
+    np.testing.assert_allclose(phase_ramp(phis, M),
+                               np.exp(1j * np.outer(phis, index_offsets(M))),
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("off_grid", [False, True])
+def test_hop_scores_match_direct_window(off_grid):
+    M, m_hop = 256, 3
+    dic = DelayDictionary(M)
+    rng = np.random.default_rng(5 + off_grid)
+    kappas = np.arange(-m_hop, m_hop + 1)
+    delta = index_offsets(M)
+    for _ in range(10):
+        prev = dic.grid[rng.integers(M)] + (rng.uniform(-0.5, 0.5) / M if off_grid else 0)
+        y = (rng.standard_normal(M) + 1j * rng.standard_normal(M)
+             + 3.0 * dic.atom(prev + rng.integers(-m_hop, m_hop + 1) / M))
+        direct = np.abs(
+            np.exp(2j * np.pi * np.outer(prev + kappas / M, delta)).conj() @ y) ** 2 / M
+        shifts = shift_table(m_hop, dic)
+        hop = window_scores(y * np.exp(-2j * np.pi * prev * delta), kappas / M, dic, shifts)
+        _assert_close(hop, direct)
+        kappa, tau, score = extrapolate_step(y, prev, m_hop, dic, shifts)
+        assert kappa == kappas[np.argmax(direct)]
+        assert tau == prev + kappa / M
+        assert score == pytest.approx(direct.max(), rel=1e-12)
+        assert extrapolate_step(y, prev, m_hop, dic) == (kappa, tau, score)
+
+
+def _gain_column_row(k, theta, dist_m, range_m, combiner_row, geom, grid):
+    """Subarray k's model column, built on its own from the formula."""
+    w = steering_vector(theta, dist_m, geom)
+    fk_wk = np.vdot(combiner_row, w[geom.subarray_slice(k)])
+    dist_k, _ = subarray_centers(theta, dist_m, geom)
+    return fk_wk * np.exp(2j * np.pi / SPEED_OF_LIGHT * grid.freq_offsets_hz
+                          * (range_m + dist_k[k]))
+
+
+def test_gain_columns_match_per_row_build():
+    geom = ArrayGeometry(256, 32, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(256, 600e6)
+    W = random_phase_combiner(geom, np.random.default_rng(17))
+    for theta, d, r in [(0.25, 13.0, 7.0), (-0.9, 5.5, 19.0), (0.0, 40.0, 0.0)]:
+        V = gain_column(theta, d, r, W, geom, grid)
+        assert V.shape == (32, 256)
+        want = np.stack([_gain_column_row(k, theta, d, r, W[k], geom, grid)
+                         for k in range(32)])
+        _assert_close(V, want)
+
+
+def test_fit_and_cancel_matches_per_row_fit():
+    geom = ArrayGeometry(256, 32, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(256, 600e6)
+    W = random_phase_combiner(geom, np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    Y = rng.standard_normal((32, 256)) + 1j * rng.standard_normal((32, 256))
+    theta, d, r, power = -0.3, 11.0, 14.0, 2.0
+    want_gains = np.zeros(32, complex)
+    want_resid = Y.copy()
+    for k in range(32):
+        v = _gain_column_row(k, theta, d, r, W[k], geom, grid)
+        want_gains[k] = np.vdot(v, Y[k]) / (math.sqrt(power) * np.vdot(v, v).real)
+        want_resid[k] = Y[k] - math.sqrt(power) * want_gains[k] * v
+    resid = Y.copy()
+    est = fit_and_cancel(resid, theta, d, r, W, geom, grid, power)
+    _assert_close(est.lpu_gains, want_gains)
+    _assert_close(resid, want_resid)
+    assert est.gain == np.mean(est.lpu_gains)
+    # LPU split: changing subarray 4's row and combiner moves only its gain
+    Y2, W2 = Y.copy(), W.copy()
+    Y2[4] *= 1j
+    W2[4] = W2[4][::-1]
+    other = fit_and_cancel(Y2, theta, d, r, W2, geom, grid, power).lpu_gains
+    keep = np.arange(32) != 4
+    np.testing.assert_array_equal(other[keep], est.lpu_gains[keep])
+    assert other[4] != est.lpu_gains[4]
+
+
+def _reconstruct_per_block(paths, geom, grid, gains):
+    """Block-by-block reconstruction: one outer product per subarray and path."""
+    H = np.zeros((geom.n_antennas, grid.n_subcarriers), dtype=complex)
+    for est in paths:
+        w = steering_vector(est.theta, est.dist_m, geom)
+        dist_k, _ = subarray_centers(est.theta, est.dist_m, geom)
+        for k in range(geom.n_subarrays):
+            rho = est.lpu_gains[k] if gains == "per_lpu" else est.gain
+            if rho == 0:
+                continue
+            p = np.exp(2j * np.pi / SPEED_OF_LIGHT * grid.freq_offsets_hz
+                       * (est.range_m + dist_k[k]))
+            sl = geom.subarray_slice(k)
+            H[sl] += rho * np.outer(w[sl], p)
+    return H
+
+
+@pytest.mark.parametrize("gains", ["per_lpu", "averaged"])
+def test_reconstruct_channel_matches_per_block_loop(gains):
+    geom, grid, W, Y, rule = _a12_scenario(_STOP_SEEDS["max_paths"])
+    paths = run_dps(Y, W, geom, grid, rule).paths
+    assert len(paths) == rule.max_paths
+    paths[1].lpu_gains[3] = 0.0  # a zero gain leaves its block out
+    _assert_close(reconstruct_channel(paths, geom, grid, gains=gains),
+                  _reconstruct_per_block(paths, geom, grid, gains))
+    assert not reconstruct_channel([], geom, grid).any()
+
+
+def test_estimate_gain_rows_are_independent():
+    rng = np.random.default_rng(0)
+    V = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+    V[2] = 0.0  # a vanishing column fits a zero gain in its row only
+    rho = np.array([1 + 1j, -0.5j, 2.0, 0.25])
+    Y = rho[:, None] * V * math.sqrt(3.0)
+    got = estimate_gain_lpu(Y, V, 3.0)
+    np.testing.assert_allclose(got, [1 + 1j, -0.5j, 0.0, 0.25], rtol=1e-12)
+    for k in range(4):
+        assert got[k] == estimate_gain_lpu(Y[k], V[k], 3.0)
+    np.testing.assert_allclose(residual_update(Y, got, V, 3.0), 0.0, atol=1e-12)

@@ -4,7 +4,7 @@ import pytest
 
 from nfce.model import ArrayGeometry, PathParams, SubcarrierGrid, synthesize_channel
 from nfce.frontend import observe, random_phase_combiner
-from nfce.estimator import StoppingRule
+from nfce.estimator import StoppingRule, run_dps
 from nfce.harness import (
     ALGORITHMS,
     BOUNDS_COLUMNS,
@@ -283,3 +283,86 @@ def test_bounds_table_format():
     # 17 significant digits survive a parse round trip bit-exactly
     for cell in row[9:]:
         assert float(cell) == float(format(float(cell), ".17g"))
+
+
+# ---------------------------------------------------------------------------
+# input validation at the three estimator entry points
+
+
+def _entry_points():
+    geom = ArrayGeometry(64, 16, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(128, 600e6)
+    rule = StoppingRule(noise_var=1.0)
+    W = random_phase_combiner(geom, np.random.default_rng(0))
+    Y = observe(synthesize_channel([PathParams(0.2, 12.0, 9.0)], geom, grid), W, 1.0, 0.0)
+    calls = {
+        "dps": lambda Y, W, power: run_dps(Y, W, geom, grid, rule, power=power),
+        "omp": lambda Y, W, power: polar_omp_fallback(Y, W, geom, grid, rule, 8,
+                                                      [10.0], power),
+        "ls": lambda Y, W, power: ls_baseline(Y, W, power),
+    }
+    return Y, W, calls
+
+
+ENTRY_POINTS = ("dps", "omp", "ls")
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_inputs_valid_pass(entry):
+    Y, W, calls = _entry_points()
+    calls[entry](Y, W, 1.0)
+    calls[entry](Y.astype(np.complex64), W, 2)  # any numeric dtype, integer power
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_inputs_reject_wrong_observation_shape(entry):
+    Y, W, calls = _entry_points()
+    for bad in (Y[:8], Y[:, :, None], Y[0]):
+        with pytest.raises(ValueError, match="observation Y must be"):
+            calls[entry](bad, W, 1.0)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_inputs_reject_wrong_combiner_shape(entry):
+    Y, W, calls = _entry_points()
+    with pytest.raises(ValueError, match="combiners must be 2-D"):
+        calls[entry](Y, W.ravel(), 1.0)
+    with pytest.raises(ValueError, match=r"must be 8x128|must be 16x4"):
+        calls[entry](Y, W[:8], 1.0)
+    if entry != "ls":  # LS knows no geometry: any subarray size is consistent
+        with pytest.raises(ValueError, match=r"combiners must be 16x4, got \(16, 3\)"):
+            calls[entry](Y, W[:, :3], 1.0)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_inputs_reject_non_finite(entry):
+    Y, W, calls = _entry_points()
+    for value in (np.nan, np.inf, complex(0.0, -np.inf)):
+        bad = Y.copy()
+        bad[3, 7] = value
+        with pytest.raises(ValueError, match="observation Y has NaN or infinite"):
+            calls[entry](bad, W, 1.0)
+    with pytest.raises(ValueError, match="observation Y has NaN or infinite"):
+        calls[entry](np.full_like(Y, np.nan), W, 1.0)
+    bad = W.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValueError, match="combiners has NaN or infinite"):
+        calls[entry](Y, bad, 1.0)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_inputs_reject_non_numeric(entry):
+    Y, W, calls = _entry_points()
+    for bad in (Y.astype(object), Y.astype(str), Y.real > 0):
+        with pytest.raises(ValueError, match="observation Y must be numeric"):
+            calls[entry](bad, W, 1.0)
+    with pytest.raises(ValueError, match="combiners must be numeric"):
+        calls[entry](Y, W.astype(object), 1.0)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_inputs_reject_bad_power(entry):
+    Y, W, calls = _entry_points()
+    for power in (0.0, -1.0, np.inf, np.nan, None, "1", 1j):
+        with pytest.raises(ValueError, match="power must be finite and positive"):
+            calls[entry](Y, W, power)
