@@ -73,23 +73,19 @@ def grid_scores(y: np.ndarray, dictionary: DelayDictionary) -> np.ndarray:
     return np.abs(spectrum) ** 2 / M
 
 
-def window_scores(
-    y: np.ndarray,
-    taus: np.ndarray,
-    dictionary: DelayDictionary,
-    atoms_h: np.ndarray | None = None,
-) -> np.ndarray:
+def conj_atoms(taus, size: int) -> np.ndarray:
+    """Conjugated atoms b(tau)^*, one row per entry of ``taus``, shape (len, size)."""
+    delta = index_offsets(size)
+    return np.exp(2j * np.pi * np.outer(np.asarray(taus, dtype=float), delta)).conj()
+
+
+def window_scores(y: np.ndarray, atoms_h: np.ndarray) -> np.ndarray:
     """|b(tau)^H y|^2 / M for a handful of off-grid candidates (direct).
 
-    ``atoms_h`` holds the conjugated atoms b(tau)^* of ``taus`` row by row;
-    pass it to reuse one table across calls (see :func:`shift_table`).
+    ``atoms_h`` holds the candidates' conjugated atoms row by row
+    (:func:`conj_atoms`, or the cached hop table :func:`shift_table`).
     """
-    M = dictionary.size
-    if atoms_h is None:
-        delta = index_offsets(M)
-        atoms = np.exp(2j * np.pi * np.outer(np.asarray(taus, dtype=float), delta))
-        atoms_h = atoms.conj()
-    return np.abs(atoms_h @ y) ** 2 / M
+    return np.abs(atoms_h @ y) ** 2 / atoms_h.shape[-1]
 
 
 @functools.lru_cache(maxsize=8)
@@ -151,39 +147,33 @@ def max_hop(geom: ArrayGeometry, grid: SubcarrierGrid) -> int:
     return max(1, math.ceil(ratio - 1e-12))
 
 
-def shift_table(m_hop: int, dictionary: DelayDictionary) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def shift_table(m_hop: int, size: int) -> np.ndarray:
     """Conjugated hop atoms b(kappa/M)^*, kappa = -m_hop..m_hop, shape (2 m_hop + 1, M).
 
     b(tau + kappa/M) = b(tau) * b(kappa/M) elementwise, so after de-rotating
-    a row by b(tau)^* every hop is scored against this one fixed table.
+    a row by b(tau)^* every hop is scored against this one fixed table.  The
+    table is shared by every caller, hence read-only.
     """
-    kappas = np.arange(-m_hop, m_hop + 1)
-    delta = index_offsets(dictionary.size)
-    return np.exp(2j * np.pi * np.outer(kappas / dictionary.size, delta)).conj()
+    table = conj_atoms(np.arange(-m_hop, m_hop + 1) / size, size)
+    table.flags.writeable = False
+    return table
 
 
 def extrapolate_step(
-    y: np.ndarray,
-    prev_tau: float,
-    m_hop: int,
-    dictionary: DelayDictionary,
-    shifts: np.ndarray | None = None,
+    y: np.ndarray, prev_tau: float, m_hop: int, dictionary: DelayDictionary
 ):
     """One serial hop: pick kappa in [-m_hop, m_hop] maximizing the score.
 
     Candidates are prev_tau + kappa/M; b() is 1-periodic so no explicit wrap
     is needed for the correlation.  Returns (kappa, unwrapped tau, score).
-    Ties resolve to the most negative kappa (first maximum).  ``shifts`` is
-    ``shift_table(m_hop, dictionary)``, built here when not given.
+    Ties resolve to the most negative kappa (first maximum).
     """
     M = dictionary.size
-    kappas = np.arange(-m_hop, m_hop + 1)
-    if shifts is None:
-        shifts = shift_table(m_hop, dictionary)
     derotated = y * phase_ramp(-2.0 * np.pi * prev_tau, M)
-    scores = window_scores(derotated, kappas / M, dictionary, shifts)
+    scores = window_scores(derotated, shift_table(m_hop, M))
     j = int(np.argmax(scores))
-    kappa = int(kappas[j])
+    kappa = j - m_hop
     return kappa, prev_tau + kappa / M, float(scores[j])
 
 
@@ -226,29 +216,23 @@ def extrapolate_delays(
     geom: ArrayGeometry,
     dictionary: DelayDictionary,
     m_hop: int | None = None,
-    shifts: np.ndarray | None = None,
 ) -> SubarrayDelayTrack:
     """Serial outward extrapolation of the central delay across subarrays.
 
     Ascending chain center -> K-1 and descending chain center -> 0, each hop
     evaluating exactly 2*m_hop+1 correlations on that subarray's row.
-    ``shifts`` is ``shift_table(m_hop, dictionary)``, built here when not given.
     """
     K = geom.n_subarrays
     kc = central_index(K)
     if m_hop is None:
         raise ValueError("m_hop is required (use max_hop(geom, grid))")
-    if shifts is None:
-        shifts = shift_table(m_hop, dictionary)
     taus = np.zeros(K)
     kappas = np.zeros(K, dtype=int)
     taus[kc] = seed_tau
     for k in range(kc + 1, K):
-        kappas[k], taus[k], _ = extrapolate_step(
-            Y[k], taus[k - 1], m_hop, dictionary, shifts)
+        kappas[k], taus[k], _ = extrapolate_step(Y[k], taus[k - 1], m_hop, dictionary)
     for k in range(kc - 1, -1, -1):
-        kappas[k], taus[k], _ = extrapolate_step(
-            Y[k], taus[k + 1], m_hop, dictionary, shifts)
+        kappas[k], taus[k], _ = extrapolate_step(Y[k], taus[k + 1], m_hop, dictionary)
     return SubarrayDelayTrack(taus, kappas, m_hop, kc, dictionary.size)
 
 
@@ -349,7 +333,7 @@ def fit_profile_exact(
     """
     x = index_offsets(geom.n_subarrays) * geom.subarray_pitch_m
     eta = SPEED_OF_LIGHT / grid.spacing_hz * np.asarray(taus_unwrapped, dtype=float)
-    basis = np.polynomial.polynomial.polyvander(x, 2)
+    basis = np.vander(x, 3, increasing=True)  # columns 1, x, x^2
     coef_eta, *_ = np.linalg.lstsq(basis, eta, rcond=None)
     coef_eta2, *_ = np.linalg.lstsq(basis, eta * eta, rcond=None)
     curv = coef_eta[2]
@@ -632,7 +616,6 @@ def run_dps(
         raise ValueError(f"subarray count must be even, got {K}")
     dictionary = DelayDictionary(M)
     m_hop = max_hop(geom, grid)
-    shifts = shift_table(m_hop, dictionary)
     kc = central_index(K)
     threshold = stopping_threshold(rule.noise_var, M, rule.p_fa)
     resid = np.array(Y, dtype=complex, copy=True)
@@ -657,7 +640,7 @@ def run_dps(
             stop_reason = "max_paths"
             break
 
-        track = extrapolate_delays(resid, tau_c, geom, dictionary, m_hop, shifts)
+        track = extrapolate_delays(resid, tau_c, geom, dictionary, m_hop)
         step.track = track
         corr_per_iter.append(M + (K - 1) * (2 * m_hop + 1))
         corr_total += (K - 1) * (2 * m_hop + 1)

@@ -1,15 +1,8 @@
 """tools/equivalence.py: dumps of one code version compare clean."""
-import importlib.util
 import json
-import pathlib
-
-_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "equivalence.py"
-_spec = importlib.util.spec_from_file_location("equivalence", _TOOL)
-equivalence = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(equivalence)
 
 
-def test_dumps_of_same_code_compare_clean(tmp_path, capsys):
+def test_dumps_of_same_code_compare_clean(equivalence, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert equivalence.main(["dump", str(a), "--limit", "2"]) == 0
     assert equivalence.main(["dump", str(b), "--limit", "2"]) == 0

@@ -21,6 +21,7 @@ from nfce.estimator import (
     DelayDictionary,
     StoppingRule,
     central_index,
+    conj_atoms,
     decouple_angle,
     decouple_distance,
     decouple_profile,
@@ -42,7 +43,6 @@ from nfce.estimator import (
     stopping_threshold,
     window_scores,
 )
-from nfce.harness import SimConfig, draw_paths, trial_rng
 
 
 def test_dictionary_grid_points():
@@ -74,7 +74,7 @@ def test_window_scores_match_grid_scores_on_grid():
     rng = np.random.default_rng(4)
     y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     np.testing.assert_allclose(
-        window_scores(y, dic.grid, dic), grid_scores(y, dic), atol=1e-10
+        window_scores(y, conj_atoms(dic.grid, 32)), grid_scores(y, dic), atol=1e-10
     )
 
 
@@ -380,20 +380,14 @@ def test_extrapolate_delays_tracks_profile():
 _STOP_SEEDS = {"max_paths": 0, "fallback": 2, "rejected": 3, "threshold": 15}
 
 
-def _a12_scenario(seed):
-    cfg = SimConfig(n_antennas=64, n_subarrays=16, n_subcarriers=128,
-                    n_paths=1 + seed % 3, seed=seed, snr_db=(15.0,))
-    geom, grid = cfg.geometry(), cfg.grid()
-    H = synthesize_channel(draw_paths(cfg, trial_rng(seed, 0, 0), grid), geom, grid)
-    W = random_phase_combiner(geom, trial_rng(seed, 0, 1))
-    nv = float(np.mean(np.abs(observe(H, W, 1.0, 0.0)) ** 2)) / 10 ** 1.5
-    Y = observe(H, W, 1.0, nv, rng=trial_rng(seed, 0, 2))
-    return geom, grid, W, Y, StoppingRule(noise_var=nv, p_fa=1e-3, max_paths=8)
+def _a12_scenario(equivalence, seed):
+    cfg, _, W, Y, rule = equivalence.a12_scenario(seed)
+    return cfg.geometry(), cfg.grid(), W, Y, rule
 
 
 @pytest.mark.parametrize("reason", sorted(_STOP_SEEDS))
-def test_run_dps_iteration_record(reason):
-    geom, grid, W, Y, rule = _a12_scenario(_STOP_SEEDS[reason])
+def test_run_dps_iteration_record(equivalence, reason):
+    geom, grid, W, Y, rule = _a12_scenario(equivalence, _STOP_SEEDS[reason])
     res = run_dps(Y, W, geom, grid, rule)
     assert res.stop_reason == reason
     K, M = geom.n_subarrays, grid.n_subcarriers
@@ -457,14 +451,15 @@ def test_hop_scores_match_direct_window(off_grid):
              + 3.0 * dic.atom(prev + rng.integers(-m_hop, m_hop + 1) / M))
         direct = np.abs(
             np.exp(2j * np.pi * np.outer(prev + kappas / M, delta)).conj() @ y) ** 2 / M
-        shifts = shift_table(m_hop, dic)
-        hop = window_scores(y * np.exp(-2j * np.pi * prev * delta), kappas / M, dic, shifts)
+        hop = window_scores(y * np.exp(-2j * np.pi * prev * delta), shift_table(m_hop, M))
         _assert_close(hop, direct)
-        kappa, tau, score = extrapolate_step(y, prev, m_hop, dic, shifts)
+        kappa, tau, score = extrapolate_step(y, prev, m_hop, dic)
         assert kappa == kappas[np.argmax(direct)]
         assert tau == prev + kappa / M
         assert score == pytest.approx(direct.max(), rel=1e-12)
-        assert extrapolate_step(y, prev, m_hop, dic) == (kappa, tau, score)
+    # one read-only table per (m_hop, M), shared by every hop
+    assert shift_table(m_hop, M) is shift_table(m_hop, M)
+    assert not shift_table(m_hop, M).flags.writeable
 
 
 def _gain_column_row(k, theta, dist_m, range_m, combiner_row, geom, grid):
@@ -534,8 +529,8 @@ def _reconstruct_per_block(paths, geom, grid, gains):
 
 
 @pytest.mark.parametrize("gains", ["per_lpu", "averaged"])
-def test_reconstruct_channel_matches_per_block_loop(gains):
-    geom, grid, W, Y, rule = _a12_scenario(_STOP_SEEDS["max_paths"])
+def test_reconstruct_channel_matches_per_block_loop(equivalence, gains):
+    geom, grid, W, Y, rule = _a12_scenario(equivalence, _STOP_SEEDS["max_paths"])
     paths = run_dps(Y, W, geom, grid, rule).paths
     assert len(paths) == rule.max_paths
     paths[1].lpu_gains[3] = 0.0  # a zero gain leaves its block out

@@ -47,6 +47,22 @@ _DISCRETE = {
 }
 
 
+def a12_scenario(seed: int):
+    """(cfg, H, W, Y, rule) of acceptance test a12's scenario ``seed``.
+
+    64/16/128, 1 + seed % 3 paths, 15 dB relative to the noiseless
+    observation's power, unit power, P_fa 1e-3 and at most 8 paths.
+    """
+    cfg = SimConfig(n_antennas=64, n_subarrays=16, n_subcarriers=128,
+                    n_paths=1 + seed % 3, seed=seed, snr_db=(15.0,))
+    geom, grid = cfg.geometry(), cfg.grid()
+    H = synthesize_channel(draw_paths(cfg, trial_rng(seed, 0, 0), grid), geom, grid)
+    W = random_phase_combiner(geom, trial_rng(seed, 0, 1))
+    nv = float(np.mean(np.abs(observe(H, W, 1.0, 0.0)) ** 2)) / 10 ** 1.5
+    Y = observe(H, W, 1.0, nv, rng=trial_rng(seed, 0, 2))
+    return cfg, H, W, Y, StoppingRule(noise_var=nv, p_fa=1e-3, max_paths=8)
+
+
 def scenarios():
     """Yield (name, cfg, H, W, Y, rule) for the fixed scenario set, in order."""
     for seed in range(1000, 1040):
@@ -57,14 +73,7 @@ def scenarios():
                                 max_paths=cfg.max_paths)
             yield f"default/seed{seed}/{snr:g}dB", cfg, H, W, Y, rule
     for seed in range(30):
-        cfg = SimConfig(n_antennas=64, n_subarrays=16, n_subcarriers=128,
-                        n_paths=1 + seed % 3, seed=seed, snr_db=(15.0,))
-        geom, grid = cfg.geometry(), cfg.grid()
-        H = synthesize_channel(draw_paths(cfg, trial_rng(seed, 0, 0), grid), geom, grid)
-        W = random_phase_combiner(geom, trial_rng(seed, 0, 1))
-        nv = float(np.mean(np.abs(observe(H, W, 1.0, 0.0)) ** 2)) / 10 ** 1.5
-        Y = observe(H, W, 1.0, nv, rng=trial_rng(seed, 0, 2))
-        yield f"a12/seed{seed}", cfg, H, W, Y, StoppingRule(nv, 1e-3, 8)
+        yield (f"a12/seed{seed}",) + a12_scenario(seed)
 
 
 def _paths_record(paths, H, geom, grid) -> dict:
