@@ -53,9 +53,6 @@ class DelayDictionary:
         m = np.arange(1, self.size + 1, dtype=float)
         return (2.0 * m - 1.0) / (2.0 * self.size)
 
-    def atom(self, tau: float) -> np.ndarray:
-        return np.exp(2j * np.pi * index_offsets(self.size) * tau)
-
 
 def grid_scores(y: np.ndarray, dictionary: DelayDictionary) -> np.ndarray:
     """|b(tau_m)^H y|^2 / M over the full grid, computed via one FFT.
@@ -138,12 +135,13 @@ def ml_delay_detect(y: np.ndarray, dictionary: DelayDictionary):
 def max_hop(geom: ArrayGeometry, grid: SubcarrierGrid) -> int:
     """Largest grid-bin jump between adjacent subarrays' delays.
 
-    M_s = ceil(B * subarray_size / (2 f_c)): the subarray pitch is
-    ns*s = ns*c/(2 f_c) meters, i.e. ns*df/(2 f_c) symbol fractions of delay
-    drift per subarray at worst (|theta|=1), which spans that many 1/M bins.
-    A tiny epsilon keeps exact-integer ratios from rounding up.
+    M_s = ceil(B * pitch / c): adjacent subarray centers sit one pitch
+    ns*s apart, i.e. ns*s*df/c symbol fractions of delay drift per subarray
+    at worst (|theta|=1), which spans that many 1/M bins.  At half-wavelength
+    spacing this is B * ns / (2 f_c).  A tiny epsilon keeps exact-integer
+    ratios from rounding up.
     """
-    ratio = grid.bandwidth_hz * geom.subarray_size / (2.0 * geom.carrier_hz)
+    ratio = grid.bandwidth_hz * geom.subarray_pitch_m / SPEED_OF_LIGHT
     return max(1, math.ceil(ratio - 1e-12))
 
 
@@ -215,7 +213,7 @@ def extrapolate_delays(
     seed_tau: float,
     geom: ArrayGeometry,
     dictionary: DelayDictionary,
-    m_hop: int | None = None,
+    m_hop: int,
 ) -> SubarrayDelayTrack:
     """Serial outward extrapolation of the central delay across subarrays.
 
@@ -224,8 +222,6 @@ def extrapolate_delays(
     """
     K = geom.n_subarrays
     kc = central_index(K)
-    if m_hop is None:
-        raise ValueError("m_hop is required (use max_hop(geom, grid))")
     taus = np.zeros(K)
     kappas = np.zeros(K, dtype=int)
     taus[kc] = seed_tau
@@ -372,7 +368,6 @@ def gain_column(
     combiners: np.ndarray,
     geom: ArrayGeometry,
     grid: SubcarrierGrid,
-    steering: str = "exact",
 ) -> np.ndarray:
     """Model columns v_gc of every subarray, shape (K, M); row k is subarray k's.
 
@@ -381,7 +376,7 @@ def gain_column(
     Row k reads only combiner row k.  The steering vector, the subarray
     centers and the phase ramps are computed once for all K rows.
     """
-    w = steering_vector(theta, dist_m, geom, steering)
+    w = steering_vector(theta, dist_m, geom)
     fk_wk = np.einsum(
         "kn,kn->k", combiners.conj(), w.reshape(geom.n_subarrays, geom.subarray_size)
     )
@@ -574,7 +569,6 @@ def fit_and_cancel(
     geom: ArrayGeometry,
     grid: SubcarrierGrid,
     power: float = 1.0,
-    steering: str = "exact",
     track: SubarrayDelayTrack | None = None,
     clamped: bool = False,
     refined: bool = False,
@@ -584,7 +578,7 @@ def fit_and_cancel(
     Each LPU's gain and cancellation use only its own residual row and
     combiner row; the K rows are processed as one array.
     """
-    v_gc = gain_column(theta, dist_m, range_m, combiners, geom, grid, steering)
+    v_gc = gain_column(theta, dist_m, range_m, combiners, geom, grid)
     gains = estimate_gain_lpu(resid, v_gc, power)
     resid[...] = residual_update(resid, gains, v_gc, power)
     return PathEstimate(theta, dist_m, range_m, complex(np.mean(gains)), gains,
@@ -598,8 +592,6 @@ def run_dps(
     grid: SubcarrierGrid,
     rule: StoppingRule,
     power: float = 1.0,
-    steering: str = "exact",
-    refine: str = "exact",
 ) -> DpsResult:
     """Iterative path extraction on the combined observation Y (K x M).
 
@@ -612,8 +604,6 @@ def run_dps(
     """
     check_inputs(Y, combiners, power, geom, grid)
     K, M = geom.n_subarrays, grid.n_subcarriers
-    if K % 2 != 0:
-        raise ValueError(f"subarray count must be even, got {K}")
     dictionary = DelayDictionary(M)
     m_hop = max_hop(geom, grid)
     kc = central_index(K)
@@ -652,14 +642,14 @@ def run_dps(
             stop_reason = "fallback"
             break
 
-        decoupled = decouple_profile(track, geom, grid, refine)
+        decoupled = decouple_profile(track, geom, grid)
         if decoupled is None:
             rejected += 1
             stop_reason = "rejected"
             break
         theta, dist, rng_m, clamped, refined = decoupled
         step.path = fit_and_cancel(
-            resid, theta, dist, rng_m, combiners, geom, grid, power, steering,
+            resid, theta, dist, rng_m, combiners, geom, grid, power,
             track=track, clamped=clamped, refined=refined,
         )
         paths.append(step.path)
@@ -677,31 +667,21 @@ def run_dps(
     )
 
 
-def reconstruct_channel(
-    paths,
-    geom: ArrayGeometry,
-    grid: SubcarrierGrid,
-    steering: str = "exact",
-    gains: str = "per_lpu",
-) -> np.ndarray:
+def reconstruct_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
     """Rebuild the antenna-domain channel from path estimates, shape (N, M).
 
     Each path contributes per-subarray rank-1 blocks
-    rho_k * w_k(theta, d) p(r + d~_k)^T.  gains="per_lpu" uses each
-    subarray's own fitted gain (default; absorbs per-subarray phase error),
-    gains="averaged" uses the K-averaged gain everywhere.
+    rho_k * w_k(theta, d) p(r + d~_k)^T with rho_k subarray k's own fitted
+    gain, which absorbs per-subarray phase error.
     """
-    if gains not in ("per_lpu", "averaged"):
-        raise ValueError(f"unknown gain mode {gains!r}")
     K, ns, M = geom.n_subarrays, geom.subarray_size, grid.n_subcarriers
     H = np.zeros((K * ns, M), dtype=complex)
     blocks = H.reshape(K, ns, M)  # view: blocks[k] is subarray k's rows of H
     block = np.empty_like(blocks)
     for est in paths:
-        w = steering_vector(est.theta, est.dist_m, geom, steering).reshape(K, ns)
+        w = steering_vector(est.theta, est.dist_m, geom).reshape(K, ns)
         dist_k, _ = subarray_centers(est.theta, est.dist_m, geom)
-        rho = est.lpu_gains if gains == "per_lpu" else np.full(K, est.gain)
-        profiles = rho[:, None] * path_ramps(est.range_m, dist_k, grid)
+        profiles = est.lpu_gains[:, None] * path_ramps(est.range_m, dist_k, grid)
         np.multiply(w[:, :, None], profiles[:, None, :], out=block)
         blocks += block
     return H

@@ -16,6 +16,7 @@ from nfce.model import (
     ArrayGeometry,
     PathParams,
     SubcarrierGrid,
+    delay_steering,
     steering_vector,
 )
 
@@ -31,9 +32,7 @@ def random_phase_combiner(geom: ArrayGeometry, rng: np.random.Generator) -> np.n
     return np.exp(1j * phases) / np.sqrt(ns)
 
 
-def matched_combiner(
-    path: PathParams, geom: ArrayGeometry, steering: str = "exact"
-) -> np.ndarray:
+def matched_combiner(path: PathParams, geom: ArrayGeometry) -> np.ndarray:
     """Combiner matched to one path's wavefront at the carrier.
 
     Row k is the conjugate-free projection target: f_k = (1/sqrt(ns)) *
@@ -41,7 +40,7 @@ def matched_combiner(
     steering vector with the absolute carrier phase restored.  Then f_k^H
     applied to the path's carrier response yields sqrt(ns) coherently.
     """
-    w = steering_vector(path.theta, path.dist_m, geom, steering)
+    w = steering_vector(path.theta, path.dist_m, geom)
     phase = np.exp(2j * np.pi * geom.carrier_hz / SPEED_OF_LIGHT * path.total_m)
     f = phase * w / np.sqrt(geom.subarray_size)
     return f.reshape(geom.n_subarrays, geom.subarray_size)
@@ -129,12 +128,9 @@ def apply_impairments(
         clock_offsets = np.asarray(clock_offsets, dtype=float)
         if clock_offsets.shape != (n_sub,):
             raise ValueError("need one clock offset per subarray")
-        from nfce.model import delay_steering  # local to avoid cycle noise
-
-        for k in range(n_sub):
-            seconds = clock_offsets[k] / grid.spacing_hz
-            out[k] *= delay_steering(clock_offsets[k], n_sc)
-            out[k] *= np.exp(2j * np.pi * carrier_hz * seconds)
+        seconds = clock_offsets / grid.spacing_hz
+        out *= delay_steering(clock_offsets[:, None], n_sc)
+        out *= np.exp(2j * np.pi * carrier_hz * seconds)[:, None]
     if gain_factors is not None:
         gain_factors = np.asarray(gain_factors, dtype=complex)
         if gain_factors.shape != (n_sub,):

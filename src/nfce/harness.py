@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -116,8 +116,19 @@ class SimConfig:
                 )
         if not 0.0 < self.p_fa < 1.0:
             raise ConfigError(f"stopping.p_fa must be in (0,1), got {self.p_fa}")
+        if self.max_paths < 0:
+            raise ConfigError(f"stopping.max_paths must be >= 0, got {self.max_paths}")
         if not 0.0 < self.gain_factor_min <= 1.0:
             raise ConfigError("impairments.gain_factor_min must be in (0,1]")
+        if self.angle_grid_size < 1:
+            raise ConfigError(
+                f"omp.angle_grid_size must be >= 1, got {self.angle_grid_size}")
+        if self.distance_grid_size < 1:
+            raise ConfigError(
+                f"omp.distance_grid_size must be >= 1, got {self.distance_grid_size}")
+        if not 0.0 < self.distance_grid_min_m <= self.distance_grid_max_m:
+            raise ConfigError("omp.distance_grid range must satisfy "
+                              "0 < distance_grid_min_m <= distance_grid_max_m")
 
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry(
@@ -205,17 +216,17 @@ def load_config(path: str, overrides: dict | None = None) -> SimConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    fields: dict = {}
+    values: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
             entry = _SCHEMA.get((section, key))
             if entry is None:
                 raise ConfigError(f"unknown config key [{section}] {key}")
             name, kind = entry
-            fields[name] = _convert(raw, kind, f"[{section}] {key}")
+            values[name] = _convert(raw, kind, f"[{section}] {key}")
     if overrides:
-        fields.update(overrides)
-    return SimConfig(**fields)
+        values.update(overrides)
+    return SimConfig(**values)
 
 
 def trial_rng(master_seed: int, trial: int, stream: int) -> np.random.Generator:
@@ -251,16 +262,7 @@ class RunRecord:
                 return "1" if x else "0"
             return str(x)
 
-        return ",".join(
-            f(v)
-            for v in (
-                self.seed, self.trial, self.snr_db, self.n_antennas,
-                self.n_subarrays, self.n_subcarriers, self.n_paths,
-                self.n_paths_est, self.algorithm, self.nmse_db,
-                self.theta_err, self.d_err_m, self.r_err_m,
-                self.runtime_ms, self.fallback, self.corr_count,
-            )
-        )
+        return ",".join(f(getattr(self, field.name)) for field in fields(self))
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +299,9 @@ def polar_omp_fallback(
     geom: ArrayGeometry,
     grid: SubcarrierGrid,
     rule: StoppingRule,
-    angle_grid_size: int = 64,
-    distance_grid: np.ndarray | None = None,
+    angle_grid_size: int,
+    distance_grid: np.ndarray,
     power: float = 1.0,
-    steering: str = "exact",
 ):
     """Greedy matching pursuit over a polar (angle x distance) dictionary.
 
@@ -314,8 +315,6 @@ def polar_omp_fallback(
     K, M = geom.n_subarrays, grid.n_subcarriers
     if angle_grid_size < 1:
         raise ValueError("empty angle grid")
-    if distance_grid is None:
-        distance_grid = np.geomspace(5.0, 40.0, 16)
     distance_grid = np.asarray(distance_grid, dtype=float)
     if distance_grid.size == 0:
         raise ValueError("empty distance grid")
@@ -325,7 +324,7 @@ def polar_omp_fallback(
     atoms = np.zeros((angle_grid_size, distance_grid.size, K), dtype=complex)
     for i, th in enumerate(theta_grid):
         for j, dg in enumerate(distance_grid):
-            w = steering_vector(th, dg, geom, model=steering)
+            w = steering_vector(th, dg, geom)
             for k in range(K):
                 atoms[i, j, k] = np.vdot(combiners[k], w[geom.subarray_slice(k)])
     norms = np.maximum(np.linalg.norm(atoms, axis=2), 1e-300)
@@ -353,7 +352,7 @@ def polar_omp_fallback(
         _, tau, _ = ml_delay_detect(series, dictionary)
         rng_m = tau * SPEED_OF_LIGHT / grid.spacing_hz - d_g
         paths.append(fit_and_cancel(resid, th_g, d_g, rng_m, combiners, geom, grid,
-                                    power, steering))
+                                    power))
     return paths, corr_per_iter
 
 

@@ -163,26 +163,12 @@ def fresnel_deltas(theta: float, dist_m: float, geom: ArrayGeometry) -> np.ndarr
     return -delta * theta + delta * delta * (1.0 - theta * theta) / (2.0 * dist_m)
 
 
-def distance_deltas(
-    theta: float, dist_m: float, geom: ArrayGeometry, model: str = "exact"
-) -> np.ndarray:
-    """d_n - dist_m under the chosen wavefront model ("exact" or "fresnel")."""
-    if model == "exact":
-        return exact_distances(theta, dist_m, geom) - dist_m
-    if model == "fresnel":
-        return fresnel_deltas(theta, dist_m, geom)
-    raise ValueError(f"unknown wavefront model {model!r}")
-
-
-def steering_vector(
-    theta: float, dist_m: float, geom: ArrayGeometry, model: str = "exact"
-) -> np.ndarray:
+def steering_vector(theta: float, dist_m: float, geom: ArrayGeometry) -> np.ndarray:
     """Near-field array response at the carrier, unit-modulus entries.
 
-    w_n = exp(j 2 pi f_c (d_n - d) / c).  ``model`` picks the exact spherical
-    distances or their Fresnel approximation.
+    w_n = exp(j 2 pi f_c (d_n - d) / c) with the exact spherical distances.
     """
-    dd = distance_deltas(theta, dist_m, geom, model)
+    dd = exact_distances(theta, dist_m, geom) - dist_m
     return np.exp(2j * np.pi * geom.carrier_hz / SPEED_OF_LIGHT * dd)
 
 
@@ -200,11 +186,13 @@ def freq_profile(dist_arg_m: float, range_arg_m: float, grid: SubcarrierGrid) ->
     )
 
 
-def delay_steering(tau: float, n_subcarriers: int) -> np.ndarray:
+def delay_steering(tau, n_subcarriers: int) -> np.ndarray:
     """Delay-domain steering vector b(tau)_m = exp(j 2 pi delta_m tau).
 
-    ``tau`` is a dimensionless symbol-fraction delay; b is 1-periodic in tau
-    up to a global sign when ``n_subcarriers`` is even (half-integer offsets).
+    ``tau`` is a dimensionless symbol-fraction delay, or an array of them
+    that broadcasts against the subcarrier axis (shape (K, 1) gives K rows);
+    b is 1-periodic in tau up to a global sign when ``n_subcarriers`` is even
+    (half-integer offsets).
     """
     return np.exp(2j * np.pi * index_offsets(n_subcarriers) * tau)
 
@@ -250,23 +238,17 @@ def subarray_centers(theta: float, dist_m: float, geom: ArrayGeometry):
     return dist_k, theta_k
 
 
-def synthesize_channel(
-    paths,
-    geom: ArrayGeometry,
-    grid: SubcarrierGrid,
-    steering: str = "exact",
-) -> np.ndarray:
+def synthesize_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
     """Multipath frequency-domain channel H of shape (N, M).
 
-    H = sum_l rho_l (w_l p_l^T) .* Q_l with w the carrier-frequency steering
-    (``steering`` in {"exact", "fresnel"}), p the frequency profile of the
-    total path length, and Q the exact squint term.  With exact steering this
-    reproduces the physical model H[n, m] = g_l exp(j 2 pi f_m (r_l + d_n) / c)
+    H = sum_l rho_l (w_l p_l^T) .* Q_l with w the carrier-frequency steering,
+    p the frequency profile of the total path length, and Q the squint term.
+    This reproduces the physical model H[n, m] = g_l exp(j 2 pi f_m (r_l + d_n) / c)
     per path.
     """
     H = np.zeros((geom.n_antennas, grid.n_subcarriers), dtype=complex)
     for path in paths:
-        w = steering_vector(path.theta, path.dist_m, geom, steering)
+        w = steering_vector(path.theta, path.dist_m, geom)
         p = freq_profile(path.dist_m, path.range_m, grid)
         rank1 = np.outer(w, p)
         # two statements on purpose: fused, NumPy multiplies in place into

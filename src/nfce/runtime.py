@@ -14,7 +14,7 @@ The simulation is deterministic and in-process; there is no transport layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,10 +100,6 @@ class DistributedResult(DpsResult):
     def trace_lines(self) -> list[str]:
         return [m.format() for m in self.trace]
 
-    def as_dps_result(self, residual: np.ndarray | None = None) -> DpsResult:
-        shared = {f.name: getattr(self, f.name) for f in fields(DpsResult)}
-        return DpsResult(**{**shared, "residual": residual})
-
 
 def run_distributed(
     Y: np.ndarray,
@@ -112,8 +108,6 @@ def run_distributed(
     grid: SubcarrierGrid,
     rule: StoppingRule,
     power: float = 1.0,
-    steering: str = "exact",
-    refine: str = "exact",
     trace: bool = False,
 ) -> DistributedResult:
     """Run the estimator under the LPU/CPU message-passing constraint.
@@ -123,7 +117,7 @@ def run_distributed(
     ``trace=True`` every message is recorded; payloads are always scalars,
     so no message grows with M or N.
     """
-    res = run_dps(Y, combiners, geom, grid, rule, power, steering, refine)
+    res = run_dps(Y, combiners, geom, grid, rule, power)
     K, M = geom.n_subarrays, grid.n_subcarriers
     kc = central_index(K)
     # the central LPU runs every full-grid detection; every other LPU runs

@@ -115,6 +115,24 @@ def test_exit_codes(tmp_path, capsys):
     assert "error: io:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ini, flags, key", [
+    ("[omp]\ndistance_grid_min_m = 0\n", [], "distance_grid_min_m"),
+    ("[omp]\ndistance_grid_size = 0\n", [], "distance_grid_size"),
+    ("[omp]\nangle_grid_size = 0\n", [], "angle_grid_size"),
+    ("", ["--max-paths", "-1"], "max_paths"),
+])
+def test_bad_omp_grid_and_max_paths_are_config_errors(tmp_path, capsys, ini, flags, key):
+    # rejected when the config is built, even by a sweep that runs no OMP
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(ini)
+    rc = main(["sweep", "--config", str(cfg), *COMMON, "--trials", "1",
+               "--algorithms", "dps", *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert key in err
+
+
 def test_scenario_round_trip_keeps_spacing(tmp_path, capsys):
     # a non-default element spacing must survive simulate -> estimate --scenario
     ini = tmp_path / "cfg.ini"

@@ -23,3 +23,18 @@ def test_dumps_of_same_code_compare_clean(equivalence, tmp_path, capsys):
     records[0]["dps"]["gains_re"][0][0] += 1e-9
     b.write_text(json.dumps(records))
     assert equivalence.main(["compare", str(a), str(b)]) == 2
+
+    # a dump in another format (here a two-entry nmse_db, as an older tool
+    # wrote, or a missing key) is refused rather than broadcast or skipped
+    records = json.loads(a.read_text())
+    value = records[0]["dps"]["nmse_db"]
+    records[0]["dps"]["nmse_db"] = [value, value]
+    b.write_text(json.dumps(records))
+    assert equivalence.main(["compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH default/seed1000/0dB dps: different dump formats (nmse_db)" in out
+    records[0]["dps"]["nmse_db"] = value
+    del records[1]["omp"]["corr"]
+    b.write_text(json.dumps(records))
+    assert equivalence.main(["compare", str(a), str(b)]) == 1
+    assert "default/seed1000/10dB omp: different dump formats" in capsys.readouterr().out

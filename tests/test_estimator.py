@@ -16,7 +16,7 @@ from nfce.model import (
     subarray_delay_profile,
     synthesize_channel,
 )
-from nfce.frontend import matched_combiner, observe, random_phase_combiner
+from nfce.frontend import observe, random_phase_combiner
 from nfce.estimator import (
     DelayDictionary,
     StoppingRule,
@@ -54,7 +54,7 @@ def test_dictionary_grid_points():
 
 def test_dictionary_atoms_orthogonal():
     dic = DelayDictionary(16)
-    B = np.stack([dic.atom(t) for t in dic.grid])
+    B = np.stack([delay_steering(t, 16) for t in dic.grid])
     G = B.conj() @ B.T
     np.testing.assert_allclose(G, 16.0 * np.eye(16), atol=1e-9)
 
@@ -63,7 +63,8 @@ def test_grid_scores_match_direct_correlation():
     dic = DelayDictionary(64)
     rng = np.random.default_rng(23)
     y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    direct = np.array([np.abs(np.vdot(dic.atom(t), y)) ** 2 / 64.0 for t in dic.grid])
+    direct = np.array([np.abs(np.vdot(delay_steering(t, 64), y)) ** 2 / 64.0
+                       for t in dic.grid])
     np.testing.assert_allclose(grid_scores(y, dic), direct, atol=1e-10)
     with pytest.raises(ValueError):
         grid_scores(y[:10], dic)
@@ -81,7 +82,7 @@ def test_window_scores_match_grid_scores_on_grid():
 def test_ml_delay_detect_finds_planted_atom():
     dic = DelayDictionary(128)
     idx_true = 37
-    y = 2.2 * dic.atom(dic.grid[idx_true])
+    y = 2.2 * delay_steering(dic.grid[idx_true], 128)
     idx, tau, score = ml_delay_detect(y, dic)
     assert idx == idx_true
     assert tau == pytest.approx(dic.grid[idx_true])
@@ -95,6 +96,10 @@ def test_max_hop_values():
     assert max_hop(ArrayGeometry(1024, 16, 7e9), SubcarrierGrid.from_bandwidth(1024, 600e6)) == 3
     # exact integer ratio must not round up: B ns / (2 fc) = 2 exactly
     assert max_hop(ArrayGeometry(256, 8, 7e9), SubcarrierGrid.from_bandwidth(256, 875e6)) == 2
+    # the hop reads the real pitch: 3-lambda/2 spacing triples the drift,
+    # 600 MHz * 32 * 3 / 14 GHz = 4.11 bins
+    wide = ArrayGeometry(256, 8, 7e9, spacing_m=3 * SPEED_OF_LIGHT / (2 * 7e9))
+    assert max_hop(wide, SubcarrierGrid.from_bandwidth(256, 600e6)) == 5
 
 
 def test_central_index():
@@ -108,7 +113,7 @@ def test_central_index():
 def test_extrapolate_step_window():
     dic = DelayDictionary(64)
     prev = dic.grid[20]
-    y = dic.atom(dic.grid[22])  # two bins up
+    y = delay_steering(dic.grid[22], 64)  # two bins up
     kappa, tau, _ = extrapolate_step(y, prev, 2, dic)
     assert kappa == 2
     assert tau == pytest.approx(dic.grid[22])
@@ -349,17 +354,6 @@ def test_run_dps_shape_validation():
         run_dps(np.zeros((4, 4), complex), W, geom, grid, StoppingRule(noise_var=1.0))
 
 
-def test_reconstruct_channel_gain_modes():
-    geom, grid, path, H, W, Y = _single_path_setup()
-    scale = float(np.mean(np.abs(Y) ** 2))
-    res = run_dps(Y, W, geom, grid, StoppingRule(noise_var=1e-4 * scale))
-    per = reconstruct_channel(res.paths, geom, grid, gains="per_lpu")
-    avg = reconstruct_channel(res.paths, geom, grid, gains="averaged")
-    assert per.shape == avg.shape == H.shape
-    with pytest.raises(ValueError):
-        reconstruct_channel(res.paths, geom, grid, gains="other")
-
-
 def test_extrapolate_delays_tracks_profile():
     # plant per-subarray delay atoms directly and check the serial tracker
     geom = ArrayGeometry(256, 64, 7e9)
@@ -367,7 +361,7 @@ def test_extrapolate_delays_tracks_profile():
     dic = DelayDictionary(256)
     taus_true = subarray_delay_profile(0.6, 11.0, 9.0, geom, grid)
     idx_true = np.round(taus_true * 256 - 0.5).astype(int)
-    Y = np.stack([dic.atom(dic.grid[i]) for i in idx_true])
+    Y = np.stack([delay_steering(dic.grid[i], 256) for i in idx_true])
     kc = central_index(64)
     track = extrapolate_delays(Y, dic.grid[idx_true[kc]], geom, dic, max_hop(geom, grid))
     np.testing.assert_array_equal(track.grid_indices, idx_true)
@@ -448,7 +442,7 @@ def test_hop_scores_match_direct_window(off_grid):
     for _ in range(10):
         prev = dic.grid[rng.integers(M)] + (rng.uniform(-0.5, 0.5) / M if off_grid else 0)
         y = (rng.standard_normal(M) + 1j * rng.standard_normal(M)
-             + 3.0 * dic.atom(prev + rng.integers(-m_hop, m_hop + 1) / M))
+             + 3.0 * delay_steering(prev + rng.integers(-m_hop, m_hop + 1) / M, M))
         direct = np.abs(
             np.exp(2j * np.pi * np.outer(prev + kappas / M, delta)).conj() @ y) ** 2 / M
         hop = window_scores(y * np.exp(-2j * np.pi * prev * delta), shift_table(m_hop, M))
@@ -511,14 +505,14 @@ def test_fit_and_cancel_matches_per_row_fit():
     assert other[4] != est.lpu_gains[4]
 
 
-def _reconstruct_per_block(paths, geom, grid, gains):
+def _reconstruct_per_block(paths, geom, grid):
     """Block-by-block reconstruction: one outer product per subarray and path."""
     H = np.zeros((geom.n_antennas, grid.n_subcarriers), dtype=complex)
     for est in paths:
         w = steering_vector(est.theta, est.dist_m, geom)
         dist_k, _ = subarray_centers(est.theta, est.dist_m, geom)
         for k in range(geom.n_subarrays):
-            rho = est.lpu_gains[k] if gains == "per_lpu" else est.gain
+            rho = est.lpu_gains[k]
             if rho == 0:
                 continue
             p = np.exp(2j * np.pi / SPEED_OF_LIGHT * grid.freq_offsets_hz
@@ -528,14 +522,13 @@ def _reconstruct_per_block(paths, geom, grid, gains):
     return H
 
 
-@pytest.mark.parametrize("gains", ["per_lpu", "averaged"])
-def test_reconstruct_channel_matches_per_block_loop(equivalence, gains):
+def test_reconstruct_channel_matches_per_block_loop(equivalence):
     geom, grid, W, Y, rule = _a12_scenario(equivalence, _STOP_SEEDS["max_paths"])
     paths = run_dps(Y, W, geom, grid, rule).paths
     assert len(paths) == rule.max_paths
     paths[1].lpu_gains[3] = 0.0  # a zero gain leaves its block out
-    _assert_close(reconstruct_channel(paths, geom, grid, gains=gains),
-                  _reconstruct_per_block(paths, geom, grid, gains))
+    _assert_close(reconstruct_channel(paths, geom, grid),
+                  _reconstruct_per_block(paths, geom, grid))
     assert not reconstruct_channel([], geom, grid).any()
 
 

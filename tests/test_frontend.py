@@ -6,6 +6,7 @@ from nfce.model import (
     ArrayGeometry,
     PathParams,
     SubcarrierGrid,
+    index_offsets,
     synthesize_channel,
 )
 from nfce.frontend import (
@@ -110,6 +111,23 @@ def test_apply_impairments_clock_rotation():
     # rotated row keeps its magnitude
     np.testing.assert_allclose(np.abs(Yt[3]), np.abs(Y[3]), rtol=1e-12)
     assert not np.allclose(Yt[3], Y[3])
+
+
+def test_apply_impairments_matches_per_row_formula():
+    geom, grid, _, H = _setup()
+    W = random_phase_combiner(geom, np.random.default_rng(4))
+    Y = observe(H, W, 1.0, 0.0)
+    rng = np.random.default_rng(5)
+    K = geom.n_subarrays
+    T = rng.uniform(-0.3, 0.3, K)
+    g = rng.uniform(0.5, 1.0, K) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, K))
+    want = Y.copy()
+    for k in range(K):
+        want[k] *= np.exp(2j * np.pi * index_offsets(grid.n_subcarriers) * T[k])
+        want[k] *= np.exp(2j * np.pi * geom.carrier_hz * (T[k] / grid.spacing_hz))
+    want *= g[:, None]
+    got = apply_impairments(Y, grid, geom.carrier_hz, clock_offsets=T, gain_factors=g)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_apply_impairments_validation():

@@ -16,7 +16,6 @@ from nfce.model import (
     check_delay_validity,
     combined_gain,
     delay_steering,
-    distance_deltas,
     exact_distances,
     freq_profile,
     fresnel_deltas,
@@ -105,26 +104,18 @@ def test_exact_distances_mirror_symmetry():
 def test_fresnel_matches_exact_far_away():
     geom = ArrayGeometry(128, 16, 7e9)
     theta, d = 0.3, 5000.0
-    exact = distance_deltas(theta, d, geom, model="exact")
+    exact = exact_distances(theta, d, geom) - d
     fres = fresnel_deltas(theta, d, geom)
     np.testing.assert_allclose(fres, exact, atol=1e-9)
     # and visibly diverges close in
-    close = distance_deltas(theta, 5.0, geom, model="exact")
+    close = exact_distances(theta, 5.0, geom) - 5.0
     assert np.max(np.abs(fresnel_deltas(theta, 5.0, geom) - close)) > 1e-6
-
-
-def test_distance_deltas_bad_model():
-    geom = ArrayGeometry(8, 2, 7e9)
-    with pytest.raises(ValueError):
-        distance_deltas(0.1, 10.0, geom, model="taylor3")
 
 
 def test_steering_vector_unit_modulus():
     geom = ArrayGeometry(256, 64, 7e9)
     w = steering_vector(0.37, 12.0, geom)
     np.testing.assert_allclose(np.abs(w), 1.0, rtol=1e-12)
-    w2 = steering_vector(0.37, 12.0, geom, model="fresnel")
-    np.testing.assert_allclose(np.abs(w2), 1.0, rtol=1e-12)
 
 
 def test_delay_steering_periodicity():

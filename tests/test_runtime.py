@@ -10,6 +10,7 @@ from nfce.model import (
 )
 from nfce.frontend import observe, random_phase_combiner
 from nfce.estimator import (
+    DpsResult,
     StoppingRule,
     SubarrayDelayTrack,
     central_index,
@@ -120,6 +121,7 @@ def test_run_distributed_equals_run_dps():
                                            snr=None if seed % 2 else 15.0)
         ref = run_dps(Y, W, geom, grid, rule)
         dist = run_distributed(Y, W, geom, grid, rule)
+        assert isinstance(dist, DpsResult)
         _results_equal(dist, ref)
 
 
@@ -183,11 +185,3 @@ def test_run_distributed_pure_noise():
     assert res.stop_reason == "threshold"
     kinds = [m.kind for m in res.trace]
     assert kinds == ["StopQuery", "StopReport"]
-
-
-def test_as_dps_result_bridge():
-    geom, grid, W, Y, rule = _scenario(17, n_paths=1)
-    dist = run_distributed(Y, W, geom, grid, rule)
-    bridged = dist.as_dps_result()
-    ref = run_dps(Y, W, geom, grid, rule)
-    _results_equal(bridged, ref)

@@ -4,19 +4,20 @@
     PYTHONPATH=src python3 tools/equivalence.py compare A.json B.json
 
 ``dump`` runs ``run_dps``, ``polar_omp_fallback`` and ``reconstruct_channel``
-(both gain modes) on 150 scenarios and writes what they return as JSON.  The
-scenarios are seeds 1000-1039 at the ``SimConfig`` defaults at 0, 10 and
-20 dB, then seeds 0-29 at the 64/16/128 config of acceptance test a12.
-``--limit N`` keeps the first N.  To dump another checkout, point PYTHONPATH
-at its ``src``.
+on 150 scenarios and writes what they return as JSON.  The scenarios are
+seeds 1000-1039 at the ``SimConfig`` defaults at 0, 10 and 20 dB, then seeds
+0-29 at the 64/16/128 config of acceptance test a12.  ``--limit N`` keeps
+the first N.  To dump another checkout, point PYTHONPATH at its ``src``.
 
 ``compare`` prints every discrete mismatch (stop reason, path count,
 correlation count, fallback, rejected count, delay-hop track) and the largest
-differences of theta/d/r, per-LPU gains and nmse_db.  Paths whose range
-exceeds 1e4 m are unphysical; their gains, and the nmse_db of scenarios that
-hold one, are counted and left out of the tolerances.  Exit status: 1 on a
-discrete mismatch, 2 when only a difference exceeds its tolerance, 0 when
-the dumps agree.
+differences of theta/d/r, per-LPU gains and nmse_db.  Records whose keys or
+array shapes differ (dumps written by different versions of this tool) are
+reported as different dump formats.  Paths whose range exceeds 1e4 m are
+unphysical; their gains, and the nmse_db of scenarios that hold one, are
+counted and left out of the tolerances.  Exit status: 1 on a discrete
+mismatch or a format difference, 2 when only a difference exceeds its
+tolerance, 0 when the dumps agree.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ _DISCRETE = {
     "dps": ("stop_reason", "n_paths", "corr_total", "fallback", "rejected", "kappas"),
     "omp": ("n_paths", "corr"),
 }
+_NUMERIC = ("params", "gains_re", "gains_im", "nmse_db")
 
 
 def a12_scenario(seed: int):
@@ -82,8 +84,7 @@ def _paths_record(paths, H, geom, grid) -> dict:
         "params": [[p.theta, p.dist_m, p.range_m] for p in paths],
         "gains_re": [np.real(p.lpu_gains).tolist() for p in paths],
         "gains_im": [np.imag(p.lpu_gains).tolist() for p in paths],
-        "nmse_db": [nmse_db(reconstruct_channel(paths, geom, grid, gains=mode), H)
-                    for mode in ("per_lpu", "averaged")],
+        "nmse_db": nmse_db(reconstruct_channel(paths, geom, grid), H),
     }
 
 
@@ -119,9 +120,18 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], dict, dict]:
     for ra, rb in zip(a, b):
         for alg, keys in _DISCRETE.items():
             xa, xb = ra[alg], rb[alg]
+            if xa.keys() != xb.keys():
+                mismatches.append(f"{ra['name']} {alg}: different dump formats (keys)")
+                continue
             bad = [k for k in keys if xa[k] != xb[k]]
             mismatches += [f"{ra['name']} {alg}: {k} {xa[k]!r} != {xb[k]!r}" for k in bad]
             if bad:
+                continue
+            # with the discrete fields equal, every numeric field has one shape
+            odd = [k for k in _NUMERIC if np.shape(xa[k]) != np.shape(xb[k])]
+            if odd:
+                mismatches.append(f"{ra['name']} {alg}: different dump formats "
+                                  f"({', '.join(odd)})")
                 continue
             pa, pb = np.array(xa["params"]), np.array(xb["params"])
             if pa.size:
@@ -135,10 +145,9 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], dict, dict]:
                     worst["lpu gain"] = max(worst["lpu gain"],
                                             float(np.abs(row_a - row_b).max()))
             if all(physical):
-                diff = np.abs(np.subtract(xa["nmse_db"], xb["nmse_db"])).max()
-                worst["nmse_db"] = max(worst["nmse_db"], float(diff))
+                worst["nmse_db"] = max(worst["nmse_db"], abs(xa["nmse_db"] - xb["nmse_db"]))
             else:
-                skipped["nmse_db values"] += len(xa["nmse_db"])
+                skipped["nmse_db values"] += 1
     return mismatches, worst, skipped
 
 
