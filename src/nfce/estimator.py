@@ -463,8 +463,9 @@ class StoppingRule:
     def __post_init__(self):
         if not 0.0 < self.p_fa < 1.0:
             raise ValueError(f"p_fa must lie in (0, 1), got {self.p_fa}")
-        if self.noise_var < 0.0:
-            raise ValueError("noise_var must be nonnegative")
+        if not (math.isfinite(self.noise_var) and self.noise_var >= 0.0):
+            raise ValueError(f"noise_var must be finite and nonnegative, "
+                             f"got {self.noise_var}")
         if self.max_paths < 0:
             raise ValueError("max_paths must be nonnegative")
 

@@ -114,6 +114,10 @@ class SimConfig:
                 raise ConfigError(
                     f"unknown algorithm {alg!r}; choose from {ALGORITHMS}"
                 )
+        if not all(np.isfinite(self.snr_db)):
+            raise ConfigError(f"sweep.snr_db must be finite, got {self.snr_db}")
+        if not (np.isfinite(self.power) and self.power > 0.0):
+            raise ConfigError(f"sweep.power must be finite and > 0, got {self.power}")
         if not 0.0 < self.p_fa < 1.0:
             raise ConfigError(f"stopping.p_fa must be in (0,1), got {self.p_fa}")
         if self.max_paths < 0:
@@ -306,10 +310,14 @@ def polar_omp_fallback(
     """Greedy matching pursuit over a polar (angle x distance) dictionary.
 
     Atoms are combined narrowband subarray steering responses
-    c_k(theta_g, d_g) = f_k^H w_k(theta_g, d_g); after the best atom is
-    selected, the delay is fit on the atom-projected frequency series and the
-    per-subarray gains and residual use the same machinery as the main
-    estimator.  Returns (paths, correlations_per_iteration).
+    c_k(theta_g, d_g) = f_k^H w_k(theta_g, d_g), stored as one (G, K) table
+    with G = G_theta * G_d in theta-major order.  Each iteration scores every
+    atom by the band energy of its normalized projection,
+    ||a_g^H R||^2 / ||a_g||^2, in Gram form a_g^H (R R^H) a_g, so the G x M
+    projection is never formed; ties go to the first atom in theta-major
+    order.  Only the winner is projected: the delay is fit on its frequency
+    series, and the per-subarray gains and residual use the same machinery as
+    the main estimator.  Returns (paths, correlations_per_iteration).
     """
     check_inputs(Y, combiners, power, geom, grid)
     K, M = geom.n_subarrays, grid.n_subcarriers
@@ -319,15 +327,17 @@ def polar_omp_fallback(
     if distance_grid.size == 0:
         raise ValueError("empty distance grid")
     theta_grid = (2.0 * np.arange(angle_grid_size) + 1.0) / angle_grid_size - 1.0
+    n_dist = distance_grid.size
 
-    # precompute atom table: (G_theta, G_d, K)
-    atoms = np.zeros((angle_grid_size, distance_grid.size, K), dtype=complex)
+    # atom table (G, K), built one angle (G_d steering vectors) at a time
+    atoms = np.empty((angle_grid_size, n_dist, K), dtype=complex)
+    f_h = combiners.conj()
     for i, th in enumerate(theta_grid):
-        for j, dg in enumerate(distance_grid):
-            w = steering_vector(th, dg, geom)
-            for k in range(K):
-                atoms[i, j, k] = np.vdot(combiners[k], w[geom.subarray_slice(k)])
-    norms = np.maximum(np.linalg.norm(atoms, axis=2), 1e-300)
+        w = steering_vector(th, distance_grid[:, None], geom)
+        atoms[i] = np.einsum("kn,gkn->gk", f_h, w.reshape(n_dist, K, -1))
+    atoms = atoms.reshape(-1, K)
+    atoms_h = atoms.conj()
+    norms = np.maximum(np.linalg.norm(atoms, axis=1), 1e-300)
 
     dictionary = DelayDictionary(M)
     threshold = stopping_threshold(rule.noise_var, M, rule.p_fa)
@@ -340,15 +350,14 @@ def polar_omp_fallback(
         _, _, peak = ml_delay_detect(resid[kc], dictionary)
         if peak <= threshold:
             break
-        # polar scoring: energy of the atom-matched projection across the band
-        proj = np.einsum("ijk,km->ijm", atoms.conj(), resid)
-        scores = np.sum(np.abs(proj) ** 2, axis=2) / norms**2
-        corr_per_iter.append(angle_grid_size * distance_grid.size)
-        i, j = np.unravel_index(int(np.argmax(scores)), scores.shape)
-        th_g, d_g = float(theta_grid[i]), float(distance_grid[j])
+        gram = resid @ resid.conj().T
+        scores = np.sum((atoms_h @ gram) * atoms, axis=1).real / norms**2
+        corr_per_iter.append(atoms.shape[0])
+        g = int(np.argmax(scores))
+        th_g, d_g = float(theta_grid[g // n_dist]), float(distance_grid[g % n_dist])
 
         # frequency series along the chosen atom -> delay and range
-        series = proj[i, j] / norms[i, j] ** 2
+        series = (atoms_h[g] @ resid) / norms[g] ** 2
         _, tau, _ = ml_delay_detect(series, dictionary)
         rng_m = tau * SPEED_OF_LIGHT / grid.spacing_hz - d_g
         paths.append(fit_and_cancel(resid, th_g, d_g, rng_m, combiners, geom, grid,

@@ -167,6 +167,7 @@ def steering_vector(theta: float, dist_m: float, geom: ArrayGeometry) -> np.ndar
     """Near-field array response at the carrier, unit-modulus entries.
 
     w_n = exp(j 2 pi f_c (d_n - d) / c) with the exact spherical distances.
+    A column of distances, shape (G, 1), gives one response per row.
     """
     dd = exact_distances(theta, dist_m, geom) - dist_m
     return np.exp(2j * np.pi * geom.carrier_hz / SPEED_OF_LIGHT * dd)

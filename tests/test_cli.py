@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -120,13 +121,21 @@ def test_exit_codes(tmp_path, capsys):
     ("[omp]\ndistance_grid_size = 0\n", [], "distance_grid_size"),
     ("[omp]\nangle_grid_size = 0\n", [], "angle_grid_size"),
     ("", ["--max-paths", "-1"], "max_paths"),
+    ("", ["--snr-db", "nan"], "sweep.snr_db"),
+    ("", ["--snr-db", "10,inf"], "sweep.snr_db"),
+    ("", ["--power", "-1"], "sweep.power"),
+    ("", ["--power", "0"], "sweep.power"),
+    ("", ["--power", "inf"], "sweep.power"),
 ])
 def test_bad_omp_grid_and_max_paths_are_config_errors(tmp_path, capsys, ini, flags, key):
-    # rejected when the config is built, even by a sweep that runs no OMP
+    # rejected when the config is built, even by a sweep that runs no OMP,
+    # and before any NumPy work can warn
     cfg = tmp_path / "cfg.ini"
     cfg.write_text(ini)
-    rc = main(["sweep", "--config", str(cfg), *COMMON, "--trials", "1",
-               "--algorithms", "dps", *flags])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["sweep", "--config", str(cfg), *COMMON, "--trials", "1",
+                   "--algorithms", "dps", *flags])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config:")

@@ -254,6 +254,12 @@ def test_stopping_rule_validation():
         StoppingRule(noise_var=1.0, p_fa=1.5)
     with pytest.raises(ValueError):
         StoppingRule(noise_var=1.0, max_paths=-2)
+    # a NaN noise variance makes the CFAR threshold NaN, and no peak ever
+    # falls below it; zero stays allowed (a noiseless observation)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="noise_var must be finite"):
+            StoppingRule(noise_var=value)
+    assert StoppingRule(noise_var=0.0).noise_var == 0.0
 
 
 def _single_path_setup(theta=0.4, d=12.0, r=9.0, N=256, K=64, M=256, seed=2):

@@ -2,9 +2,23 @@
 import numpy as np
 import pytest
 
-from nfce.model import ArrayGeometry, PathParams, SubcarrierGrid, synthesize_channel
+from nfce.model import (
+    SPEED_OF_LIGHT,
+    ArrayGeometry,
+    PathParams,
+    SubcarrierGrid,
+    steering_vector,
+    synthesize_channel,
+)
 from nfce.frontend import observe, random_phase_combiner
-from nfce.estimator import StoppingRule, run_dps
+from nfce.estimator import (
+    DelayDictionary,
+    StoppingRule,
+    fit_and_cancel,
+    ml_delay_detect,
+    run_dps,
+    stopping_threshold,
+)
 from nfce.harness import (
     ALGORITHMS,
     BOUNDS_COLUMNS,
@@ -13,6 +27,7 @@ from nfce.harness import (
     SimConfig,
     bounds_table,
     draw_paths,
+    draw_trial,
     load_config,
     ls_baseline,
     match_paths,
@@ -266,6 +281,83 @@ def test_polar_omp_recovers_single_path():
     best = paths[0]
     assert best.theta == pytest.approx(truth.theta, abs=2.0 / 128)
     assert best.range_m + best.dist_m == pytest.approx(truth.total_m, abs=1.0)
+
+
+def _reference_atoms(W, geom, angle_grid_size, distance_grid):
+    """(theta grid, (G_theta, G_d, K) table of f_k^H w_k(theta, d)), one vdot
+    per entry."""
+    theta_grid = (2.0 * np.arange(angle_grid_size) + 1.0) / angle_grid_size - 1.0
+    atoms = np.zeros((angle_grid_size, distance_grid.size, geom.n_subarrays),
+                     dtype=complex)
+    for i, th in enumerate(theta_grid):
+        for j, dg in enumerate(distance_grid):
+            w = steering_vector(th, dg, geom)
+            for k in range(geom.n_subarrays):
+                atoms[i, j, k] = np.vdot(W[k], w[geom.subarray_slice(k)])
+    return theta_grid, atoms
+
+
+def _polar_omp_reference(Y, W, geom, grid, rule, angle_grid_size, distance_grid,
+                         power=1.0):
+    """Polar OMP written out plainly: a vdot per (angle, distance, subarray),
+    the full (G_theta, G_d, M) projection, and scores as its band energy."""
+    K, M = geom.n_subarrays, grid.n_subcarriers
+    theta_grid, atoms = _reference_atoms(W, geom, angle_grid_size, distance_grid)
+    norms = np.maximum(np.linalg.norm(atoms, axis=2), 1e-300)
+    dictionary = DelayDictionary(M)
+    threshold = stopping_threshold(rule.noise_var, M, rule.p_fa)
+    resid = np.array(Y, dtype=complex, copy=True)
+    paths, corr_per_iter = [], []
+    while len(paths) < rule.max_paths:
+        if ml_delay_detect(resid[K // 2 - 1], dictionary)[2] <= threshold:
+            break
+        proj = np.einsum("ijk,km->ijm", atoms.conj(), resid)
+        scores = np.sum(np.abs(proj) ** 2, axis=2) / norms**2
+        corr_per_iter.append(scores.size)
+        i, j = np.unravel_index(int(np.argmax(scores)), scores.shape)
+        tau = ml_delay_detect(proj[i, j] / norms[i, j] ** 2, dictionary)[1]
+        rng_m = tau * SPEED_OF_LIGHT / grid.spacing_hz - distance_grid[j]
+        paths.append(fit_and_cancel(resid, float(theta_grid[i]),
+                                    float(distance_grid[j]), rng_m, W, geom, grid,
+                                    power))
+    return paths, corr_per_iter
+
+
+def _omp_scenarios(equivalence):
+    for seed, snr in ((1000, 0.0), (1001, 10.0), (1002, 20.0)):
+        yield equivalence.harness_scenario(SimConfig(seed=seed), snr)
+    for seed in (0, 1, 2):
+        yield equivalence.a12_scenario(seed)
+
+
+def test_polar_omp_matches_plain_reference(equivalence):
+    for cfg, _, W, Y, rule in _omp_scenarios(equivalence):
+        geom, grid = cfg.geometry(), cfg.grid()
+        args = (Y, W, geom, grid, rule, cfg.angle_grid_size, cfg.distance_grid(),
+                cfg.power)
+        paths, corr = polar_omp_fallback(*args)
+        ref_paths, ref_corr = _polar_omp_reference(*args)
+        assert ref_paths, "every scenario should extract a path"
+        assert corr == ref_corr
+        assert len(paths) == len(ref_paths)
+        for p, q in zip(paths, ref_paths):
+            assert (p.theta, p.dist_m, p.range_m) == (q.theta, q.dist_m, q.range_m)
+            scale = np.abs(q.lpu_gains).max()
+            np.testing.assert_allclose(p.lpu_gains, q.lpu_gains, rtol=0,
+                                       atol=1e-12 * scale)
+
+
+def test_gram_scores_equal_projection_energy():
+    # a^H (R R^H) a, as polar_omp_fallback scores atoms, against ||a^H R||^2
+    # over the default config's polar dictionary
+    cfg = SimConfig(seed=1001)
+    _, _, W, _, Y = draw_trial(cfg, 0, 10.0)
+    atoms = _reference_atoms(W, cfg.geometry(), cfg.angle_grid_size,
+                             cfg.distance_grid())[1].reshape(-1, cfg.n_subarrays)
+    gram = Y @ Y.conj().T
+    scores = np.sum((atoms.conj() @ gram) * atoms, axis=1).real
+    explicit = np.sum(np.abs(atoms.conj() @ Y) ** 2, axis=1)
+    np.testing.assert_allclose(scores, explicit, rtol=1e-12)
 
 
 def test_bounds_table_format():

@@ -4,10 +4,12 @@
     PYTHONPATH=src python3 tools/equivalence.py compare A.json B.json
 
 ``dump`` runs ``run_dps``, ``polar_omp_fallback`` and ``reconstruct_channel``
-on 150 scenarios and writes what they return as JSON.  The scenarios are
+on 153 scenarios and writes what they return as JSON.  The scenarios are
 seeds 1000-1039 at the ``SimConfig`` defaults at 0, 10 and 20 dB, then seeds
-0-29 at the 64/16/128 config of acceptance test a12.  ``--limit N`` keeps
-the first N.  To dump another checkout, point PYTHONPATH at its ``src``.
+0-29 at the 64/16/128 config of acceptance test a12, then seeds 3-5 at the
+full 1024/256/1024 scale with 4 paths at 10 dB.  ``--limit N`` keeps the
+first N, so a small limit skips the slow full-scale ones.  To dump another
+checkout, point PYTHONPATH at its ``src``.  The tool pins BLAS to one thread.
 
 ``compare`` prints every discrete mismatch (stop reason, path count,
 correlation count, fallback, rejected count, delay-hop track) and the largest
@@ -24,13 +26,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-import numpy as np
+# pinned before numpy loads: at full scale the last bits of the gains depend
+# on the BLAS thread count, so two dumps compared must share one count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from nfce.estimator import StoppingRule, reconstruct_channel, run_dps
-from nfce.frontend import observe, random_phase_combiner
-from nfce.harness import (
+import numpy as np  # noqa: E402
+
+from nfce.estimator import StoppingRule, reconstruct_channel, run_dps  # noqa: E402
+from nfce.frontend import observe, random_phase_combiner  # noqa: E402
+from nfce.harness import (  # noqa: E402
     SimConfig,
     draw_paths,
     draw_trial,
@@ -38,7 +46,7 @@ from nfce.harness import (
     polar_omp_fallback,
     trial_rng,
 )
-from nfce.model import synthesize_channel
+from nfce.model import synthesize_channel  # noqa: E402
 
 UNPHYSICAL_RANGE_M = 1e4
 TOLERANCES = {"theta/d/r": 0.0, "lpu gain": 1e-10, "nmse_db": 1e-9}
@@ -65,17 +73,25 @@ def a12_scenario(seed: int):
     return cfg, H, W, Y, StoppingRule(noise_var=nv, p_fa=1e-3, max_paths=8)
 
 
+def harness_scenario(cfg: SimConfig, snr_db: float):
+    """(cfg, H, W, Y, rule) of run_trial's trial 0 of ``cfg`` at ``snr_db``."""
+    _, H, W, noise_var, Y = draw_trial(cfg, 0, snr_db)
+    return cfg, H, W, Y, StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa,
+                                      max_paths=cfg.max_paths)
+
+
 def scenarios():
     """Yield (name, cfg, H, W, Y, rule) for the fixed scenario set, in order."""
     for seed in range(1000, 1040):
         cfg = SimConfig(seed=seed)
         for snr in (0.0, 10.0, 20.0):
-            _, H, W, noise_var, Y = draw_trial(cfg, 0, snr)
-            rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa,
-                                max_paths=cfg.max_paths)
-            yield f"default/seed{seed}/{snr:g}dB", cfg, H, W, Y, rule
+            yield (f"default/seed{seed}/{snr:g}dB",) + harness_scenario(cfg, snr)
     for seed in range(30):
         yield (f"a12/seed{seed}",) + a12_scenario(seed)
+    for seed in range(3, 6):
+        cfg = SimConfig(n_antennas=1024, n_subarrays=256, n_subcarriers=1024,
+                        n_paths=4, seed=seed)
+        yield (f"full/seed{seed}/10dB",) + harness_scenario(cfg, 10.0)
 
 
 def _paths_record(paths, H, geom, grid) -> dict:
