@@ -25,7 +25,9 @@ from nfce.model import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     SubcarrierGrid,
+    freq_profile,
     index_offsets,
+    phase_ramp,
     steering_vector,
     subarray_centers,
 )
@@ -83,42 +85,6 @@ def window_scores(y: np.ndarray, atoms_h: np.ndarray) -> np.ndarray:
     (:func:`conj_atoms`, or the cached hop table :func:`shift_table`).
     """
     return np.abs(atoms_h @ y) ** 2 / atoms_h.shape[-1]
-
-
-@functools.lru_cache(maxsize=8)
-def _ramp_split(count: int):
-    """(A, j * [c, f]) with c[a] + f[b] = index_offsets(count)[a*B + b], count = A B.
-
-    B is the largest divisor of ``count`` not above its square root; None
-    when that is 1 (count prime or 1), where factoring saves nothing.  The
-    array is shared by every caller, hence read-only.
-    """
-    inner = max(d for d in range(1, math.isqrt(count) + 1) if count % d == 0)
-    if inner == 1:
-        return None
-    outer = count // inner
-    coarse = (np.arange(outer) - (outer - 1) / 2.0) * inner
-    fine = np.arange(inner) - (inner - 1) / 2.0
-    j_offsets = 1j * np.concatenate([coarse, fine])
-    j_offsets.flags.writeable = False
-    return outer, j_offsets
-
-
-def phase_ramp(phi, count: int) -> np.ndarray:
-    """exp(j phi delta_m) over the offsets delta = index_offsets(count).
-
-    ``phi`` is a scalar or an array; the ramp runs along a new last axis.
-    Splitting count = A B, delta = c_a + f_b and the ramp is the outer
-    product of exp(j phi c) and exp(j phi f): A + B complex exponentials
-    instead of count.  A prime count falls back to the direct exponential.
-    """
-    phi = np.asarray(phi, dtype=float)
-    split = _ramp_split(count)
-    if split is None:
-        return np.exp(1j * (phi[..., None] * index_offsets(count)))
-    outer, j_offsets = split
-    e = np.exp(phi[..., None] * j_offsets)
-    return (e[..., :outer, None] * e[..., None, outer:]).reshape(phi.shape + (count,))
 
 
 def ml_delay_detect(y: np.ndarray, dictionary: DelayDictionary):
@@ -352,15 +318,6 @@ def fit_profile_exact(
 # gain fitting and residual update
 
 
-def path_ramps(range_m: float, dist_k: np.ndarray, grid: SubcarrierGrid) -> np.ndarray:
-    """Frequency profiles p(r + d~_k) of one path at every subarray, shape (K, M).
-
-    p_m = exp(j 2 pi df delta_m (r + d~_k) / c), one :func:`phase_ramp` per row.
-    """
-    phi = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * (range_m + dist_k)
-    return phase_ramp(phi, grid.n_subcarriers)
-
-
 def gain_column(
     theta: float,
     dist_m: float,
@@ -381,7 +338,7 @@ def gain_column(
         "kn,kn->k", combiners.conj(), w.reshape(geom.n_subarrays, geom.subarray_size)
     )
     dist_k, _ = subarray_centers(theta, dist_m, geom)
-    return fk_wk[:, None] * path_ramps(range_m, dist_k, grid)
+    return fk_wk[:, None] * freq_profile(range_m + dist_k, grid)
 
 
 def estimate_gain_lpu(
@@ -638,7 +595,8 @@ def run_dps(
 
         if track.all_equal():
             # parametric symmetry carries no information and the residual is
-            # still above threshold: hand off to a dictionary-based method
+            # still above threshold: stop.  No other method takes over; the
+            # caller gets the paths found so far and DpsResult.fallback is set
             fallback = True
             stop_reason = "fallback"
             break
@@ -682,7 +640,7 @@ def reconstruct_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.
     for est in paths:
         w = steering_vector(est.theta, est.dist_m, geom).reshape(K, ns)
         dist_k, _ = subarray_centers(est.theta, est.dist_m, geom)
-        profiles = est.lpu_gains[:, None] * path_ramps(est.range_m, dist_k, grid)
+        profiles = est.lpu_gains[:, None] * freq_profile(est.range_m + dist_k, grid)
         np.multiply(w[:, :, None], profiles[:, None, :], out=block)
         blocks += block
     return H

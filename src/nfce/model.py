@@ -2,8 +2,9 @@
 
 Everything downstream (frontend, estimator, bounds) is built on the quantities
 defined here: symmetric index offsets, exact and Fresnel propagation distances,
-frequency-domain phase profiles, and the per-subarray delay structure that the
-estimator exploits.
+the one frequency-profile kernel (:func:`freq_profile` over :func:`phase_ramp`),
+the exact per-path response :func:`path_response` that synthesis sums, and the
+per-subarray delay structure that the estimator exploits.
 
 Conventions
 -----------
@@ -18,7 +19,9 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,18 +176,50 @@ def steering_vector(theta: float, dist_m: float, geom: ArrayGeometry) -> np.ndar
     return np.exp(2j * np.pi * geom.carrier_hz / SPEED_OF_LIGHT * dd)
 
 
-def freq_profile(dist_arg_m: float, range_arg_m: float, grid: SubcarrierGrid) -> np.ndarray:
-    """Frequency-domain phase profile of a propagation length.
+@functools.lru_cache(maxsize=8)
+def _ramp_split(count: int):
+    """(A, j * [c, f]) with c[a] + f[b] = index_offsets(count)[a*B + b], count = A B.
 
-    p_m = exp(j 2 pi delta_m df (range_arg + dist_arg) / c).  Only the sum of
-    the two arguments matters; they are kept separate because callers combine
-    partial lengths (e.g. a subarray-center distance with a negative
-    reference).
+    B is the largest divisor of ``count`` not above its square root; None
+    when that is 1 (count prime or 1), where factoring saves nothing.  The
+    array is shared by every caller, hence read-only.
     """
-    total = range_arg_m + dist_arg_m
-    return np.exp(
-        2j * np.pi / SPEED_OF_LIGHT * grid.freq_offsets_hz * total
-    )
+    inner = max(d for d in range(1, math.isqrt(count) + 1) if count % d == 0)
+    if inner == 1:
+        return None
+    outer = count // inner
+    coarse = (np.arange(outer) - (outer - 1) / 2.0) * inner
+    fine = np.arange(inner) - (inner - 1) / 2.0
+    j_offsets = 1j * np.concatenate([coarse, fine])
+    j_offsets.flags.writeable = False
+    return outer, j_offsets
+
+
+def phase_ramp(phi, count: int) -> np.ndarray:
+    """exp(j phi delta_m) over the offsets delta = index_offsets(count).
+
+    ``phi`` is a scalar or an array; the ramp runs along a new last axis.
+    Splitting count = A B, delta = c_a + f_b and the ramp is the outer
+    product of exp(j phi c) and exp(j phi f): A + B complex exponentials
+    instead of count.  A prime count falls back to the direct exponential.
+    """
+    phi = np.asarray(phi, dtype=float)
+    split = _ramp_split(count)
+    if split is None:
+        return np.exp(1j * (phi[..., None] * index_offsets(count)))
+    outer, j_offsets = split
+    e = np.exp(phi[..., None] * j_offsets)
+    return (e[..., :outer, None] * e[..., None, outer:]).reshape(phi.shape + (count,))
+
+
+def freq_profile(length_m, grid: SubcarrierGrid) -> np.ndarray:
+    """Frequency-domain phase profile p_m = exp(j 2 pi delta_m df L / c).
+
+    ``length_m`` is a propagation length L, or an array of them; the profile
+    runs along a new last axis (shape (K,) gives (K, M)).
+    """
+    phi = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * length_m
+    return phase_ramp(phi, grid.n_subcarriers)
 
 
 def delay_steering(tau, n_subcarriers: int) -> np.ndarray:
@@ -196,20 +231,6 @@ def delay_steering(tau, n_subcarriers: int) -> np.ndarray:
     (half-integer offsets).
     """
     return np.exp(2j * np.pi * index_offsets(n_subcarriers) * tau)
-
-
-def squint_matrix(
-    theta: float, dist_m: float, geom: ArrayGeometry, grid: SubcarrierGrid
-) -> np.ndarray:
-    """Per-antenna, per-subcarrier phase rotation caused by the aperture delay.
-
-    Q[n, m] = exp(j 2 pi delta_m df (d_n - d) / c) with the exact distances;
-    this is the frequency-selective part of the wavefront that a
-    carrier-frequency combiner cannot absorb.
-    """
-    dd = exact_distances(theta, dist_m, geom) - dist_m
-    phase = 2.0 * np.pi / SPEED_OF_LIGHT * np.outer(dd, grid.freq_offsets_hz)
-    return np.exp(1j * phase)
 
 
 def combined_gain(path: PathParams, geom: ArrayGeometry) -> complex:
@@ -239,23 +260,32 @@ def subarray_centers(theta: float, dist_m: float, geom: ArrayGeometry):
     return dist_k, theta_k
 
 
+def path_response(
+    theta: float, dist_m: float, range_m: float, geom: ArrayGeometry, grid: SubcarrierGrid
+) -> np.ndarray:
+    """Exact wideband response of one unit-gain path, shape (N, M).
+
+    Row n is w_n p(r + d_n): the carrier steering entry times the frequency
+    profile of antenna n's own path length, so the beam squint across the
+    whole aperture is kept.
+    """
+    d_n = exact_distances(theta, dist_m, geom)
+    w = steering_vector(theta, dist_m, geom)
+    return w[:, None] * freq_profile(range_m + d_n, grid)
+
+
 def synthesize_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
     """Multipath frequency-domain channel H of shape (N, M).
 
-    H = sum_l rho_l (w_l p_l^T) .* Q_l with w the carrier-frequency steering,
-    p the frequency profile of the total path length, and Q the squint term.
-    This reproduces the physical model H[n, m] = g_l exp(j 2 pi f_m (r_l + d_n) / c)
-    per path.
+    H = sum_l rho_l A_l with rho_l the gain carrying the center-of-array
+    carrier phase and A_l the exact :func:`path_response`, which reproduces
+    the physical model H[n, m] = g_l exp(j 2 pi f_m (r_l + d_n) / c) per path.
     """
     H = np.zeros((geom.n_antennas, grid.n_subcarriers), dtype=complex)
     for path in paths:
-        w = steering_vector(path.theta, path.dist_m, geom)
-        p = freq_profile(path.dist_m, path.range_m, grid)
-        rank1 = np.outer(w, p)
-        # two statements on purpose: fused, NumPy multiplies in place into
-        # the outer-product buffer and the last bits of H change
-        rank1 = rank1 * squint_matrix(path.theta, path.dist_m, geom, grid)
-        H += combined_gain(path, geom) * rank1
+        H += combined_gain(path, geom) * path_response(
+            path.theta, path.dist_m, path.range_m, geom, grid
+        )
     return H
 
 

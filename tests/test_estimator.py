@@ -11,6 +11,7 @@ from nfce.model import (
     SubcarrierGrid,
     delay_steering,
     index_offsets,
+    phase_ramp,
     steering_vector,
     subarray_centers,
     subarray_delay_profile,
@@ -35,7 +36,6 @@ from nfce.estimator import (
     grid_scores,
     max_hop,
     ml_delay_detect,
-    phase_ramp,
     reconstruct_channel,
     residual_update,
     run_dps,

@@ -6,6 +6,7 @@ arithmetic under the square root.
 """
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nfce.model import (
     ArrayGeometry,
@@ -20,7 +21,7 @@ from nfce.model import (
     freq_profile,
     fresnel_deltas,
     index_offsets,
-    squint_matrix,
+    path_response,
     steering_vector,
     subarray_centers,
     subarray_delay_profile,
@@ -128,17 +129,55 @@ def test_delay_steering_periodicity():
     np.testing.assert_allclose(c1, c0, rtol=1e-10)
 
 
-def test_squint_matrix_rows_are_freq_profiles():
-    geom = ArrayGeometry(32, 8, 7e9)
-    grid = SubcarrierGrid.from_bandwidth(64, 600e6)
-    Q = squint_matrix(0.4, 9.0, geom, grid)
-    dn = exact_distances(0.4, 9.0, geom)
-    for n in (0, 13, 31):
-        np.testing.assert_allclose(
-            Q[n], freq_profile(dn[n] - 9.0, 0.0, grid), rtol=1e-12
-        )
-    # center of a symmetric pair: same distance, same row
-    np.testing.assert_allclose(np.abs(Q), 1.0, rtol=1e-12)
+# the plain per-entry formula: antenna n at offset delta_n s on the array axis,
+# the source at (d sqrt(1 - theta^2), d theta), and
+#   A[n, m] = exp(j 2 pi f_c (d_n - d) / c) exp(j 2 pi delta_m df (r + d_n) / c).
+# Entries are unit-modulus, so an error is a phase error.  Each phase is a
+# wavenumber times a length, and both sides round it to a few ulps of
+# (k_c + max |k_m|)(r + max d_n); f_c d_n dominates, and d_n itself carries
+# an ulp of d.  The tolerance is 8 eps times that scale; over 3000 random
+# geometries the largest error was 1.6 eps times it.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_subarrays=st.integers(1, 6),
+    subarray_size=st.integers(1, 9),
+    M=st.sampled_from([2, 7, 12, 13, 16, 31, 60, 64, 97]),
+    spacing_m=st.one_of(st.none(), st.floats(0.004, 0.06)),
+    theta=st.floats(-0.95, 0.95),
+    dist_m=st.floats(2.0, 60.0),
+    range_m=st.floats(0.0, 60.0),
+    bandwidth_hz=st.floats(50e6, 800e6),
+)
+# a prime M (phase_ramp's direct np.exp branch), odd and even subarray sizes,
+# and a spacing that is not half a wavelength
+@example(n_subarrays=3, subarray_size=3, M=13, spacing_m=None, theta=0.4,
+         dist_m=9.0, range_m=7.0, bandwidth_hz=600e6)
+@example(n_subarrays=4, subarray_size=4, M=64, spacing_m=0.01, theta=-0.7,
+         dist_m=5.0, range_m=20.0, bandwidth_hz=400e6)
+def test_path_response_matches_plain_formula(
+    n_subarrays, subarray_size, M, spacing_m, theta, dist_m, range_m, bandwidth_hz
+):
+    geom = ArrayGeometry(n_subarrays * subarray_size, n_subarrays, 7e9, spacing_m)
+    grid = SubcarrierGrid.from_bandwidth(M, bandwidth_hz)
+    delta = (np.arange(geom.n_antennas) - (geom.n_antennas - 1) / 2.0) * geom.spacing_m
+    dn = np.hypot(dist_m * np.sqrt(1.0 - theta * theta), dist_m * theta - delta)
+    k_c = 2.0 * np.pi * geom.carrier_hz / SPEED_OF_LIGHT
+    k_m = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * index_offsets(M)
+    profiles = np.exp(1j * np.outer(range_m + dn, k_m))
+    expect = np.exp(1j * k_c * (dn - dist_m))[:, None] * profiles
+    atol = 8 * np.finfo(float).eps * (k_c + np.abs(k_m).max()) * (range_m + dn.max())
+
+    got = path_response(theta, dist_m, range_m, geom, grid)
+    assert got.shape == (geom.n_antennas, M)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=atol)
+    # freq_profile alone: a scalar length, and an array of lengths whose
+    # profiles run along a new last axis
+    np.testing.assert_allclose(freq_profile(range_m + dn[0], grid), profiles[0],
+                               rtol=0, atol=atol)
+    lengths = (range_m + dn).reshape(n_subarrays, subarray_size)
+    np.testing.assert_allclose(freq_profile(lengths, grid),
+                               profiles.reshape(n_subarrays, subarray_size, M),
+                               rtol=0, atol=atol)
 
 
 def test_subarray_centers_against_exact_distances():
