@@ -11,14 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from nfce.model import (
-    SPEED_OF_LIGHT,
-    ArrayGeometry,
-    PathParams,
-    SubcarrierGrid,
-    delay_steering,
-    steering_vector,
-)
+from nfce.model import ArrayGeometry, SubcarrierGrid, delay_steering
 
 
 def random_phase_combiner(geom: ArrayGeometry, rng: np.random.Generator) -> np.ndarray:
@@ -30,20 +23,6 @@ def random_phase_combiner(geom: ArrayGeometry, rng: np.random.Generator) -> np.n
     ns = geom.subarray_size
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(geom.n_subarrays, ns))
     return np.exp(1j * phases) / np.sqrt(ns)
-
-
-def matched_combiner(path: PathParams, geom: ArrayGeometry) -> np.ndarray:
-    """Combiner matched to one path's wavefront at the carrier.
-
-    Row k is the conjugate-free projection target: f_k = (1/sqrt(ns)) *
-    exp(j 2 pi f_c total / c) * w_k, i.e. the subarray slice of the path's
-    steering vector with the absolute carrier phase restored.  Then f_k^H
-    applied to the path's carrier response yields sqrt(ns) coherently.
-    """
-    w = steering_vector(path.theta, path.dist_m, geom)
-    phase = np.exp(2j * np.pi * geom.carrier_hz / SPEED_OF_LIGHT * path.total_m)
-    f = phase * w / np.sqrt(geom.subarray_size)
-    return f.reshape(geom.n_subarrays, geom.subarray_size)
 
 
 def combining_matrix(combiners: np.ndarray) -> np.ndarray:

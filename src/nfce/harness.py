@@ -99,8 +99,17 @@ class SimConfig:
     timing: bool = False
 
     def __post_init__(self):
-        if self.n_paths < 0:
-            raise ConfigError(f"paths.count must be >= 0, got {self.n_paths}")
+        # tuples, so that the config hashes (it keys the trial memo)
+        for name in ("theta_list", "d_list_m", "r_list_m", "snr_db", "algorithms"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for section, build in (("geometry", self.geometry), ("grid", self.grid)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from None
+        min_paths = 0 if self.theta_list else 1
+        if self.n_paths < min_paths:
+            raise ConfigError(f"paths.count must be >= {min_paths}, got {self.n_paths}")
         if self.trials < 0:
             raise ConfigError(f"sweep.trials must be >= 0, got {self.trials}")
         if not 0.0 < self.theta_max < 1.0:
@@ -476,17 +485,43 @@ def estimate(
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
+# One slot: the last (cfg, trial) drawn and its (paths, H, W).  A sweep runs
+# every SNR and algorithm of a trial back to back, and none of them changes
+# these, so each trial's channel is synthesized once.  The noise and the
+# impairments depend on the SNR and are drawn on every call.
+_TRIAL_SLOT: dict = {}
+
+
+def _trial_channel(cfg: SimConfig, trial: int):
+    """(paths, H, W) of one trial, shared by all its SNRs and algorithms.
+
+    H and W are read-only because every caller of the trial shares them;
+    each call gets a new list of the (frozen) paths.
+    """
+    key = (cfg, trial)
+    hit = _TRIAL_SLOT.get(key)
+    if hit is None:
+        _TRIAL_SLOT.clear()  # before drawing, so two channels never coexist
+        geom, grid = cfg.geometry(), cfg.grid()
+        paths = draw_paths(cfg, trial_rng(cfg.seed, trial, _STREAM_PATHS), grid)
+        check_delay_validity(paths, geom, grid)
+        H = synthesize_channel(paths, geom, grid)
+        W = random_phase_combiner(geom, trial_rng(cfg.seed, trial, _STREAM_COMBINER))
+        H.flags.writeable = False
+        W.flags.writeable = False
+        hit = _TRIAL_SLOT[key] = (tuple(paths), H, W)
+    paths, H, W = hit
+    return list(paths), H, W
+
+
 def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
     """One trial's scenario: (paths, H, W, noise_var, Y).
 
     Y carries the configured impairments, so every caller (``run_trial``,
-    ``simulate``) estimates from the same observation.
+    ``simulate``) estimates from the same observation.  H and W are read-only.
     """
     geom, grid = cfg.geometry(), cfg.grid()
-    paths = draw_paths(cfg, trial_rng(cfg.seed, trial, _STREAM_PATHS), grid)
-    check_delay_validity(paths, geom, grid)
-    H = synthesize_channel(paths, geom, grid)
-    W = random_phase_combiner(geom, trial_rng(cfg.seed, trial, _STREAM_COMBINER))
+    paths, H, W = _trial_channel(cfg, trial)
     noise_var = noise_var_for_snr(H, W, cfg.power, snr_db)
     Y = observe(H, W, cfg.power, noise_var, trial_rng(cfg.seed, trial, _STREAM_NOISE))
     if cfg.clock_offset_frac_max > 0.0 or cfg.gain_factor_min < 1.0:

@@ -1,7 +1,7 @@
 """Geometry and wideband channel synthesis for subarrayed uniform linear arrays.
 
 Everything downstream (frontend, estimator, bounds) is built on the quantities
-defined here: symmetric index offsets, exact and Fresnel propagation distances,
+defined here: symmetric index offsets, exact propagation distances,
 the one frequency-profile kernel (:func:`freq_profile` over :func:`phase_ramp`),
 the exact per-path response :func:`path_response` that synthesis sums, and the
 per-subarray delay structure that the estimator exploits.
@@ -114,6 +114,10 @@ class SubcarrierGrid:
 
     @classmethod
     def from_bandwidth(cls, n_subcarriers: int, bandwidth_hz: float) -> "SubcarrierGrid":
+        if n_subcarriers <= 0:
+            raise ValueError("n_subcarriers must be positive")
+        if bandwidth_hz <= 0:
+            raise ValueError("bandwidth_hz must be positive")
         return cls(n_subcarriers, bandwidth_hz / n_subcarriers)
 
     @property
@@ -126,7 +130,7 @@ class SubcarrierGrid:
         return index_offsets(self.n_subcarriers) * self.spacing_hz
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathParams:
     """One propagation path: sine-angle, bend distance, residual range, gain."""
 
@@ -158,12 +162,6 @@ def exact_distances(theta: float, dist_m: float, geom: ArrayGeometry) -> np.ndar
     """
     delta = geom.antenna_offsets * geom.spacing_m
     return np.sqrt(dist_m * dist_m - 2.0 * dist_m * delta * theta + delta * delta)
-
-
-def fresnel_deltas(theta: float, dist_m: float, geom: ArrayGeometry) -> np.ndarray:
-    """Second-order (Fresnel) expansion of d_n - dist_m across the aperture."""
-    delta = geom.antenna_offsets * geom.spacing_m
-    return -delta * theta + delta * delta * (1.0 - theta * theta) / (2.0 * dist_m)
 
 
 def steering_vector(theta: float, dist_m: float, geom: ArrayGeometry) -> np.ndarray:
@@ -305,29 +303,13 @@ def subarray_delay_profile(
 ) -> np.ndarray:
     """Symbol-fraction delay observed at each subarray center.
 
-    ``model="exact"`` uses the spherical subarray-center distances;
-    ``model="fresnel"`` uses the quadratic expansion
-
-        eta_k = r + d - delta_k s' theta + delta_k^2 s'^2 (1-theta^2) / (2 d)
-
-    whose affine-plus-even structure in delta_k is what the decoupling
-    stages invert.
+    Uses the exact spherical subarray-center distances; ``model`` names that
+    wavefront model and accepts only ``"exact"``.
     """
-    if model == "exact":
-        dist_k, _ = subarray_centers(theta, dist_m, geom)
-        total = range_m + dist_k
-    elif model == "fresnel":
-        pitch = geom.subarray_pitch_m
-        delta = geom.subarray_offsets
-        total = (
-            range_m
-            + dist_m
-            - delta * pitch * theta
-            + delta * delta * pitch * pitch * (1.0 - theta * theta) / (2.0 * dist_m)
-        )
-    else:
+    if model != "exact":
         raise ValueError(f"unknown wavefront model {model!r}")
-    return grid.spacing_hz / SPEED_OF_LIGHT * total
+    dist_k, _ = subarray_centers(theta, dist_m, geom)
+    return grid.spacing_hz / SPEED_OF_LIGHT * (range_m + dist_k)
 
 
 def check_delay_validity(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> float:

@@ -106,8 +106,12 @@ def test_exit_codes(tmp_path, capsys):
     rc = main(["sweep", "--config", str(tmp_path / "nope.ini")])
     assert rc == 2
     capsys.readouterr()
-    # invalid geometry (K does not divide N) -> run error
+    # invalid geometry (K does not divide N) -> config error
     rc = main(["estimate", "--n-antennas", "10", "--n-subarrays", "3"])
+    assert rc == 2
+    assert "error: config:" in capsys.readouterr().err
+    # a drawn path delay of a symbol or more (16 subcarriers) -> run error
+    rc = main(["estimate", *COMMON, "--n-subcarriers", "16"])
     assert rc == 1
     assert "error: run:" in capsys.readouterr().err
     # simulate to an unwritable path -> io error
@@ -126,6 +130,9 @@ def test_exit_codes(tmp_path, capsys):
     ("", ["--power", "-1"], "sweep.power"),
     ("", ["--power", "0"], "sweep.power"),
     ("", ["--power", "inf"], "sweep.power"),
+    ("", ["--n-subcarriers", "0"], "n_subcarriers"),
+    ("", ["--n-subarrays", "3"], "n_subarrays"),
+    ("", ["--paths", "0"], "paths.count"),
 ])
 def test_bad_omp_grid_and_max_paths_are_config_errors(tmp_path, capsys, ini, flags, key):
     # rejected when the config is built, even by a sweep that runs no OMP,

@@ -44,6 +44,8 @@ from nfce.estimator import (
     window_scores,
 )
 
+from conftest import fresnel_delay_profile
+
 
 def test_dictionary_grid_points():
     dic = DelayDictionary(8)
@@ -154,7 +156,7 @@ def test_stopping_threshold_false_alarm_rate():
 def _profile_case(theta=0.35, d=14.0, r=9.0, K=64, N=256, M=512):
     geom = ArrayGeometry(N, K, 7e9)
     grid = SubcarrierGrid.from_bandwidth(M, 600e6)
-    taus = subarray_delay_profile(theta, d, r, geom, grid, model="fresnel")
+    taus = fresnel_delay_profile(theta, d, r, geom, grid)
     return geom, grid, taus
 
 

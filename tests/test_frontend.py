@@ -13,12 +13,13 @@ from nfce.frontend import (
     apply_impairments,
     combine,
     combining_matrix,
-    matched_combiner,
     noise_var_for_snr,
     observe,
     random_phase_combiner,
     snr_db,
 )
+
+from conftest import matched_combiner
 
 
 def _setup(n=64, k=16, m=128):

@@ -1,7 +1,10 @@
 """Simulation harness: reproducible streams, config, trials, CSV output."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from nfce import harness
 from nfce.model import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
@@ -67,6 +70,8 @@ def test_simconfig_validation():
         SimConfig(p_fa=0.0)
     with pytest.raises(ConfigError):
         SimConfig(gain_factor_min=0.0)
+    # explicit path lists need no drawn count
+    SimConfig(n_paths=0, theta_list=(0.1,), d_list_m=(10.0,), r_list_m=(9.0,))
     cfg = SimConfig()
     assert cfg.geometry().n_antennas == 256
     assert cfg.grid().n_subcarriers == 256
@@ -261,6 +266,67 @@ def test_sweep_csv_byte_determinism(tmp_path):
                          algorithms=("dps", "ls"), csv_path=str(out))
     monte_carlo_sweep(cfg_file)
     assert out.read_text() == text1
+
+
+# ---------------------------------------------------------------------------
+# the one-slot trial memo: a trial's paths, H and W are drawn once
+
+
+_SMALL = dict(n_antennas=64, n_subarrays=16, n_subcarriers=128, n_paths=2)
+
+
+def test_sweep_synthesizes_each_trial_once(monkeypatch):
+    monkeypatch.setattr(harness, "_TRIAL_SLOT", {})
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return synthesize_channel(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "synthesize_channel", counted)
+    cfg = SimConfig(**_SMALL, trials=2, seed=21, snr_db=(0.0, 10.0, 20.0),
+                    algorithms=ALGORITHMS)
+    assert len(monte_carlo_sweep(cfg)) == 2 * 3 * 3
+    assert len(calls) == 2
+
+
+def test_memo_hits_equal_fresh_draws(monkeypatch):
+    cfg = SimConfig(**_SMALL, seed=22)
+    other = dataclasses.replace(cfg, seed=23)
+    order = [(cfg, 0), (cfg, 1), (cfg, 0), (other, 0), (cfg, 0), (other, 0)]
+
+    def rows(empty_slot_each_run: bool) -> list[str]:
+        monkeypatch.setattr(harness, "_TRIAL_SLOT", {})
+        out = []
+        for c, trial in order:
+            for snr in (5.0, 15.0):
+                for alg in ALGORITHMS:
+                    if empty_slot_each_run:
+                        monkeypatch.setattr(harness, "_TRIAL_SLOT", {})
+                    out.append(run_trial(c, trial, snr, alg).csv_row())
+        return out
+
+    assert rows(False) == rows(True)
+
+
+def test_shared_trial_arrays_are_read_only(monkeypatch):
+    monkeypatch.setattr(harness, "_TRIAL_SLOT", {})
+    cfg = SimConfig(**_SMALL, seed=24)
+    paths, H, W, _, Y = draw_trial(cfg, 0, 10.0)
+    assert draw_trial(cfg, 0, 20.0)[1] is H  # shared across SNRs
+    with pytest.raises(ValueError):
+        H[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        W[0, 0] = 0.0
+    Y[0, 0] = 0.0  # the observation is the caller's own
+    paths.clear()  # and so is the list of paths
+    assert len(draw_trial(cfg, 0, 10.0)[0]) == 2
+
+
+def test_path_params_are_frozen():
+    path = PathParams(0.1, 10.0, 9.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        path.gain = 2.0 + 0.0j
 
 
 def test_polar_omp_recovers_single_path():

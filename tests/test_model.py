@@ -19,7 +19,6 @@ from nfce.model import (
     delay_steering,
     exact_distances,
     freq_profile,
-    fresnel_deltas,
     index_offsets,
     path_response,
     steering_vector,
@@ -27,6 +26,8 @@ from nfce.model import (
     subarray_delay_profile,
     synthesize_channel,
 )
+
+from conftest import fresnel_delay_profile, fresnel_deltas
 
 
 def test_index_offsets_small():
@@ -223,7 +224,7 @@ def test_subarray_delay_profile_models():
     np.testing.assert_allclose(
         prof_exact, grid.spacing_hz * (9.0 + dist_k) / SPEED_OF_LIGHT, rtol=1e-14
     )
-    prof_fres = subarray_delay_profile(0.4, 12.0, 9.0, geom, grid, model="fresnel")
+    prof_fres = fresnel_delay_profile(0.4, 12.0, 9.0, geom, grid)
     # third-order aperture terms separate the two models at this range
     gap = np.max(np.abs(prof_fres - prof_exact))
     assert 1e-8 < gap < 2e-4
