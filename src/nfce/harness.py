@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import io
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -99,9 +99,6 @@ class SimConfig:
     timing: bool = False
 
     def __post_init__(self):
-        # tuples, so that the config hashes (it keys the trial memo)
-        for name in ("theta_list", "d_list_m", "r_list_m", "snr_db", "algorithms"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
         for section, build in (("geometry", self.geometry), ("grid", self.grid)):
             try:
                 build()
@@ -485,11 +482,15 @@ def estimate(
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
-# One slot: the last (cfg, trial) drawn and its (paths, H, W).  A sweep runs
-# every SNR and algorithm of a trial back to back, and none of them changes
-# these, so each trial's channel is synthesized once.  The noise and the
-# impairments depend on the SNR and are drawn on every call.
-_TRIAL_SLOT: dict = {}
+# One slot: the last (config, trial) drawn and its (paths, H, W).  A sweep
+# runs every SNR and algorithm of a trial back to back, and none of them
+# changes these, so each trial's channel is synthesized once.  The noise and
+# the impairments depend on the SNR and are drawn on every call.  The key is
+# a snapshot of the config's values, so a config that differs in any field,
+# or whose lists were changed in place, draws afresh.  The slot is read and
+# replaced as one reference, so a caller never pairs one trial's key with
+# another trial's channel.
+_TRIAL_SLOT: list = [None]
 
 
 def _trial_channel(cfg: SimConfig, trial: int):
@@ -498,10 +499,10 @@ def _trial_channel(cfg: SimConfig, trial: int):
     H and W are read-only because every caller of the trial shares them;
     each call gets a new list of the (frozen) paths.
     """
-    key = (cfg, trial)
-    hit = _TRIAL_SLOT.get(key)
-    if hit is None:
-        _TRIAL_SLOT.clear()  # before drawing, so two channels never coexist
+    key = (astuple(cfg), trial)
+    held = _TRIAL_SLOT[0]
+    if held is None or held[0] != key:
+        held = _TRIAL_SLOT[0] = None  # before drawing, so two channels never coexist
         geom, grid = cfg.geometry(), cfg.grid()
         paths = draw_paths(cfg, trial_rng(cfg.seed, trial, _STREAM_PATHS), grid)
         check_delay_validity(paths, geom, grid)
@@ -509,9 +510,14 @@ def _trial_channel(cfg: SimConfig, trial: int):
         W = random_phase_combiner(geom, trial_rng(cfg.seed, trial, _STREAM_COMBINER))
         H.flags.writeable = False
         W.flags.writeable = False
-        hit = _TRIAL_SLOT[key] = (tuple(paths), H, W)
-    paths, H, W = hit
+        held = _TRIAL_SLOT[0] = (key, (tuple(paths), H, W))
+    paths, H, W = held[1]
     return list(paths), H, W
+
+
+def _release_trial_channel() -> None:
+    """Empty the slot, so no channel outlives the sweep that drew it."""
+    _TRIAL_SLOT[0] = None
 
 
 def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
@@ -575,12 +581,15 @@ def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
 
 def monte_carlo_sweep(cfg: SimConfig) -> list[RunRecord]:
     """Run the (trial, snr, algorithm) lattice; write CSV if configured."""
-    records = [
-        run_trial(cfg, trial, snr, alg)
-        for trial in range(cfg.trials)
-        for snr in cfg.snr_db
-        for alg in cfg.algorithms
-    ]
+    try:
+        records = [
+            run_trial(cfg, trial, snr, alg)
+            for trial in range(cfg.trials)
+            for snr in cfg.snr_db
+            for alg in cfg.algorithms
+        ]
+    finally:
+        _release_trial_channel()
     if cfg.csv_path:
         write_records_csv(cfg.csv_path, records)
     return records

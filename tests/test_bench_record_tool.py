@@ -1,4 +1,7 @@
-"""tools/bench_record.py: per-metric summaries and pair wins."""
+"""tools/bench_record.py: per-metric summaries, pair wins, checkout commits."""
+import shutil
+import subprocess
+
 import pytest
 
 SPEC = [
@@ -37,3 +40,29 @@ def test_one_pair_summarizes_to_its_value(bench_record):
     assert out["rate"]["change"] == {"median": 3.0, "q1": 3.0, "q3": 3.0,
                                      "values": [3.0], "wins": 1}
     assert out["time"]["parent"]["wins"] == out["time"]["change"]["wins"] == 0
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_record_names_the_commit_of_a_clean_checkout(bench_record, tmp_path):
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+             *args], capture_output=True, text=True, check=True).stdout.strip()
+
+    with pytest.raises(RuntimeError, match="not a git checkout"):
+        bench_record.checkout_commit(str(tmp_path))
+    git("init", "-q")
+    (tmp_path / "a.txt").write_text("1\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    (tmp_path / "untracked.txt").write_text("ignored\n")
+    assert bench_record.checkout_commit(str(tmp_path)) == git("rev-parse", "HEAD")
+    (tmp_path / "a.txt").write_text("2\n")
+    with pytest.raises(RuntimeError, match="uncommitted changes"):
+        bench_record.checkout_commit(str(tmp_path))
+
+
+def test_the_held_out_seed_lies_outside_the_pairs(bench_record, tmp_path):
+    with pytest.raises(SystemExit):
+        bench_record.main(["--parent", str(tmp_path), "--out", str(tmp_path / "o.json"),
+                           "--seed-base", "100", "--held-out-seed", "109"])

@@ -276,7 +276,7 @@ _SMALL = dict(n_antennas=64, n_subarrays=16, n_subcarriers=128, n_paths=2)
 
 
 def test_sweep_synthesizes_each_trial_once(monkeypatch):
-    monkeypatch.setattr(harness, "_TRIAL_SLOT", {})
+    harness._release_trial_channel()
     calls = []
 
     def counted(*args, **kwargs):
@@ -288,29 +288,41 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
                     algorithms=ALGORITHMS)
     assert len(monte_carlo_sweep(cfg)) == 2 * 3 * 3
     assert len(calls) == 2
+    # the sweep does not keep its last trial's channel once it returns
+    draw_trial(cfg, 1, 10.0)
+    assert len(calls) == 3
 
 
-def test_memo_hits_equal_fresh_draws(monkeypatch):
+def test_memo_hits_equal_fresh_draws():
     cfg = SimConfig(**_SMALL, seed=22)
     other = dataclasses.replace(cfg, seed=23)
     order = [(cfg, 0), (cfg, 1), (cfg, 0), (other, 0), (cfg, 0), (other, 0)]
 
     def rows(empty_slot_each_run: bool) -> list[str]:
-        monkeypatch.setattr(harness, "_TRIAL_SLOT", {})
+        harness._release_trial_channel()
         out = []
         for c, trial in order:
             for snr in (5.0, 15.0):
                 for alg in ALGORITHMS:
                     if empty_slot_each_run:
-                        monkeypatch.setattr(harness, "_TRIAL_SLOT", {})
+                        harness._release_trial_channel()
                     out.append(run_trial(c, trial, snr, alg).csv_row())
         return out
 
     assert rows(False) == rows(True)
 
 
-def test_shared_trial_arrays_are_read_only(monkeypatch):
-    monkeypatch.setattr(harness, "_TRIAL_SLOT", {})
+def test_config_changed_in_place_draws_afresh():
+    harness._release_trial_channel()
+    cfg = SimConfig(**_SMALL, seed=25, theta_list=[0.1, -0.2],
+                    d_list_m=[10.0, 12.0], r_list_m=[9.0, 11.0])
+    assert draw_trial(cfg, 0, 10.0)[0][0].theta == 0.1
+    cfg.theta_list[0] = 0.3
+    assert draw_trial(cfg, 0, 10.0)[0][0].theta == 0.3
+
+
+def test_shared_trial_arrays_are_read_only():
+    harness._release_trial_channel()
     cfg = SimConfig(**_SMALL, seed=24)
     paths, H, W, _, Y = draw_trial(cfg, 0, 10.0)
     assert draw_trial(cfg, 0, 20.0)[1] is H  # shared across SNRs

@@ -1,25 +1,27 @@
 """Compare two checkouts on the benchmark and write the record as JSON.
 
     python3 tools/bench_record.py --parent DIR --out BENCH_<n>.json
-        [--change DIR] [--pairs 10] [--seconds 30] [--seed-base 1000]
-        [--held-out-seed N] [--workload NAME ...]
+        --seed-base N --held-out-seed M [--change DIR]
 
 Each side runs the command of the change's ``BENCHMARK.json``
 (``python3 bench/run.py``) from its own root, so it imports nfce from its
-own ``src/``.  ``--parent`` is a checkout of the parent commit (for example
+own ``src/``.  Both sides must be git checkouts with no uncommitted change
+to a tracked file, so that the commit each records names the tree it
+measured.  ``--parent`` is a checkout of the parent commit (for example
 ``git clone`` of the repository, then ``git checkout <parent>``);
 ``--change`` defaults to this checkout.
 
-For each workload, pair i runs seed ``seed-base + i`` on both sides with
-``--trace 0``, the parent first when i is even and the change first when
-it is odd.  The record holds, per end-to-end metric and side, every value,
-the median, the quartiles (``statistics.quantiles``, inclusive method) and
-the number of pairs that side won, ties counting for neither; also the
-failed-run counts, one more pair at ``--held-out-seed`` when given, and
-one traced run (``--trace 1 --seed 1``) per side with its per-layer
-metrics.  ``env`` is the environment block ``bench/run.py``
-prints, from each side's first run.  A benchmark process that exits
-nonzero or prints no result stops the recording.
+Every workload of ``BENCHMARK.json`` runs for its ``run_seconds``, in 10
+pairs: pair i runs seed ``seed-base + i`` on both sides with ``--trace 0``,
+the parent first when i is even and the change first when it is odd.  The
+record holds, per end-to-end metric and side, every value, the median, the
+quartiles (``statistics.quantiles``, inclusive method) and the number of
+pairs that side won, ties counting for neither; also the failed-run
+counts, one more pair at ``--held-out-seed``, and one traced run
+(``--trace 1 --seed 1``) per side with its per-layer metrics.  ``commit``
+is each side's ``git rev-parse HEAD``; ``env`` is the environment block
+``bench/run.py`` prints, from each side's first run.  A benchmark process
+that exits nonzero or prints no result stops the recording.
 """
 
 from __future__ import annotations
@@ -33,7 +35,25 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+PAIRS = 10
 TRACE_SEED = 1
+
+
+def checkout_commit(root: str) -> str:
+    """HEAD of the git checkout at ``root``, which must have no uncommitted
+    change to a tracked file."""
+    def git(*args):
+        return subprocess.run(["git", "-C", root, *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    try:
+        commit = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError) as exc:
+        raise RuntimeError(f"{root} is not a git checkout: {exc}") from None
+    if dirty:
+        raise RuntimeError(f"{root} has uncommitted changes, so {commit} "
+                           f"would not name the tree measured:\n{dirty}")
+    return commit
 
 
 def run_bench(command, root: str, workload: str, seed: int, seconds: float,
@@ -93,24 +113,23 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
     p.add_argument("--change", default=ROOT, help="checkout of the change")
     p.add_argument("--out", required=True, help="JSON file to write")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=None,
-                   help="run length (default: run_seconds of BENCHMARK.json)")
-    p.add_argument("--seed-base", type=int, default=1000)
-    p.add_argument("--held-out-seed", type=int, default=None)
-    p.add_argument("--workload", action="append", dest="workloads",
-                   help="workload to run (repeatable; default: all)")
+    p.add_argument("--seed-base", type=int, required=True,
+                   help="pair i runs seed seed-base + i")
+    p.add_argument("--held-out-seed", type=int, required=True,
+                   help="seed of one more pair, outside the ten")
     args = p.parse_args(argv)
+    if 0 <= args.held_out_seed - args.seed_base < PAIRS:
+        p.error("--held-out-seed must lie outside the ten paired seeds")
 
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
+    commits = {side: checkout_commit(roots[side]) for side in SIDES}
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
 
-    record = {"command": spec["command"], "seconds": seconds, "pairs": args.pairs,
-              "env": {}, "workloads": {}}
+    record = {"command": spec["command"], "seconds": seconds, "pairs": PAIRS,
+              "commit": commits, "env": {}, "workloads": {}}
 
     def run(side, workload, seed, trace):
         env, result = run_bench(spec["command"], roots[side], workload, seed,
@@ -118,9 +137,9 @@ def main(argv=None) -> int:
         record["env"].setdefault(side, env)
         return result
 
-    for workload in workloads:
+    for workload in (w["name"] for w in spec["workloads"]):
         pairs, failed = [], {side: [] for side in SIDES}
-        seeds = [args.seed_base + i for i in range(args.pairs)]
+        seeds = [args.seed_base + i for i in range(PAIRS)]
         for i, seed in enumerate(seeds):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {}
@@ -135,11 +154,10 @@ def main(argv=None) -> int:
         entry = {"seeds": seeds,
                  "first": [SIDES[i % 2] for i in range(len(seeds))],
                  "end_to_end": compare(pairs, spec["end_to_end"]),
-                 "failed": failed}
-        if args.held_out_seed is not None:
-            entry["held_out"] = {"seed": args.held_out_seed, **{
-                side: metric_values(run(side, workload, args.held_out_seed, 0))
-                for side in SIDES}}
+                 "failed": failed,
+                 "held_out": {"seed": args.held_out_seed, **{
+                     side: metric_values(run(side, workload, args.held_out_seed, 0))
+                     for side in SIDES}}}
         traced = {}
         for side in SIDES:
             result = run(side, workload, TRACE_SEED, 1)
