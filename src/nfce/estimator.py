@@ -626,21 +626,38 @@ def run_dps(
     )
 
 
+# Entries of one chunk's (subarrays, paths, M) profile stack in
+# reconstruct_channel: 2^13 complex entries, about 128 KB.
+_RECONSTRUCT_CHUNK_ENTRIES = 2**13
+
+
 def reconstruct_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
     """Rebuild the antenna-domain channel from path estimates, shape (N, M).
 
     Each path contributes per-subarray rank-1 blocks
     rho_k * w_k(theta, d) p(r + d~_k)^T with rho_k subarray k's own fitted
-    gain, which absorbs per-subarray phase error.
+    gain, which absorbs per-subarray phase error.  So subarray k's rows of H
+    are one product over the path axis, H_k = W_k P_k: column l of W_k
+    (ns x L) is path l's steering entries on subarray k, row l of P_k (L x M)
+    is rho_lk p(r_l + d~_lk).  The subarrays are walked in chunks of about
+    ``_RECONSTRUCT_CHUNK_ENTRIES`` profile entries, each product written
+    straight into H.
     """
     K, ns, M = geom.n_subarrays, geom.subarray_size, grid.n_subcarriers
-    H = np.zeros((K * ns, M), dtype=complex)
+    if not paths:
+        return np.zeros((K * ns, M), dtype=complex)
+    steer = np.stack(
+        [steering_vector(e.theta, e.dist_m, geom).reshape(K, ns) for e in paths], axis=-1
+    )  # (K, ns, L)
+    lengths = np.stack(
+        [e.range_m + subarray_centers(e.theta, e.dist_m, geom)[0] for e in paths], axis=-1
+    )  # (K, L)
+    gains = np.stack([e.lpu_gains for e in paths], axis=-1)  # (K, L)
+    H = np.empty((K * ns, M), dtype=complex)
     blocks = H.reshape(K, ns, M)  # view: blocks[k] is subarray k's rows of H
-    block = np.empty_like(blocks)
-    for est in paths:
-        w = steering_vector(est.theta, est.dist_m, geom).reshape(K, ns)
-        dist_k, _ = subarray_centers(est.theta, est.dist_m, geom)
-        profiles = est.lpu_gains[:, None] * freq_profile(est.range_m + dist_k, grid)
-        np.multiply(w[:, :, None], profiles[:, None, :], out=block)
-        blocks += block
+    chunk = max(1, _RECONSTRUCT_CHUNK_ENTRIES // (len(paths) * M))
+    for k0 in range(0, K, chunk):
+        ks = slice(k0, k0 + chunk)
+        profiles = gains[ks, :, None] * freq_profile(lengths[ks], grid)  # (c, L, M)
+        np.matmul(steer[ks], profiles, out=blocks[ks])
     return H

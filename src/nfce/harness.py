@@ -111,10 +111,12 @@ class SimConfig:
             raise ConfigError(f"sweep.trials must be >= 0, got {self.trials}")
         if not 0.0 < self.theta_max < 1.0:
             raise ConfigError(f"paths.theta_max must be in (0,1), got {self.theta_max}")
-        if self.d_min_m <= 0 or self.d_max_m < self.d_min_m:
-            raise ConfigError("paths.d range must satisfy 0 < d_min_m <= d_max_m")
-        if self.r_min_m < 0 or self.r_max_m < self.r_min_m:
-            raise ConfigError("paths.r range must satisfy 0 <= r_min_m <= r_max_m")
+        if not (np.isfinite(self.d_max_m) and 0.0 < self.d_min_m <= self.d_max_m):
+            raise ConfigError("paths.d range must be finite and satisfy "
+                              "0 < d_min_m <= d_max_m")
+        if not (np.isfinite(self.r_max_m) and 0.0 <= self.r_min_m <= self.r_max_m):
+            raise ConfigError("paths.r range must be finite and satisfy "
+                              "0 <= r_min_m <= r_max_m")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError(

@@ -59,14 +59,14 @@ class ArrayGeometry:
                 f"n_subarrays ({self.n_subarrays}) must divide "
                 f"n_antennas ({self.n_antennas})"
             )
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier_hz must be positive")
+        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
+            raise ValueError(f"carrier_hz must be finite and positive, got {self.carrier_hz}")
         if self.spacing_m is None:
             object.__setattr__(
                 self, "spacing_m", SPEED_OF_LIGHT / (2.0 * self.carrier_hz)
             )
-        elif self.spacing_m <= 0:
-            raise ValueError("spacing_m must be positive")
+        elif not (math.isfinite(self.spacing_m) and self.spacing_m > 0):
+            raise ValueError(f"spacing_m must be finite and positive, got {self.spacing_m}")
 
     @property
     def subarray_size(self) -> int:
@@ -109,15 +109,15 @@ class SubcarrierGrid:
     def __post_init__(self):
         if self.n_subcarriers <= 0:
             raise ValueError("n_subcarriers must be positive")
-        if self.spacing_hz <= 0:
-            raise ValueError("spacing_hz must be positive")
+        if not (math.isfinite(self.spacing_hz) and self.spacing_hz > 0):
+            raise ValueError(f"spacing_hz must be finite and positive, got {self.spacing_hz}")
 
     @classmethod
     def from_bandwidth(cls, n_subcarriers: int, bandwidth_hz: float) -> "SubcarrierGrid":
         if n_subcarriers <= 0:
             raise ValueError("n_subcarriers must be positive")
-        if bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
+        if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0):
+            raise ValueError(f"bandwidth_hz must be finite and positive, got {bandwidth_hz}")
         return cls(n_subcarriers, bandwidth_hz / n_subcarriers)
 
     @property

@@ -1,6 +1,8 @@
-"""tools/bench_record.py: per-metric summaries, pair wins, checkout commits."""
+"""tools/bench_record.py: per-metric summaries, pair wins, checkout commits, tier-1 time."""
+import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -66,3 +68,27 @@ def test_the_held_out_seed_lies_outside_the_pairs(bench_record, tmp_path):
     with pytest.raises(SystemExit):
         bench_record.main(["--parent", str(tmp_path), "--out", str(tmp_path / "o.json"),
                            "--seed-base", "100", "--held-out-seed", "109"])
+
+
+def test_tier1_records_time_exit_code_and_summary(bench_record, tmp_path):
+    (tmp_path / "test_tiny.py").write_text(
+        "def test_ok():\n    pass\n\ndef test_bad():\n    assert False\n")
+    command = f"{sys.executable} -m pytest -q -p no:cacheprovider"
+    out = bench_record.run_tier1(str(tmp_path), command)
+    assert set(out) == {"seconds", "returncode", "summary"}
+    assert out["seconds"] > 0
+    assert out["returncode"] == 1
+    assert re.fullmatch(r"1 failed, 1 passed in [\d.]+s", out["summary"])
+    (tmp_path / "test_tiny.py").write_text("def test_ok():\n    pass\n")
+    out = bench_record.run_tier1(str(tmp_path), command)
+    assert out["returncode"] == 0
+    assert re.fullmatch(r"1 passed in [\d.]+s", out["summary"])
+
+
+def test_tier1_command_comes_from_the_roadmap(bench_record, tmp_path):
+    (tmp_path / "ROADMAP.md").write_text(
+        "# R\n\n**Tier-1 verify:** `python -m pytest -q tests`\n")
+    assert bench_record.tier1_command(str(tmp_path)) == "python -m pytest -q tests"
+    (tmp_path / "ROADMAP.md").write_text("# R\n")
+    with pytest.raises(RuntimeError, match="no tier-1 command"):
+        bench_record.tier1_command(str(tmp_path))

@@ -133,6 +133,10 @@ def test_exit_codes(tmp_path, capsys):
     ("", ["--n-subcarriers", "0"], "n_subcarriers"),
     ("", ["--n-subarrays", "3"], "n_subarrays"),
     ("", ["--paths", "0"], "paths.count"),
+    ("", ["--carrier-hz", "nan"], "carrier_hz"),
+    ("[geometry]\nspacing_m = nan\n", [], "spacing_m"),
+    ("", ["--bandwidth-hz", "nan"], "bandwidth_hz"),
+    ("[paths]\nd_min_m = nan\n", [], "d_min_m"),
 ])
 def test_bad_omp_grid_and_max_paths_are_config_errors(tmp_path, capsys, ini, flags, key):
     # rejected when the config is built, even by a sweep that runs no OMP,

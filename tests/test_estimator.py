@@ -1,5 +1,6 @@
 """Delay detection, extrapolation, decoupling, and the full estimator loop."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from nfce.model import (
 )
 from nfce.frontend import observe, random_phase_combiner
 from nfce.estimator import (
+    _RECONSTRUCT_CHUNK_ENTRIES,
     DelayDictionary,
+    PathEstimate,
     StoppingRule,
     central_index,
     conj_atoms,
@@ -530,6 +533,21 @@ def _reconstruct_per_block(paths, geom, grid):
     return H
 
 
+def _drawn_paths(n_paths, n_subarrays, seed=0):
+    """``n_paths`` estimates with random parameters and per-LPU gains."""
+    rng = np.random.default_rng(seed)
+    return [
+        PathEstimate(rng.uniform(-0.8, 0.8), rng.uniform(8.0, 30.0), rng.uniform(5.0, 20.0),
+                     0j, rng.standard_normal(n_subarrays)
+                     + 1j * rng.standard_normal(n_subarrays), None)
+        for _ in range(n_paths)
+    ]
+
+
+def _reconstruct_chunk(n_paths, grid):
+    return max(1, _RECONSTRUCT_CHUNK_ENTRIES // (n_paths * grid.n_subcarriers))
+
+
 def test_reconstruct_channel_matches_per_block_loop(equivalence):
     geom, grid, W, Y, rule = _a12_scenario(equivalence, _STOP_SEEDS["max_paths"])
     paths = run_dps(Y, W, geom, grid, rule).paths
@@ -538,6 +556,33 @@ def test_reconstruct_channel_matches_per_block_loop(equivalence):
     _assert_close(reconstruct_channel(paths, geom, grid),
                   _reconstruct_per_block(paths, geom, grid))
     assert not reconstruct_channel([], geom, grid).any()
+    # subarrays are walked in chunks: 48 = 25 + 23 (a partial last chunk),
+    # one subarray per chunk, and a single path (all 32 in one chunk)
+    for n, k, m, n_paths, chunk in ((96, 48, 64, 5, 25), (32, 8, 1024, 5, 1),
+                                    (256, 32, 256, 1, 32)):
+        geom = ArrayGeometry(n, k, 7e9)
+        grid = SubcarrierGrid.from_bandwidth(m, 600e6)
+        assert _reconstruct_chunk(n_paths, grid) == chunk
+        paths = _drawn_paths(n_paths, k, seed=n_paths)
+        paths[0].lpu_gains[k - 1] = 0.0
+        _assert_close(reconstruct_channel(paths, geom, grid),
+                      _reconstruct_per_block(paths, geom, grid))
+
+
+@pytest.mark.parametrize("n, k, m", [(1024, 256, 1024), (256, 32, 256)])
+def test_reconstruct_channel_needs_no_channel_sized_scratch(n, k, m):
+    # 16 paths: the traced peak of one call stays within twice the bytes of H
+    geom = ArrayGeometry(n, k, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(m, 600e6)
+    paths = _drawn_paths(16, k)
+    tracemalloc.start()
+    try:
+        H = reconstruct_channel(paths, geom, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.shape == (n, m)
+    assert peak <= 2 * H.nbytes
 
 
 def test_estimate_gain_rows_are_independent():

@@ -21,7 +21,10 @@ counts, one more pair at ``--held-out-seed``, and one traced run
 (``--trace 1 --seed 1``) per side with its per-layer metrics.  ``commit``
 is each side's ``git rev-parse HEAD``; ``env`` is the environment block
 ``bench/run.py`` prints, from each side's first run.  A benchmark process
-that exits nonzero or prints no result stops the recording.
+that exits nonzero or prints no result stops the recording.  Last, each
+side runs the tier-1 test command of the change's ``ROADMAP.md`` once from
+its own root, and ``tier1`` records its wall time, exit code and pytest's
+summary line.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
@@ -54,6 +59,28 @@ def checkout_commit(root: str) -> str:
         raise RuntimeError(f"{root} has uncommitted changes, so {commit} "
                            f"would not name the tree measured:\n{dirty}")
     return commit
+
+
+def tier1_command(root: str) -> str:
+    """The tier-1 test command named on the ``**Tier-1 verify:**`` line of
+    ``root``'s ROADMAP.md."""
+    with open(os.path.join(root, "ROADMAP.md")) as fh:
+        found = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", fh.read())
+    if found is None:
+        raise RuntimeError(f"{root}/ROADMAP.md names no tier-1 command")
+    return found.group(1)
+
+
+def run_tier1(root: str, command: str) -> dict:
+    """Run the shell ``command`` once from ``root``: its wall time, exit code
+    and last line of output (pytest's summary)."""
+    t0 = time.perf_counter()
+    done = subprocess.run(command, shell=True, cwd=root, capture_output=True,
+                          text=True, check=False)
+    seconds = time.perf_counter() - t0
+    lines = done.stdout.strip().splitlines()
+    return {"seconds": seconds, "returncode": done.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def run_bench(command, root: str, workload: str, seed: int, seconds: float,
@@ -127,6 +154,7 @@ def main(argv=None) -> int:
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"]
+    tier1 = tier1_command(roots["change"])
 
     record = {"command": spec["command"], "seconds": seconds, "pairs": PAIRS,
               "commit": commits, "env": {}, "workloads": {}}
@@ -165,6 +193,9 @@ def main(argv=None) -> int:
                             "metrics": metric_values(result)}
         entry["traced"] = {"seed": TRACE_SEED, **traced}
         record["workloads"][workload] = entry
+
+    record["tier1"] = {"command": tier1, **{
+        side: run_tier1(roots[side], tier1) for side in SIDES}}
 
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
