@@ -658,6 +658,7 @@ def reconstruct_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.
     chunk = max(1, _RECONSTRUCT_CHUNK_ENTRIES // (len(paths) * M))
     for k0 in range(0, K, chunk):
         ks = slice(k0, k0 + chunk)
-        profiles = gains[ks, :, None] * freq_profile(lengths[ks], grid)  # (c, L, M)
+        profiles = freq_profile(lengths[ks], grid)  # (c, L, M)
+        np.multiply(gains[ks, :, None], profiles, out=profiles)
         np.matmul(steer[ks], profiles, out=blocks[ks])
     return H

@@ -544,10 +544,6 @@ def _drawn_paths(n_paths, n_subarrays, seed=0):
     ]
 
 
-def _reconstruct_chunk(n_paths, grid):
-    return max(1, _RECONSTRUCT_CHUNK_ENTRIES // (n_paths * grid.n_subcarriers))
-
-
 def test_reconstruct_channel_matches_per_block_loop(equivalence):
     geom, grid, W, Y, rule = _a12_scenario(equivalence, _STOP_SEEDS["max_paths"])
     paths = run_dps(Y, W, geom, grid, rule).paths
@@ -562,7 +558,7 @@ def test_reconstruct_channel_matches_per_block_loop(equivalence):
                                     (256, 32, 256, 1, 32)):
         geom = ArrayGeometry(n, k, 7e9)
         grid = SubcarrierGrid.from_bandwidth(m, 600e6)
-        assert _reconstruct_chunk(n_paths, grid) == chunk
+        assert max(1, _RECONSTRUCT_CHUNK_ENTRIES // (n_paths * m)) == chunk
         paths = _drawn_paths(n_paths, k, seed=n_paths)
         paths[0].lpu_gains[k - 1] = 0.0
         _assert_close(reconstruct_channel(paths, geom, grid),
