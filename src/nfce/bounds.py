@@ -19,6 +19,7 @@ determinant as printed in the source derivation, which differs by the factor
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,6 +208,15 @@ def lb_closed_form(path: PathParams, geom: ArrayGeometry, grid: SubcarrierGrid,
 def bounds_report(path: PathParams, geom: ArrayGeometry, grid: SubcarrierGrid,
                   power: float, noise_var: float,
                   form: str = "corrected") -> BoundsReport:
+    """Numeric and closed-form bounds of one path.
+
+    Raises ValueError unless ``power`` and ``noise_var`` are finite and
+    positive: a zero noise variance has no finite bound, and a negative or
+    NaN one would print negative or NaN bounds.
+    """
+    for name, value in (("power", power), ("noise_var", noise_var)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     rep = fim_numeric(path, geom, grid, power, noise_var)
     th_n, d_n, r_n = crlb_numeric(rep)
     th_c, d_c, r_c = crlb_closed_form(path, geom, grid, power, noise_var, form)

@@ -10,6 +10,7 @@ on success; failures print one categorized line ``error: <category>:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -57,6 +58,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args) -> SimConfig:
+    trial = getattr(args, "trial", 0)
+    if trial < 0:
+        raise ConfigError(f"--trial must be a nonnegative integer, got {trial}")
     overrides = {}
     for _, dest, _ in _OVERRIDE_FLAGS:
         val = getattr(args, dest, None)
@@ -137,6 +141,8 @@ def _cmd_bounds(args) -> int:
     rs = [float(x) for x in args.r_m.split(",")]
     if not (len(thetas) == len(ds) == len(rs)):
         raise ConfigError("theta, d-m and r-m lists must have equal lengths")
+    if not (math.isfinite(args.noise_var) and args.noise_var > 0.0):
+        raise ConfigError(f"--noise-var must be finite and positive, got {args.noise_var!r}")
     text = bounds_table(list(zip(thetas, ds, rs)), geom, grid,
                         args.power if args.power is not None else cfg.power,
                         args.noise_var, form=args.form)

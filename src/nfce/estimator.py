@@ -124,21 +124,21 @@ def shift_table(m_hop: int, size: int) -> np.ndarray:
     return table
 
 
-def extrapolate_step(
-    y: np.ndarray, prev_tau: float, m_hop: int, dictionary: DelayDictionary
-):
+def extrapolate_step(y: np.ndarray, ramp: np.ndarray, m_hop: int):
     """One serial hop: pick kappa in [-m_hop, m_hop] maximizing the score.
 
-    Candidates are prev_tau + kappa/M; b() is 1-periodic so no explicit wrap
-    is needed for the correlation.  Returns (kappa, unwrapped tau, score).
-    Ties resolve to the most negative kappa (first maximum).
+    ``ramp`` is b(tau_prev)^*, the previous hop's de-rotation.  The
+    candidates prev_tau + kappa/M are scored by de-rotating ``y`` with it and
+    correlating against the cached :func:`shift_table`; b() is 1-periodic so
+    no explicit wrap is needed.  Ties resolve to the most negative kappa
+    (first maximum).  Returns (kappa, score, next ramp): since
+    b(tau + kappa/M)^* = b(tau)^* b(kappa/M)^*, the winner's ramp is
+    ``ramp`` times its table row, with no new exponential.
     """
-    M = dictionary.size
-    derotated = y * phase_ramp(-2.0 * np.pi * prev_tau, M)
-    scores = window_scores(derotated, shift_table(m_hop, M))
+    table = shift_table(m_hop, y.shape[-1])
+    scores = window_scores(y * ramp, table)
     j = int(np.argmax(scores))
-    kappa = j - m_hop
-    return kappa, prev_tau + kappa / M, float(scores[j])
+    return j - m_hop, float(scores[j]), ramp * table[j]
 
 
 def central_index(n_subarrays: int) -> int:
@@ -184,17 +184,22 @@ def extrapolate_delays(
     """Serial outward extrapolation of the central delay across subarrays.
 
     Ascending chain center -> K-1 and descending chain center -> 0, each hop
-    evaluating exactly 2*m_hop+1 correlations on that subarray's row.
+    evaluating exactly 2*m_hop+1 correlations on that subarray's row.  The
+    de-rotation b(seed_tau)^* is built once; each chain carries it from hop
+    to hop (:func:`extrapolate_step`).
     """
-    K = geom.n_subarrays
+    K, M = geom.n_subarrays, dictionary.size
     kc = central_index(K)
     taus = np.zeros(K)
     kappas = np.zeros(K, dtype=int)
     taus[kc] = seed_tau
-    for k in range(kc + 1, K):
-        kappas[k], taus[k], _ = extrapolate_step(Y[k], taus[k - 1], m_hop, dictionary)
-    for k in range(kc - 1, -1, -1):
-        kappas[k], taus[k], _ = extrapolate_step(Y[k], taus[k + 1], m_hop, dictionary)
+    seed_ramp = phase_ramp(-2.0 * np.pi * seed_tau, M)
+    for chain, back in ((range(kc + 1, K), -1), (range(kc - 1, -1, -1), 1)):
+        ramp = seed_ramp
+        for k in chain:
+            kappa, _, ramp = extrapolate_step(Y[k], ramp, m_hop)
+            kappas[k] = kappa
+            taus[k] = taus[k + back] + kappa / M
     return SubarrayDelayTrack(taus, kappas, m_hop, kc, dictionary.size)
 
 
@@ -338,7 +343,9 @@ def gain_column(
         "kn,kn->k", combiners.conj(), w.reshape(geom.n_subarrays, geom.subarray_size)
     )
     dist_k, _ = subarray_centers(theta, dist_m, geom)
-    return fk_wk[:, None] * freq_profile(range_m + dist_k, grid)
+    columns = freq_profile(range_m + dist_k, grid)
+    columns *= fk_wk[:, None]
+    return columns
 
 
 def estimate_gain_lpu(
@@ -352,10 +359,9 @@ def estimate_gain_lpu(
     A vanishing model column (combiner orthogonal to the steering) returns 0
     rather than amplifying noise.
     """
-    v_h = np.conj(v_gc)
-    norm2 = np.einsum("...m,...m->...", v_h, v_gc).real
+    norm2 = np.vecdot(v_gc, v_gc).real  # vecdot conjugates its first argument
     usable = norm2 > 1e-12
-    corr = np.einsum("...m,...m->...", v_h, y_row)
+    corr = np.vecdot(v_gc, y_row)
     gains = np.where(usable, corr / (math.sqrt(power) * np.where(usable, norm2, 1.0)), 0.0)
     return gains[()]
 
@@ -363,8 +369,13 @@ def estimate_gain_lpu(
 def residual_update(
     y_row: np.ndarray, rho_k, v_gc: np.ndarray, power: float = 1.0
 ) -> np.ndarray:
-    """Remove the fitted path from one subarray row, or from each of K rows."""
-    return y_row - math.sqrt(power) * np.asarray(rho_k)[..., None] * v_gc
+    """Remove the fitted path from one subarray row, or from each of K rows.
+
+    Subtracts in place: ``y_row`` is overwritten with the residual and
+    returned.
+    """
+    y_row -= math.sqrt(power) * np.asarray(rho_k)[..., None] * v_gc
+    return y_row
 
 
 def check_inputs(
@@ -538,7 +549,7 @@ def fit_and_cancel(
     """
     v_gc = gain_column(theta, dist_m, range_m, combiners, geom, grid)
     gains = estimate_gain_lpu(resid, v_gc, power)
-    resid[...] = residual_update(resid, gains, v_gc, power)
+    residual_update(resid, gains, v_gc, power)
     return PathEstimate(theta, dist_m, range_m, complex(np.mean(gains)), gains,
                         track, clamped, refined)
 

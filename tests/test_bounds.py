@@ -172,6 +172,17 @@ def test_bounds_report_fields():
     assert rep.theta_lb >= 0.5 * rep.theta_cb
 
 
+@pytest.mark.parametrize("power, noise_var", [(1.0, 0.0), (1.0, -1e-2), (1.0, float("nan")),
+                                              (1.0, float("inf")), (0.0, 1e-2), (-1.0, 1e-2)])
+def test_bounds_report_rejects_bad_power_and_noise(power, noise_var):
+    geom = ArrayGeometry(512, 64, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(512, 600e6)
+    path = PathParams(0.25, 14.0, 10.0, 1.0 + 0j)
+    name = "noise_var" if power == 1.0 else "power"
+    with pytest.raises(ValueError, match=name):
+        bounds_report(path, geom, grid, power, noise_var)
+
+
 def test_resolution_predicate():
     grid = SubcarrierGrid.from_bandwidth(256, 600e6)
     bin_m = 299792458.0 / 600e6  # c / (M df)

@@ -64,6 +64,24 @@ def test_bounds_mismatched_lists(capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bounds_bad_noise_var_is_a_config_error(value, capsys):
+    rc = main(["bounds", "--noise-var", value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: config:" in err and "--noise-var" in err
+
+
+@pytest.mark.parametrize("command", [["estimate"], ["simulate", "--out", "x.npz"]])
+def test_negative_trial_is_a_config_error(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main([*command, *COMMON, "--trial", "-3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: config:" in err and "--trial" in err
+    assert not (tmp_path / "x.npz").exists()
+
+
 def test_sweep_stdout_csv(capsys):
     rc = main(["sweep", *COMMON, "--trials", "2", "--snr-db", "10",
                "--algorithms", "dps,ls"])

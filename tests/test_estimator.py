@@ -19,6 +19,7 @@ from nfce.model import (
     synthesize_channel,
 )
 from nfce.frontend import observe, random_phase_combiner
+from nfce.harness import SimConfig, draw_trial
 from nfce.estimator import (
     _RECONSTRUCT_CHUNK_ENTRIES,
     DelayDictionary,
@@ -118,12 +119,16 @@ def test_central_index():
 def test_extrapolate_step_window():
     dic = DelayDictionary(64)
     prev = dic.grid[20]
+    ramp = phase_ramp(-2 * np.pi * prev, 64)  # b(prev)^*
     y = delay_steering(dic.grid[22], 64)  # two bins up
-    kappa, tau, _ = extrapolate_step(y, prev, 2, dic)
+    kappa, _, next_ramp = extrapolate_step(y, ramp, 2)
     assert kappa == 2
-    assert tau == pytest.approx(dic.grid[22])
+    assert prev + kappa / 64 == pytest.approx(dic.grid[22])
+    # the returned ramp de-rotates the winner, b(prev + kappa/M)^*
+    np.testing.assert_allclose(next_ramp, delay_steering(dic.grid[22], 64).conj(),
+                               rtol=0, atol=1e-12)
     # hop cap of one bin cannot reach it; best in-window candidate wins
-    kappa1, _, _ = extrapolate_step(y, prev, 1, dic)
+    kappa1, _, _ = extrapolate_step(y, ramp, 1)
     assert kappa1 == 1
 
 
@@ -380,6 +385,56 @@ def test_extrapolate_delays_tracks_profile():
     assert not track.all_equal()
 
 
+def _extrapolate_rebuilt(Y, seed_tau, geom, dictionary, m_hop):
+    """Reference walk that rebuilds the de-rotation b(tau_prev)^* at every hop."""
+    K, M = geom.n_subarrays, dictionary.size
+    kc = central_index(K)
+    taus = np.zeros(K)
+    kappas = np.zeros(K, dtype=int)
+    taus[kc] = seed_tau
+    table = shift_table(m_hop, M)
+    for chain, back in ((range(kc + 1, K), -1), (range(kc - 1, -1, -1), 1)):
+        for k in chain:
+            prev = taus[k + back]
+            scores = window_scores(Y[k] * phase_ramp(-2.0 * np.pi * prev, M), table)
+            kappas[k] = int(np.argmax(scores)) - m_hop
+            taus[k] = prev + kappas[k] / M
+    return kappas, taus
+
+
+def _first_observations(equivalence):
+    """(geom, grid, Y) of the 30 a12 scenarios and one 1024/256/1024 draw."""
+    for seed in range(30):
+        geom, grid, _, Y, _ = _a12_scenario(equivalence, seed)
+        yield geom, grid, Y
+    cfg = SimConfig(n_antennas=1024, n_subarrays=256, n_subcarriers=1024, n_paths=4,
+                    seed=3)
+    yield cfg.geometry(), cfg.grid(), draw_trial(cfg, 0, 10.0)[4]
+
+
+def test_chained_hops_match_rebuilt_ramps(equivalence):
+    # first-iteration residuals: the carried ramps pick the same hops as
+    # ramps rebuilt from tau at every hop, so the tracks agree bit for bit
+    for geom, grid, Y in _first_observations(equivalence):
+        dic = DelayDictionary(grid.n_subcarriers)
+        m_hop = max_hop(geom, grid)
+        kc = central_index(geom.n_subarrays)
+        _, tau_c, _ = ml_delay_detect(Y[kc], dic)
+        track = extrapolate_delays(Y, tau_c, geom, dic, m_hop)
+        kappas, taus = _extrapolate_rebuilt(Y, tau_c, geom, dic, m_hop)
+        np.testing.assert_array_equal(track.kappas, kappas)
+        np.testing.assert_array_equal(track.taus_unwrapped, taus)
+    # the ramp carried to the end of the longer (ascending) chain stays
+    # within 1e-12 of the ramp rebuilt at that tau
+    M, K = dic.size, geom.n_subarrays
+    ramp = phase_ramp(-2.0 * np.pi * tau_c, M)
+    for k in range(kc + 1, K):
+        _, _, ramp = extrapolate_step(Y[k], ramp, m_hop)
+    assert K - 1 - kc == 128
+    np.testing.assert_allclose(ramp, phase_ramp(-2.0 * np.pi * track.taus_unwrapped[-1], M),
+                               rtol=0, atol=1e-12)
+
+
 # a12's scenarios (64/16/128, 1 + seed % 3 paths, 15 dB, max_paths=8) whose
 # run_dps stops for each of the four reasons
 _STOP_SEEDS = {"max_paths": 0, "fallback": 2, "rejected": 3, "threshold": 15}
@@ -458,10 +513,12 @@ def test_hop_scores_match_direct_window(off_grid):
             np.exp(2j * np.pi * np.outer(prev + kappas / M, delta)).conj() @ y) ** 2 / M
         hop = window_scores(y * np.exp(-2j * np.pi * prev * delta), shift_table(m_hop, M))
         _assert_close(hop, direct)
-        kappa, tau, score = extrapolate_step(y, prev, m_hop, dic)
+        kappa, score, ramp = extrapolate_step(y, phase_ramp(-2 * np.pi * prev, M), m_hop)
         assert kappa == kappas[np.argmax(direct)]
-        assert tau == prev + kappa / M
         assert score == pytest.approx(direct.max(), rel=1e-12)
+        # the carried ramp is b(tau)^* at the winner tau = prev + kappa/M
+        tau = prev + kappa / M
+        np.testing.assert_allclose(ramp, np.exp(-2j * np.pi * tau * delta), rtol=0, atol=1e-12)
     # one read-only table per (m_hop, M), shared by every hop
     assert shift_table(m_hop, M) is shift_table(m_hop, M)
     assert not shift_table(m_hop, M).flags.writeable
@@ -514,6 +571,36 @@ def test_fit_and_cancel_matches_per_row_fit():
     keep = np.arange(32) != 4
     np.testing.assert_array_equal(other[keep], est.lpu_gains[keep])
     assert other[4] != est.lpu_gains[4]
+
+
+def test_fit_and_cancel_needs_one_residual_sized_temporary():
+    # the model columns and one scaled copy of them: the traced peak of one
+    # full-scale fit stays within 2.5 times the residual's bytes
+    geom = ArrayGeometry(1024, 256, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(1024, 600e6)
+    W = random_phase_combiner(geom, np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    resid = rng.standard_normal((256, 1024)) + 1j * rng.standard_normal((256, 1024))
+    tracemalloc.start()
+    try:
+        fit_and_cancel(resid, -0.3, 11.0, 14.0, W, geom, grid, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * resid.nbytes
+
+
+def test_residual_update_subtracts_in_place():
+    rng = np.random.default_rng(1)
+    V = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+    Y = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+    rho = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    want = Y - math.sqrt(3.0) * rho[:, None] * V
+    out = residual_update(Y, rho, V, 3.0)
+    assert out is Y
+    np.testing.assert_array_equal(Y, want)
+    row = Y[1].copy()
+    assert residual_update(row, rho[1], V[1], 3.0) is row
 
 
 def _reconstruct_per_block(paths, geom, grid):
