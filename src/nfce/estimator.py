@@ -22,12 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from nfce.model import (
+    _PROFILE_CHUNK_ENTRIES,
     SPEED_OF_LIGHT,
     ArrayGeometry,
     SubcarrierGrid,
-    freq_profile,
     index_offsets,
     phase_ramp,
+    profile_factors,
+    profile_sum,
     steering_vector,
     subarray_centers,
 )
@@ -330,51 +332,74 @@ def gain_column(
     combiners: np.ndarray,
     geom: ArrayGeometry,
     grid: SubcarrierGrid,
-) -> np.ndarray:
-    """Model columns v_gc of every subarray, shape (K, M); row k is subarray k's.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Model columns v_gc of every subarray in factored form, (coarse (K, A), fine (K, B)).
 
     v_gc = (f_k^H w_k(theta, d)) * p(r + d~_k): the scalar combiner gain
     times the frequency profile of the estimated subarray-center length.
-    Row k reads only combiner row k.  The steering vector, the subarray
-    centers and the phase ramps are computed once for all K rows.
+    Row k of the model is kron(coarse[k], fine[k]), M = A B
+    (:func:`nfce.model.profile_factors`), with the combiner gain folded into
+    ``coarse``.  Row k reads only combiner row k.  The steering vector, the
+    subarray centers and the factors are computed once for all K rows.
     """
     w = steering_vector(theta, dist_m, geom)
     fk_wk = np.einsum(
         "kn,kn->k", combiners.conj(), w.reshape(geom.n_subarrays, geom.subarray_size)
     )
     dist_k, _ = subarray_centers(theta, dist_m, geom)
-    columns = freq_profile(range_m + dist_k, grid)
-    columns *= fk_wk[:, None]
-    return columns
+    coarse, fine = profile_factors(range_m + dist_k, grid)
+    coarse *= fk_wk[:, None]
+    return coarse, fine
+
+
+def _as_blocks(y_row: np.ndarray, v_gc):
+    """View of each row of ``y_row`` as the A x B matrix of ``v_gc``'s factors, (rows, A, B)."""
+    coarse, fine = v_gc
+    return y_row.reshape(-1, coarse.shape[-1], fine.shape[-1])
 
 
 def estimate_gain_lpu(
-    y_row: np.ndarray, v_gc: np.ndarray, power: float = 1.0
+    y_row: np.ndarray, v_gc, power: float = 1.0
 ):
     """LS complex gain of each subarray row: v^H y / (sqrt(P) ||v||^2).
 
-    Rows run along the last axis: one row gives one complex gain, a (K, M)
-    pair gives K gains, each from its own row of ``y_row`` and ``v_gc``.
-    On a matched noiseless row y = sqrt(P) rho v this returns rho exactly.
-    A vanishing model column (combiner orthogonal to the steering) returns 0
+    ``v_gc`` is :func:`gain_column`'s factored pair, v = kron(coarse, fine)
+    row by row.  Rows run along the last axis: one row gives one complex
+    gain, K rows give K gains, each from its own row of ``y_row`` and of the
+    factors.  v^H y is read as the bilinear form coarse^H Y fine^* of the row
+    viewed as an A x B matrix Y, and ||v||^2 = ||coarse||^2 ||fine||^2.
+    On a matched noiseless row y = sqrt(P) rho v this returns rho.  A
+    vanishing model column (combiner orthogonal to the steering) returns 0
     rather than amplifying noise.
     """
-    norm2 = np.vecdot(v_gc, v_gc).real  # vecdot conjugates its first argument
+    coarse, fine = v_gc
+    # vecdot conjugates its first argument
+    norm2 = np.vecdot(coarse, coarse).real * np.vecdot(fine, fine).real
     usable = norm2 > 1e-12
-    corr = np.vecdot(v_gc, y_row)
+    y_fine = (_as_blocks(y_row, v_gc) @ fine.conj()[..., None]).reshape(coarse.shape)
+    corr = np.vecdot(coarse, y_fine)
     gains = np.where(usable, corr / (math.sqrt(power) * np.where(usable, norm2, 1.0)), 0.0)
     return gains[()]
 
 
 def residual_update(
-    y_row: np.ndarray, rho_k, v_gc: np.ndarray, power: float = 1.0
+    y_row: np.ndarray, rho_k, v_gc, power: float = 1.0
 ) -> np.ndarray:
     """Remove the fitted path from one subarray row, or from each of K rows.
 
-    Subtracts in place: ``y_row`` is overwritten with the residual and
-    returned.
+    Subtracts the rank-1 term sqrt(P) rho coarse fine^T from each row viewed
+    as an A x B matrix, in place: ``y_row`` is overwritten with the residual
+    and returned.  The rows are walked in chunks of about
+    ``_PROFILE_CHUNK_ENTRIES`` entries, so no residual-sized term is formed.
     """
-    y_row -= math.sqrt(power) * np.asarray(rho_k)[..., None] * v_gc
+    coarse, fine = v_gc
+    blocks = _as_blocks(y_row, v_gc)
+    scaled = math.sqrt(power) * np.asarray(rho_k)[..., None] * coarse
+    scaled, fine = scaled.reshape(-1, scaled.shape[-1]), fine.reshape(-1, fine.shape[-1])
+    chunk = max(1, _PROFILE_CHUNK_ENTRIES // y_row.shape[-1])
+    for k0 in range(0, len(blocks), chunk):
+        ks = slice(k0, k0 + chunk)
+        blocks[ks] -= scaled[ks, :, None] * fine[ks, None, :]
     return y_row
 
 
@@ -637,22 +662,15 @@ def run_dps(
     )
 
 
-# Entries of one chunk's (subarrays, paths, M) profile stack in
-# reconstruct_channel: 2^13 complex entries, about 128 KB.
-_RECONSTRUCT_CHUNK_ENTRIES = 2**13
-
-
 def reconstruct_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
     """Rebuild the antenna-domain channel from path estimates, shape (N, M).
 
     Each path contributes per-subarray rank-1 blocks
     rho_k * w_k(theta, d) p(r + d~_k)^T with rho_k subarray k's own fitted
-    gain, which absorbs per-subarray phase error.  So subarray k's rows of H
-    are one product over the path axis, H_k = W_k P_k: column l of W_k
-    (ns x L) is path l's steering entries on subarray k, row l of P_k (L x M)
-    is rho_lk p(r_l + d~_lk).  The subarrays are walked in chunks of about
-    ``_RECONSTRUCT_CHUNK_ENTRIES`` profile entries, each product written
-    straight into H.
+    gain, which absorbs per-subarray phase error.  So row i of subarray k's
+    block of H is sum_l rho_lk w_lk[i] p(r_l + d~_lk): one
+    :func:`nfce.model.profile_sum` over the K subarrays, with ns rows each,
+    written straight into H.
     """
     K, ns, M = geom.n_subarrays, geom.subarray_size, grid.n_subcarriers
     if not paths:
@@ -664,12 +682,7 @@ def reconstruct_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.
         [e.range_m + subarray_centers(e.theta, e.dist_m, geom)[0] for e in paths], axis=-1
     )  # (K, L)
     gains = np.stack([e.lpu_gains for e in paths], axis=-1)  # (K, L)
+    steer *= gains[:, None, :]
     H = np.empty((K * ns, M), dtype=complex)
-    blocks = H.reshape(K, ns, M)  # view: blocks[k] is subarray k's rows of H
-    chunk = max(1, _RECONSTRUCT_CHUNK_ENTRIES // (len(paths) * M))
-    for k0 in range(0, K, chunk):
-        ks = slice(k0, k0 + chunk)
-        profiles = freq_profile(lengths[ks], grid)  # (c, L, M)
-        np.multiply(gains[ks, :, None], profiles, out=profiles)
-        np.matmul(steer[ks], profiles, out=blocks[ks])
+    profile_sum(steer, lengths, grid, out=H.reshape(K, ns, M))
     return H

@@ -1,10 +1,17 @@
 """Geometry and wideband channel synthesis for subarrayed uniform linear arrays.
 
 Everything downstream (frontend, estimator, bounds) is built on the quantities
-defined here: symmetric index offsets, exact propagation distances,
-the one frequency-profile kernel (:func:`freq_profile` over :func:`phase_ramp`),
-the exact per-path response :func:`path_response` that synthesis sums, and the
-per-subarray delay structure that the estimator exploits.
+defined here: symmetric index offsets, exact propagation distances, the
+frequency profile and the per-subarray delay structure that the estimator
+exploits.
+
+The frequency profile p_m(L) = exp(j 2 pi delta_m df L / c) of a path length L
+factors as coarse (x) fine: splitting M = A B, delta_{aB+b} = c_a + f_b, so p is
+the Kronecker product of A + B exponentials (:func:`profile_factors`).  Nothing
+multiplies the factors out into profiles: :func:`profile_sum`, the one kernel
+that synthesis and the estimator's reconstruction call, contracts weighted sums
+of profiles straight from them, and the estimator's gain fit reads each model
+row as a bilinear form in them.
 
 Conventions
 -----------
@@ -178,13 +185,11 @@ def steering_vector(theta: float, dist_m: float, geom: ArrayGeometry) -> np.ndar
 def _ramp_split(count: int):
     """(A, j * [c, f]) with c[a] + f[b] = index_offsets(count)[a*B + b], count = A B.
 
-    B is the largest divisor of ``count`` not above its square root; None
-    when that is 1 (count prime or 1), where factoring saves nothing.  The
-    array is shared by every caller, hence read-only.
+    B is the largest divisor of ``count`` not above its square root, so a
+    prime count gives B = 1 and f = [0].  The array is shared by every
+    caller, hence read-only.
     """
     inner = max(d for d in range(1, math.isqrt(count) + 1) if count % d == 0)
-    if inner == 1:
-        return None
     outer = count // inner
     coarse = (np.arange(outer) - (outer - 1) / 2.0) * inner
     fine = np.arange(inner) - (inner - 1) / 2.0
@@ -193,31 +198,66 @@ def _ramp_split(count: int):
     return outer, j_offsets
 
 
+def _ramp_factors(phi, count: int):
+    """(exp(j phi c), exp(j phi f)) of :func:`_ramp_split`, shapes (..., A) and (..., B)."""
+    outer, j_offsets = _ramp_split(count)
+    e = np.exp(np.asarray(phi, dtype=float)[..., None] * j_offsets)
+    return e[..., :outer], e[..., outer:]
+
+
 def phase_ramp(phi, count: int) -> np.ndarray:
     """exp(j phi delta_m) over the offsets delta = index_offsets(count).
 
     ``phi`` is a scalar or an array; the ramp runs along a new last axis.
     Splitting count = A B, delta = c_a + f_b and the ramp is the outer
     product of exp(j phi c) and exp(j phi f): A + B complex exponentials
-    instead of count.  A prime count falls back to the direct exponential.
+    instead of count.
     """
-    phi = np.asarray(phi, dtype=float)
-    split = _ramp_split(count)
-    if split is None:
-        return np.exp(1j * (phi[..., None] * index_offsets(count)))
-    outer, j_offsets = split
-    e = np.exp(phi[..., None] * j_offsets)
-    return (e[..., :outer, None] * e[..., None, outer:]).reshape(phi.shape + (count,))
+    coarse, fine = _ramp_factors(phi, count)
+    return (coarse[..., :, None] * fine[..., None, :]).reshape(coarse.shape[:-1] + (count,))
 
 
-def freq_profile(length_m, grid: SubcarrierGrid) -> np.ndarray:
-    """Frequency-domain phase profile p_m = exp(j 2 pi delta_m df L / c).
+def profile_factors(length_m, grid: SubcarrierGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Kronecker factors (coarse (..., A), fine (..., B)) of the frequency profile.
 
-    ``length_m`` is a propagation length L, or an array of them; the profile
-    runs along a new last axis (shape (K,) gives (K, M)).
+    The profile of a propagation length L, p_m = exp(j 2 pi delta_m df L / c),
+    is kron(coarse, fine) along the last axis, M = A B.  ``length_m`` is a
+    length or an array of them; the factors run along a new last axis.
     """
-    phi = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * length_m
-    return phase_ramp(phi, grid.n_subcarriers)
+    phi = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * np.asarray(length_m, dtype=float)
+    return _ramp_factors(phi, grid.n_subcarriers)
+
+
+# Entries of one chunk's coarse-times-weights stack in profile_sum: 2^13
+# complex entries, about 128 KB.
+_PROFILE_CHUNK_ENTRIES = 2**13
+
+
+def profile_sum(weights, lengths, grid: SubcarrierGrid, out=None) -> np.ndarray:
+    """Weighted profile sums S[g, r] = sum_l weights[g, r, l] p(lengths[g, l]), shape (G, R, M).
+
+    ``weights`` is (G, R, L) and ``lengths`` (G, L).  With p = kron(coarse,
+    fine), S[g, r] viewed as an A x B matrix is sum_l weights[g, r, l]
+    coarse[g, l] fine[g, l]^T, so each chunk of groups is one batched product
+    (c, R A, L) @ (c, L, B) written straight into ``out`` (C-contiguous, made
+    when None); no profile is formed.  Chunks hold about
+    ``_PROFILE_CHUNK_ENTRIES`` coarse-times-weights entries.
+    """
+    G, R, L = np.shape(weights)
+    M = grid.n_subcarriers
+    A = _ramp_split(M)[0]
+    if out is None:
+        out = np.empty((G, R, M), dtype=complex)
+    blocks = out.reshape(G, R * A, M // A)  # view: blocks[g] is S[g] as R A x B
+    chunk = max(1, _PROFILE_CHUNK_ENTRIES // (R * A * L))
+    left = np.empty((min(chunk, G), R, A, L), dtype=complex)
+    for g0 in range(0, G, chunk):
+        gs = slice(g0, g0 + chunk)
+        coarse, fine = profile_factors(lengths[gs], grid)  # (c, L, A), (c, L, B)
+        part = left[: coarse.shape[0]]
+        np.multiply(weights[gs, :, None, :], coarse.transpose(0, 2, 1)[:, None], out=part)
+        np.matmul(part.reshape(-1, R * A, L), fine, out=blocks[gs])
+    return out
 
 
 def delay_steering(tau, n_subcarriers: int) -> np.ndarray:
@@ -258,39 +298,37 @@ def subarray_centers(theta: float, dist_m: float, geom: ArrayGeometry):
     return dist_k, theta_k
 
 
-def path_response(
-    theta: float, dist_m: float, range_m: float, geom: ArrayGeometry, grid: SubcarrierGrid
-) -> np.ndarray:
-    """Exact wideband response of one unit-gain path, shape (N, M).
-
-    Row n is w_n p(r + d_n): the carrier steering entry times the frequency
-    profile of antenna n's own path length, so the beam squint across the
-    whole aperture is kept.
-    """
-    d_n = exact_distances(theta, dist_m, geom)
-    w = steering_vector(theta, dist_m, geom)
-    return w[:, None] * freq_profile(range_m + d_n, grid)
+def antenna_lengths(paths, geom: ArrayGeometry) -> np.ndarray:
+    """Per-antenna path lengths r_l + d_n(theta_l, d_l), shape (N, L): column l is path l's."""
+    lengths = np.empty((geom.n_antennas, len(paths)))
+    for l, path in enumerate(paths):
+        lengths[:, l] = path.range_m + exact_distances(path.theta, path.dist_m, geom)
+    return lengths
 
 
 def synthesize_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
     """Multipath frequency-domain channel H of shape (N, M).
 
-    H = sum_l rho_l A_l with rho_l the gain carrying the center-of-array
-    carrier phase and A_l the exact :func:`path_response`, which reproduces
-    the physical model H[n, m] = g_l exp(j 2 pi f_m (r_l + d_n) / c) per path.
+    H[n, m] = sum_l g_l exp(j 2 pi f_m (r_l + d_n) / c) per path: row n is
+    sum_l rho_l w_ln p(r_l + d_n), with rho_l the gain carrying the
+    center-of-array carrier phase, w_l the carrier steering vector and p the
+    frequency profile of antenna n's own path length, so the beam squint
+    across the whole aperture is kept.  The rows are one :func:`profile_sum`.
     """
-    H = np.zeros((geom.n_antennas, grid.n_subcarriers), dtype=complex)
-    for path in paths:
-        H += combined_gain(path, geom) * path_response(
-            path.theta, path.dist_m, path.range_m, geom, grid
-        )
+    if not paths:
+        return np.zeros((geom.n_antennas, grid.n_subcarriers), dtype=complex)
+    weights = np.stack(
+        [combined_gain(path, geom) * steering_vector(path.theta, path.dist_m, geom)
+         for path in paths], axis=-1)  # (N, L)
+    H = np.empty((geom.n_antennas, grid.n_subcarriers), dtype=complex)
+    profile_sum(weights[:, None, :], antenna_lengths(paths, geom), grid,
+                out=H.reshape(geom.n_antennas, 1, grid.n_subcarriers))
     return H
 
 
-def antenna_delays(path: PathParams, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
-    """Per-antenna symbol-fraction delays tau_n = df (r + d_n) / c."""
-    d_n = exact_distances(path.theta, path.dist_m, geom)
-    return grid.spacing_hz / SPEED_OF_LIGHT * (path.range_m + d_n)
+def antenna_delays(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
+    """Per-antenna symbol-fraction delays tau_nl = df (r_l + d_n) / c, shape (N, L)."""
+    return grid.spacing_hz / SPEED_OF_LIGHT * antenna_lengths(paths, geom)
 
 
 def subarray_delay_profile(
@@ -318,9 +356,7 @@ def check_delay_validity(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> fl
     Delays at or beyond one symbol-fraction alias onto the grid and the
     model stops being identifiable, so synthesis refuses to proceed.
     """
-    worst = 0.0
-    for path in paths:
-        worst = max(worst, float(antenna_delays(path, geom, grid).max()))
+    worst = float(antenna_delays(paths, geom, grid).max(initial=0.0))
     if worst >= 1.0:
         raise ValueError(
             f"path delay {worst:.3f} symbol-fractions >= 1; reduce ranges or "

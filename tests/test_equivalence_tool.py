@@ -1,6 +1,8 @@
 """tools/equivalence.py: dumps of one code version compare clean."""
 import json
 
+import numpy as np
+
 
 def test_dumps_of_same_code_compare_clean(equivalence, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -38,3 +40,29 @@ def test_dumps_of_same_code_compare_clean(equivalence, tmp_path, capsys):
     b.write_text(json.dumps(records))
     assert equivalence.main(["compare", str(a), str(b)]) == 1
     assert "default/seed1000/10dB omp: different dump formats" in capsys.readouterr().out
+
+
+def test_perturbed_channel_is_flagged(equivalence, tmp_path, capsys):
+    # the dump records the synthesized H itself, so H moved by 1e-9 relative
+    # exceeds the 1e-12 channel tolerance even if every estimate agrees
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert equivalence.main(["dump", str(a), "--limit", "1"]) == 0
+    records = json.loads(a.read_text())
+    H = next(equivalence.scenarios())[2]
+    assert records[0]["channel"] == equivalence.channel_record(H)
+    # a uniform scaling moves the norm; a random direction of the same
+    # relative size leaves the norm within 1e-12 and moves the projection
+    rng = np.random.default_rng(1)
+    dH = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
+    dH *= 1e-9 * np.linalg.norm(H) / np.linalg.norm(dH)
+    for perturbed in (H * (1.0 + 1e-9), H + dH):
+        records[0]["channel"] = equivalence.channel_record(perturbed)
+        b.write_text(json.dumps(records))
+        capsys.readouterr()
+        assert equivalence.main(["compare", str(a), str(b)]) == 2
+        assert "largest channel (relative) difference" in capsys.readouterr().out
+    # a dump without the channel is another format
+    del records[0]["channel"]
+    b.write_text(json.dumps(records))
+    assert equivalence.main(["compare", str(a), str(b)]) == 1
+    assert "default/seed1000/0dB channel: different dump formats" in capsys.readouterr().out

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from nfce.model import (
+    _PROFILE_CHUNK_ENTRIES,
+    _ramp_split,
     ArrayGeometry,
     PathParams,
     SPEED_OF_LIGHT,
@@ -21,7 +23,6 @@ from nfce.model import (
 from nfce.frontend import observe, random_phase_combiner
 from nfce.harness import SimConfig, draw_trial
 from nfce.estimator import (
-    _RECONSTRUCT_CHUNK_ENTRIES,
     DelayDictionary,
     PathEstimate,
     StoppingRule,
@@ -244,8 +245,9 @@ def test_gain_fit_exact_on_matched_row():
     W = random_phase_combiner(geom, np.random.default_rng(8))
     rho = 0.7 - 1.1j
     power = 2.0
-    v = gain_column(0.25, 13.0, 7.0, W, geom, grid)[5]
-    y = math.sqrt(power) * rho * v
+    coarse, fine = gain_column(0.25, 13.0, 7.0, W, geom, grid)
+    v = (coarse[5], fine[5])
+    y = math.sqrt(power) * rho * np.kron(*v)
     rho_hat = estimate_gain_lpu(y, v, power)
     assert rho_hat == pytest.approx(rho, rel=1e-12)
     np.testing.assert_allclose(
@@ -254,7 +256,9 @@ def test_gain_fit_exact_on_matched_row():
 
 
 def test_estimate_gain_degenerate_column():
-    assert estimate_gain_lpu(np.ones(8, complex), np.zeros(8, complex)) == 0.0 + 0.0j
+    # kron(zeros(4), ones(2)) is the zero column of length 8
+    zero = (np.zeros(4, complex), np.ones(2, complex))
+    assert estimate_gain_lpu(np.ones(8, complex), zero) == 0.0 + 0.0j
 
 
 def test_stopping_rule_validation():
@@ -538,7 +542,9 @@ def test_gain_columns_match_per_row_build():
     grid = SubcarrierGrid.from_bandwidth(256, 600e6)
     W = random_phase_combiner(geom, np.random.default_rng(17))
     for theta, d, r in [(0.25, 13.0, 7.0), (-0.9, 5.5, 19.0), (0.0, 40.0, 0.0)]:
-        V = gain_column(theta, d, r, W, geom, grid)
+        coarse, fine = gain_column(theta, d, r, W, geom, grid)
+        assert coarse.shape[-1] * fine.shape[-1] == 256
+        V = np.stack([np.kron(c, f) for c, f in zip(coarse, fine)])
         assert V.shape == (32, 256)
         want = np.stack([_gain_column_row(k, theta, d, r, W[k], geom, grid)
                          for k in range(32)])
@@ -574,8 +580,9 @@ def test_fit_and_cancel_matches_per_row_fit():
 
 
 def test_fit_and_cancel_needs_one_residual_sized_temporary():
-    # the model columns and one scaled copy of them: the traced peak of one
-    # full-scale fit stays within 2.5 times the residual's bytes
+    # the factored model columns are (K, A + B); the rank-1 terms subtracted
+    # from the residual are its one sized temporary: the traced peak of one
+    # full-scale fit stays within 1.25 times the residual's bytes
     geom = ArrayGeometry(1024, 256, 7e9)
     grid = SubcarrierGrid.from_bandwidth(1024, 600e6)
     W = random_phase_combiner(geom, np.random.default_rng(2))
@@ -587,20 +594,27 @@ def test_fit_and_cancel_needs_one_residual_sized_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * resid.nbytes
+    assert peak <= 1.25 * resid.nbytes
+
+
+def _random_factors(rng, rows, a, b):
+    """Random factored columns (coarse (rows, a), fine (rows, b))."""
+    return (rng.standard_normal((rows, a)) + 1j * rng.standard_normal((rows, a)),
+            rng.standard_normal((rows, b)) + 1j * rng.standard_normal((rows, b)))
 
 
 def test_residual_update_subtracts_in_place():
     rng = np.random.default_rng(1)
-    V = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
+    C, F = _random_factors(rng, 4, 4, 4)
     Y = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
     rho = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    want = Y - math.sqrt(3.0) * rho[:, None] * V
-    out = residual_update(Y, rho, V, 3.0)
+    # the rank-1 term of each row, sqrt(P) rho kron(c, f)
+    want = Y - ((math.sqrt(3.0) * rho[:, None] * C)[:, :, None] * F[:, None, :]).reshape(4, 16)
+    out = residual_update(Y, rho, (C, F), 3.0)
     assert out is Y
     np.testing.assert_array_equal(Y, want)
     row = Y[1].copy()
-    assert residual_update(row, rho[1], V[1], 3.0) is row
+    assert residual_update(row, rho[1], (C[1], F[1]), 3.0) is row
 
 
 def _reconstruct_per_block(paths, geom, grid):
@@ -639,13 +653,15 @@ def test_reconstruct_channel_matches_per_block_loop(equivalence):
     _assert_close(reconstruct_channel(paths, geom, grid),
                   _reconstruct_per_block(paths, geom, grid))
     assert not reconstruct_channel([], geom, grid).any()
-    # subarrays are walked in chunks: 48 = 25 + 23 (a partial last chunk),
-    # one subarray per chunk, and a single path (all 32 in one chunk)
-    for n, k, m, n_paths, chunk in ((96, 48, 64, 5, 25), (32, 8, 1024, 5, 1),
-                                    (256, 32, 256, 1, 32)):
+    # profile_sum walks the subarrays in chunks of about 2^13 entries of
+    # ns x A x L: 48 = 25 + 23 (a partial last chunk), one subarray per
+    # chunk, and a single path (all 32 in one chunk of up to 64)
+    for n, k, m, n_paths, chunk in ((96, 48, 1024, 5, 25), (512, 8, 1024, 5, 1),
+                                    (256, 32, 256, 1, 64)):
         geom = ArrayGeometry(n, k, 7e9)
         grid = SubcarrierGrid.from_bandwidth(m, 600e6)
-        assert max(1, _RECONSTRUCT_CHUNK_ENTRIES // (n_paths * m)) == chunk
+        ns_a_l = geom.subarray_size * _ramp_split(m)[0] * n_paths
+        assert max(1, _PROFILE_CHUNK_ENTRIES // ns_a_l) == chunk
         paths = _drawn_paths(n_paths, k, seed=n_paths)
         paths[0].lpu_gains[k - 1] = 0.0
         _assert_close(reconstruct_channel(paths, geom, grid),
@@ -670,12 +686,13 @@ def test_reconstruct_channel_needs_no_channel_sized_scratch(n, k, m):
 
 def test_estimate_gain_rows_are_independent():
     rng = np.random.default_rng(0)
-    V = rng.standard_normal((4, 16)) + 1j * rng.standard_normal((4, 16))
-    V[2] = 0.0  # a vanishing column fits a zero gain in its row only
+    C, F = _random_factors(rng, 4, 4, 4)
+    C[2] = 0.0  # a vanishing column fits a zero gain in its row only
+    V = np.stack([np.kron(c, f) for c, f in zip(C, F)])
     rho = np.array([1 + 1j, -0.5j, 2.0, 0.25])
     Y = rho[:, None] * V * math.sqrt(3.0)
-    got = estimate_gain_lpu(Y, V, 3.0)
+    got = estimate_gain_lpu(Y, (C, F), 3.0)
     np.testing.assert_allclose(got, [1 + 1j, -0.5j, 0.0, 0.25], rtol=1e-12)
     for k in range(4):
-        assert got[k] == estimate_gain_lpu(Y[k], V[k], 3.0)
-    np.testing.assert_allclose(residual_update(Y, got, V, 3.0), 0.0, atol=1e-12)
+        assert got[k] == estimate_gain_lpu(Y[k], (C[k], F[k]), 3.0)
+    np.testing.assert_allclose(residual_update(Y, got, (C, F), 3.0), 0.0, atol=1e-12)

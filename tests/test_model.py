@@ -18,9 +18,9 @@ from nfce.model import (
     combined_gain,
     delay_steering,
     exact_distances,
-    freq_profile,
     index_offsets,
-    path_response,
+    profile_factors,
+    profile_sum,
     steering_vector,
     subarray_centers,
     subarray_delay_profile,
@@ -149,8 +149,8 @@ def test_delay_steering_periodicity():
     range_m=st.floats(0.0, 60.0),
     bandwidth_hz=st.floats(50e6, 800e6),
 )
-# a prime M (phase_ramp's direct np.exp branch), odd and even subarray sizes,
-# and a spacing that is not half a wavelength
+# a prime M (factors A = M, B = 1), odd and even subarray sizes, and a
+# spacing that is not half a wavelength
 @example(n_subarrays=3, subarray_size=3, M=13, spacing_m=None, theta=0.4,
          dist_m=9.0, range_m=7.0, bandwidth_hz=600e6)
 @example(n_subarrays=4, subarray_size=4, M=64, spacing_m=0.01, theta=-0.7,
@@ -168,17 +168,34 @@ def test_path_response_matches_plain_formula(
     expect = np.exp(1j * k_c * (dn - dist_m))[:, None] * profiles
     atol = 8 * np.finfo(float).eps * (k_c + np.abs(k_m).max()) * (range_m + dn.max())
 
-    got = path_response(theta, dist_m, range_m, geom, grid)
+    # one unit-gain path's channel, less its center-of-array carrier phase
+    path = PathParams(theta, dist_m, range_m)
+    got = synthesize_channel([path], geom, grid) / combined_gain(path, geom)
     assert got.shape == (geom.n_antennas, M)
     np.testing.assert_allclose(got, expect, rtol=0, atol=atol)
-    # freq_profile alone: a scalar length, and an array of lengths whose
-    # profiles run along a new last axis
-    np.testing.assert_allclose(freq_profile(range_m + dn[0], grid), profiles[0],
-                               rtol=0, atol=atol)
+    # the profile's Kronecker factors alone: a scalar length, and an array of
+    # lengths whose factors run along a new last axis
+    coarse, fine = profile_factors(range_m + dn[0], grid)
+    assert coarse.size * fine.size == M
+    np.testing.assert_allclose(np.kron(coarse, fine), profiles[0], rtol=0, atol=atol)
     lengths = (range_m + dn).reshape(n_subarrays, subarray_size)
-    np.testing.assert_allclose(freq_profile(lengths, grid),
+    coarse, fine = profile_factors(lengths, grid)
+    assert coarse.shape[:-1] == fine.shape[:-1] == (n_subarrays, subarray_size)
+    np.testing.assert_allclose((coarse[..., :, None] * fine[..., None, :]).reshape(
+                                   n_subarrays, subarray_size, M),
                                profiles.reshape(n_subarrays, subarray_size, M),
                                rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("M, B", [(64, 8), (96, 8), (13, 1), (2, 1)])
+def test_profile_factors_split(M, B):
+    # M = A B with B the largest divisor not above sqrt(M); a prime M gives
+    # B = 1 and a fine factor of ones
+    grid = SubcarrierGrid.from_bandwidth(M, 600e6)
+    coarse, fine = profile_factors(np.array([3.0, 41.5]), grid)
+    assert coarse.shape == (2, M // B) and fine.shape == (2, B)
+    if B == 1:
+        np.testing.assert_array_equal(fine, 1.0)
 
 
 def test_subarray_centers_against_exact_distances():
@@ -210,7 +227,7 @@ def test_antenna_delays_formula():
     geom = ArrayGeometry(64, 16, 7e9)
     grid = SubcarrierGrid.from_bandwidth(256, 600e6)
     path = PathParams(0.5, 11.0, 14.0, 1.0 + 0j)
-    tau = antenna_delays(path, geom, grid)
+    tau = antenna_delays([path], geom, grid)[:, 0]
     expect = grid.spacing_hz * (14.0 + exact_distances(0.5, 11.0, geom)) / SPEED_OF_LIGHT
     np.testing.assert_allclose(tau, expect, rtol=1e-14)
     assert np.all(tau > 0) and np.all(tau < 1)
@@ -271,3 +288,56 @@ def test_check_delay_validity():
     bad = PathParams(0.2, 80.0, 60.0, 1.0 + 0j)
     with pytest.raises(ValueError):
         check_delay_validity([ok, bad], geom, grid)
+
+
+def _profile_sum_loop(weights, lengths, grid):
+    """sum_l weights[g, r, l] p(lengths[g, l]), one plain profile per term."""
+    k_m = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * index_offsets(grid.n_subcarriers)
+    G, R, L = weights.shape
+    out = np.zeros((G, R, grid.n_subcarriers), dtype=complex)
+    for g in range(G):
+        for l in range(L):
+            out[g] += np.outer(weights[g, :, l], np.exp(1j * k_m * lengths[g, l]))
+    return out
+
+
+# groups of R x A x L coarse-times-weights entries, chunked at 2^13:
+# R = 1 with a partial last chunk (1 x 32 x 32, 20 = 8 + 8 + 4), R = 6 with
+# one group per chunk (6 x 32 x 22 > 4096), a prime M (B = 1, 3 x 37 x 4,
+# 40 = 18 + 18 + 4) and everything in one chunk
+@pytest.mark.parametrize("G, R, L, M, chunk", [(20, 1, 32, 1024, 8), (5, 6, 22, 1024, 1),
+                                              (40, 3, 4, 37, 18), (9, 2, 3, 64, 9)])
+def test_profile_sum_matches_plain_loop(G, R, L, M, chunk):
+    from nfce.model import _PROFILE_CHUNK_ENTRIES, _ramp_split
+
+    assert min(G, max(1, _PROFILE_CHUNK_ENTRIES // (R * _ramp_split(M)[0] * L))) == chunk
+    grid = SubcarrierGrid.from_bandwidth(M, 600e6)
+    rng = np.random.default_rng(G + R + L)
+    weights = rng.standard_normal((G, R, L)) + 1j * rng.standard_normal((G, R, L))
+    lengths = rng.uniform(1.0, 60.0, (G, L))
+    want = _profile_sum_loop(weights, lengths, grid)
+    got = profile_sum(weights, lengths, grid)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    # written into a given array, which it returns
+    out = np.empty((G, R, M), dtype=complex)
+    assert profile_sum(weights, lengths, grid, out=out) is out
+    np.testing.assert_array_equal(out, got)
+
+
+def test_synthesize_channel_needs_no_channel_sized_scratch():
+    # 4 paths at 1024/256/1024: the traced peak of one call stays within
+    # 1.25 times the bytes of H, which it returns
+    import tracemalloc
+
+    geom = ArrayGeometry(1024, 256, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(1024, 600e6)
+    paths = [PathParams(0.3, 12.0, 8.0, 1.0 + 0.2j), PathParams(-0.6, 25.0, 30.0, 0.5j),
+             PathParams(0.05, 7.5, 14.0, -0.8), PathParams(0.8, 40.0, 3.0, 0.3 - 0.3j)]
+    tracemalloc.start()
+    try:
+        H = synthesize_channel(paths, geom, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.shape == (1024, 1024)
+    assert peak <= 1.25 * H.nbytes

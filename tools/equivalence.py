@@ -4,7 +4,9 @@
     PYTHONPATH=src python3 tools/equivalence.py compare A.json B.json
 
 ``dump`` runs ``run_dps``, ``polar_omp_fallback`` and ``reconstruct_channel``
-on 153 scenarios and writes what they return as JSON.  The scenarios are
+on 153 scenarios and writes what they return as JSON, together with the
+synthesized channel H itself: its Frobenius norm and its projection on one
+fixed random matrix.  The scenarios are
 seeds 1000-1039 at the ``SimConfig`` defaults at 0, 10 and 20 dB, then seeds
 0-29 at the 64/16/128 config of acceptance test a12, then seeds 3-5 at the
 full 1024/256/1024 scale with 4 paths at 10 dB.  ``--limit N`` keeps the
@@ -13,7 +15,8 @@ checkout, point PYTHONPATH at its ``src``.  The tool pins BLAS to one thread.
 
 ``compare`` prints every discrete mismatch (stop reason, path count,
 correlation count, fallback, rejected count, delay-hop track) and the largest
-differences of theta/d/r, per-LPU gains and nmse_db.  Records whose keys or
+differences of theta/d/r, per-LPU gains, nmse_db and, relative, of the
+channel's norm and projection.  Records whose keys or
 array shapes differ (dumps written by different versions of this tool) are
 reported as different dump formats.  Paths whose range exceeds 1e4 m are
 unphysical; their gains, and the nmse_db of scenarios that hold one, are
@@ -49,7 +52,8 @@ from nfce.harness import (  # noqa: E402
 from nfce.model import synthesize_channel  # noqa: E402
 
 UNPHYSICAL_RANGE_M = 1e4
-TOLERANCES = {"theta/d/r": 0.0, "lpu gain": 1e-10, "nmse_db": 1e-9}
+TOLERANCES = {"theta/d/r": 0.0, "lpu gain": 1e-10, "nmse_db": 1e-9, "channel (relative)": 1e-12}
+PROJECTION_SEED = 20261018
 _DISCRETE = {
     "dps": ("stop_reason", "n_paths", "corr_total", "fallback", "rejected", "kappas"),
     "omp": ("n_paths", "corr"),
@@ -104,6 +108,20 @@ def _paths_record(paths, H, geom, grid) -> dict:
     }
 
 
+def channel_record(H: np.ndarray) -> dict:
+    """||H||_F and u^H H for one fixed random u of H's shape."""
+    rng = np.random.default_rng(PROJECTION_SEED)
+    u = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
+    proj = np.vdot(u, H)
+    return {"norm": float(np.linalg.norm(H)), "proj": [proj.real, proj.imag]}
+
+
+def _channel_difference(a: dict, b: dict) -> float:
+    """Largest relative difference of the norm and the projection."""
+    pa, pb = complex(*a["proj"]), complex(*b["proj"])
+    return max(abs(a["norm"] - b["norm"]) / a["norm"], abs(pa - pb) / abs(pa))
+
+
 def dump(limit: int | None = None) -> list[dict]:
     records = []
     for i, (name, cfg, H, W, Y, rule) in enumerate(scenarios()):
@@ -122,7 +140,7 @@ def dump(limit: int | None = None) -> list[dict]:
                                          cfg.distance_grid(), cfg.power)
         omp = _paths_record(paths, H, geom, grid)
         omp["corr"] = [int(c) for c in corr]
-        records.append({"name": name, "dps": dps, "omp": omp})
+        records.append({"name": name, "channel": channel_record(H), "dps": dps, "omp": omp})
     return records
 
 
@@ -134,6 +152,11 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], dict, dict]:
     if [r["name"] for r in a] != [r["name"] for r in b]:
         return ["the two dumps hold different scenario lists"], worst, skipped
     for ra, rb in zip(a, b):
+        if "channel" not in ra or "channel" not in rb:
+            mismatches.append(f"{ra['name']} channel: different dump formats (keys)")
+        else:
+            worst["channel (relative)"] = max(worst["channel (relative)"],
+                                              _channel_difference(ra["channel"], rb["channel"]))
         for alg, keys in _DISCRETE.items():
             xa, xb = ra[alg], rb[alg]
             if xa.keys() != xb.keys():
