@@ -615,6 +615,13 @@ def test_residual_update_subtracts_in_place():
     np.testing.assert_array_equal(Y, want)
     row = Y[1].copy()
     assert residual_update(row, rho[1], (C[1], F[1]), 3.0) is row
+    # rows of M = 4096 go two per chunk of 2^13 entries: 5 = 2 + 2 + 1
+    C, F = _random_factors(rng, 5, 64, 64)
+    Y = rng.standard_normal((5, 4096)) + 1j * rng.standard_normal((5, 4096))
+    rho = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    want = Y - ((math.sqrt(3.0) * rho[:, None] * C)[:, :, None] * F[:, None, :]).reshape(5, 4096)
+    residual_update(Y, rho, (C, F), 3.0)
+    np.testing.assert_array_equal(Y, want)
 
 
 def _reconstruct_per_block(paths, geom, grid):

@@ -4,11 +4,15 @@ Hand-computed distance oracles use a 2-element array with 2 m spacing so the
 element offsets are exactly +-1 m and the law of cosines reduces to integer
 arithmetic under the square root.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nfce.model import (
+    _PROFILE_CHUNK_ENTRIES,
+    _ramp_split,
     ArrayGeometry,
     PathParams,
     SPEED_OF_LIGHT,
@@ -308,8 +312,6 @@ def _profile_sum_loop(weights, lengths, grid):
 @pytest.mark.parametrize("G, R, L, M, chunk", [(20, 1, 32, 1024, 8), (5, 6, 22, 1024, 1),
                                               (40, 3, 4, 37, 18), (9, 2, 3, 64, 9)])
 def test_profile_sum_matches_plain_loop(G, R, L, M, chunk):
-    from nfce.model import _PROFILE_CHUNK_ENTRIES, _ramp_split
-
     assert min(G, max(1, _PROFILE_CHUNK_ENTRIES // (R * _ramp_split(M)[0] * L))) == chunk
     grid = SubcarrierGrid.from_bandwidth(M, 600e6)
     rng = np.random.default_rng(G + R + L)
@@ -327,8 +329,6 @@ def test_profile_sum_matches_plain_loop(G, R, L, M, chunk):
 def test_synthesize_channel_needs_no_channel_sized_scratch():
     # 4 paths at 1024/256/1024: the traced peak of one call stays within
     # 1.25 times the bytes of H, which it returns
-    import tracemalloc
-
     geom = ArrayGeometry(1024, 256, 7e9)
     grid = SubcarrierGrid.from_bandwidth(1024, 600e6)
     paths = [PathParams(0.3, 12.0, 8.0, 1.0 + 0.2j), PathParams(-0.6, 25.0, 30.0, 0.5j),
