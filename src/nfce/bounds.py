@@ -43,10 +43,6 @@ def sum_quart_offsets(K: int) -> float:
     """Sum of delta_k^4."""
     return K * (K * K - 1) * (3 * K * K - 7) / 240.0
 
-def half_sum_sq_offsets(K: int) -> float:
-    """Sum of delta_k^2 over the first half k = 1..K/2."""
-    return K * (K * K - 1) / 24.0
-
 
 # ---------------------------------------------------------------------------
 # Fisher information

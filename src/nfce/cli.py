@@ -26,6 +26,7 @@ from .harness import (
     load_config,
     monte_carlo_sweep,
     nmse_db,
+    parse_value,
     records_csv_text,
     run_trial,
 )
@@ -66,10 +67,10 @@ def _build_config(args) -> SimConfig:
         val = getattr(args, dest, None)
         if val is not None:
             overrides[dest] = val
-    if getattr(args, "snr_db", None):
-        overrides["snr_db"] = tuple(float(x) for x in args.snr_db.split(","))
-    if getattr(args, "algorithms", None):
-        overrides["algorithms"] = tuple(args.algorithms.split(","))
+    if args.snr_db is not None:
+        overrides["snr_db"] = parse_value(args.snr_db, "floats", "--snr-db")
+    if args.algorithms is not None:
+        overrides["algorithms"] = parse_value(args.algorithms, "strs", "--algorithms")
     if getattr(args, "timing", None):
         overrides["timing"] = True
     if getattr(args, "out", None) and args.command == "sweep":
@@ -82,7 +83,7 @@ def _build_config(args) -> SimConfig:
 def _cmd_simulate(args) -> int:
     cfg = _build_config(args)
     geom, grid = cfg.geometry(), cfg.grid()
-    snr = float(args.snr_db.split(",")[0]) if args.snr_db else cfg.snr_db[0]
+    snr = cfg.snr_db[0]
     paths, H, W, noise_var, Y = draw_trial(cfg, args.trial, snr)
     np.savez(
         args.out,
@@ -136,11 +137,11 @@ def _cmd_estimate(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg = _build_config(args)
     geom, grid = cfg.geometry(), cfg.grid()
-    thetas = [float(x) for x in args.theta.split(",")]
-    ds = [float(x) for x in args.d_m.split(",")]
-    rs = [float(x) for x in args.r_m.split(",")]
-    if not (len(thetas) == len(ds) == len(rs)):
-        raise ConfigError("theta, d-m and r-m lists must have equal lengths")
+    thetas = parse_value(args.theta, "floats", "--theta")
+    ds = parse_value(args.d_m, "floats", "--d-m")
+    rs = parse_value(args.r_m, "floats", "--r-m")
+    if not (0 < len(thetas) == len(ds) == len(rs)):
+        raise ConfigError("theta, d-m and r-m lists must be nonempty and of equal lengths")
     if not (math.isfinite(args.noise_var) and args.noise_var > 0.0):
         raise ConfigError(f"--noise-var must be finite and positive, got {args.noise_var!r}")
     text = bounds_table(list(zip(thetas, ds, rs)), geom, grid,

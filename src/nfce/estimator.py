@@ -26,8 +26,8 @@ from nfce.model import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     SubcarrierGrid,
+    delay_steering,
     index_offsets,
-    phase_ramp,
     profile_factors,
     profile_sum,
     steering_vector,
@@ -74,17 +74,11 @@ def grid_scores(y: np.ndarray, dictionary: DelayDictionary) -> np.ndarray:
     return np.abs(spectrum) ** 2 / M
 
 
-def conj_atoms(taus, size: int) -> np.ndarray:
-    """Conjugated atoms b(tau)^*, one row per entry of ``taus``, shape (len, size)."""
-    delta = index_offsets(size)
-    return np.exp(2j * np.pi * np.outer(np.asarray(taus, dtype=float), delta)).conj()
-
-
 def window_scores(y: np.ndarray, atoms_h: np.ndarray) -> np.ndarray:
     """|b(tau)^H y|^2 / M for a handful of off-grid candidates (direct).
 
-    ``atoms_h`` holds the candidates' conjugated atoms row by row
-    (:func:`conj_atoms`, or the cached hop table :func:`shift_table`).
+    ``atoms_h`` holds the candidates' conjugated atoms b(tau)^* row by row,
+    e.g. the cached hop table :func:`shift_table`.
     """
     return np.abs(atoms_h @ y) ** 2 / atoms_h.shape[-1]
 
@@ -121,7 +115,7 @@ def shift_table(m_hop: int, size: int) -> np.ndarray:
     a row by b(tau)^* every hop is scored against this one fixed table.  The
     table is shared by every caller, hence read-only.
     """
-    table = conj_atoms(np.arange(-m_hop, m_hop + 1) / size, size)
+    table = delay_steering((np.arange(-m_hop, m_hop + 1) / size)[:, None], size).conj()
     table.flags.writeable = False
     return table
 
@@ -195,7 +189,7 @@ def extrapolate_delays(
     taus = np.zeros(K)
     kappas = np.zeros(K, dtype=int)
     taus[kc] = seed_tau
-    seed_ramp = phase_ramp(-2.0 * np.pi * seed_tau, M)
+    seed_ramp = delay_steering(seed_tau, M).conj()
     for chain, back in ((range(kc + 1, K), -1), (range(kc - 1, -1, -1), 1)):
         ramp = seed_ramp
         for k in chain:
@@ -533,25 +527,24 @@ def decouple_profile(
 ):
     """Full parameter decoupling of one delay track.
 
-    Runs the Fresnel reflection solves, then (refine="exact") the
-    exact-geometry closed-form fit, keeping whichever is valid.  Returns
-    (theta, d, r, clamped, refined) or None when the path is unidentifiable.
+    With refine="exact" the exact-geometry closed-form fit is kept when it
+    is valid; otherwise (or with refine="none") the Fresnel reflection solves
+    give the path.  The angle solve always runs, since it supplies the clamp
+    flag.  Returns (theta, d, r, clamped, refined) or None when the path is
+    unidentifiable.
     """
     if refine not in ("exact", "none"):
         raise ValueError(f"unknown refine mode {refine!r}")
     taus = track.taus_unwrapped
     theta, clamped = decouple_angle(taus, geom, grid)
-    dist = decouple_distance(taus, theta, geom, grid)
-    fresnel_ok = math.isfinite(dist) and dist > 0.0
-    if fresnel_ok:
-        rng_m = decouple_range(taus, theta, dist, geom, grid)
     if refine == "exact":
         fit = fit_profile_exact(taus, geom, grid)
-        if fit is not None and fit[1] > 0.0:
+        if fit is not None:
             return fit[0], fit[1], fit[2], clamped, True
-    if not fresnel_ok:
+    dist = decouple_distance(taus, theta, geom, grid)
+    if not (math.isfinite(dist) and dist > 0.0):
         return None
-    return theta, dist, rng_m, clamped, False
+    return theta, dist, decouple_range(taus, theta, dist, geom, grid), clamped, False
 
 
 def fit_and_cancel(

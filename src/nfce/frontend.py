@@ -69,13 +69,6 @@ def observe(
     return Y
 
 
-def snr_db(H: np.ndarray, combiners: np.ndarray, power: float, noise_var: float) -> float:
-    """Post-combining SNR: P ||A H||_F^2 / (K M sigma^2), in dB."""
-    AH = combine(H, combiners)
-    signal = power * float(np.vdot(AH, AH).real)
-    return 10.0 * np.log10(signal / (AH.size * noise_var))
-
-
 def noise_var_for_snr(
     H: np.ndarray, combiners: np.ndarray, power: float, snr_target_db: float
 ) -> float:

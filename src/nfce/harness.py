@@ -38,7 +38,6 @@ from .estimator import (
     StoppingRule,
     check_inputs,
     fit_and_cancel,
-    max_hop,
     ml_delay_detect,
     reconstruct_channel,
     run_dps,
@@ -117,11 +116,15 @@ class SimConfig:
         if not (np.isfinite(self.r_max_m) and 0.0 <= self.r_min_m <= self.r_max_m):
             raise ConfigError("paths.r range must be finite and satisfy "
                               "0 <= r_min_m <= r_max_m")
+        if not self.algorithms:
+            raise ConfigError("sweep.algorithms must name at least one algorithm")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError(
                     f"unknown algorithm {alg!r}; choose from {ALGORITHMS}"
                 )
+        if not self.snr_db:
+            raise ConfigError("sweep.snr_db must list at least one SNR")
         if not all(np.isfinite(self.snr_db)):
             raise ConfigError(f"sweep.snr_db must be finite, got {self.snr_db}")
         if not (np.isfinite(self.power) and self.power > 0.0):
@@ -155,18 +158,6 @@ class SimConfig:
         return np.geomspace(
             self.distance_grid_min_m, self.distance_grid_max_m, self.distance_grid_size
         )
-
-    def derived_summary(self) -> dict:
-        geom, grid = self.geometry(), self.grid()
-        noise_ref = 1.0
-        return {
-            "subarray_size": geom.subarray_size,
-            "subcarrier_spacing_hz": grid.spacing_hz,
-            "extrapolation_hop": max_hop(geom, grid),
-            "cfar_threshold_unit_noise": stopping_threshold(
-                noise_ref, grid.n_subcarriers, self.p_fa
-            ),
-        }
 
 
 _SCHEMA = {
@@ -204,7 +195,12 @@ _SCHEMA = {
 }
 
 
-def _convert(raw: str, kind, where: str):
+def parse_value(raw: str, kind, where: str):
+    """Parse one INI value or CLI flag of ``kind``: a type, "floats", "strs" or "bool".
+
+    Lists are separated by commas and/or whitespace, so "10,,20" reads as
+    (10.0, 20.0).  A malformed value raises ConfigError prefixed with ``where``.
+    """
     try:
         if kind == "floats":
             return tuple(float(x) for x in raw.replace(",", " ").split())
@@ -235,7 +231,7 @@ def load_config(path: str, overrides: dict | None = None) -> SimConfig:
             if entry is None:
                 raise ConfigError(f"unknown config key [{section}] {key}")
             name, kind = entry
-            values[name] = _convert(raw, kind, f"[{section}] {key}")
+            values[name] = parse_value(raw, kind, f"[{section}] {key}")
     if overrides:
         values.update(overrides)
     return SimConfig(**values)

@@ -94,10 +94,6 @@ class ArrayGeometry:
     def subarray_pitch_m(self) -> float:
         return self.subarray_size * self.spacing_m
 
-    @property
-    def aperture_m(self) -> float:
-        return (self.n_antennas - 1) * self.spacing_m
-
     def subarray_slice(self, k: int) -> slice:
         """Row slice of subarray ``k`` (0-based) into length-N arrays."""
         if not 0 <= k < self.n_subarrays:
@@ -198,34 +194,19 @@ def _ramp_split(count: int):
     return outer, j_offsets
 
 
-def _ramp_factors(phi, count: int):
-    """(exp(j phi c), exp(j phi f)) of :func:`_ramp_split`, shapes (..., A) and (..., B)."""
-    outer, j_offsets = _ramp_split(count)
-    e = np.exp(np.asarray(phi, dtype=float)[..., None] * j_offsets)
-    return e[..., :outer], e[..., outer:]
-
-
-def phase_ramp(phi, count: int) -> np.ndarray:
-    """exp(j phi delta_m) over the offsets delta = index_offsets(count).
-
-    ``phi`` is a scalar or an array; the ramp runs along a new last axis.
-    Splitting count = A B, delta = c_a + f_b and the ramp is the outer
-    product of exp(j phi c) and exp(j phi f): A + B complex exponentials
-    instead of count.
-    """
-    coarse, fine = _ramp_factors(phi, count)
-    return (coarse[..., :, None] * fine[..., None, :]).reshape(coarse.shape[:-1] + (count,))
-
-
 def profile_factors(length_m, grid: SubcarrierGrid) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker factors (coarse (..., A), fine (..., B)) of the frequency profile.
 
     The profile of a propagation length L, p_m = exp(j 2 pi delta_m df L / c),
-    is kron(coarse, fine) along the last axis, M = A B.  ``length_m`` is a
-    length or an array of them; the factors run along a new last axis.
+    is kron(coarse, fine) along the last axis, M = A B: with phi = 2 pi df L / c
+    the factors are exp(j phi c) and exp(j phi f) of :func:`_ramp_split`.
+    ``length_m`` is a length or an array of them; the factors run along a new
+    last axis.
     """
+    outer, j_offsets = _ramp_split(grid.n_subcarriers)
     phi = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * np.asarray(length_m, dtype=float)
-    return _ramp_factors(phi, grid.n_subcarriers)
+    e = np.exp(phi[..., None] * j_offsets)
+    return e[..., :outer], e[..., outer:]
 
 
 # Entries of one chunk's coarse-times-weights stack in profile_sum: 2^13

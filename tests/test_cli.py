@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, output formats."""
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +173,64 @@ def test_bad_omp_grid_and_max_paths_are_config_errors(tmp_path, capsys, ini, fla
     err = capsys.readouterr().err
     assert err.startswith("error: config:")
     assert key in err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "x.npz"], ["estimate"], ["sweep"],
+])
+@pytest.mark.parametrize("key", ["snr_db", "algorithms"])
+def test_empty_sweep_list_is_a_config_error(tmp_path, monkeypatch, capsys, command, key):
+    monkeypatch.chdir(tmp_path)
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[sweep]\n{key} =\n")
+    rc = main([*command, "--config", str(ini), *COMMON])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and f"sweep.{key}" in err
+    assert not (tmp_path / "x.npz").exists()
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["sweep", *COMMON, "--snr-db", "a,b"], "--snr-db"),
+    (["sweep", *COMMON, "--snr-db", ""], "sweep.snr_db"),
+    (["sweep", *COMMON, "--algorithms", ","], "sweep.algorithms"),
+    (["simulate", *COMMON, "--snr-db", "1e", "--out", "x.npz"], "--snr-db"),
+    (["bounds", "--theta", "a"], "--theta"),
+    (["bounds", "--d-m", "10,x"], "--d-m"),
+    (["bounds", "--theta", "", "--d-m", "", "--r-m", ""], "nonempty"),
+])
+def test_malformed_list_flag_is_a_config_error(tmp_path, monkeypatch, capsys, argv, where):
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and where in err
+    assert not (tmp_path / "x.npz").exists()
+
+
+def test_list_flags_read_like_ini_lists(capsys):
+    # the flags share the INI parser: empty entries and spaces are skipped
+    rc = main(["sweep", *COMMON, "--trials", "1", "--snr-db", "10,,20",
+               "--algorithms", "ls, dps"])
+    assert rc == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [(r.split(",")[2], r.split(",")[8]) for r in rows] == [
+        ("10", "ls"), ("10", "dps"), ("20", "ls"), ("20", "dps")]
+
+
+def test_module_entry_point_runs_a_sweep():
+    # python -m nfce.cli, as a user runs it, in a fresh interpreter
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nfce.cli", "sweep", "--trials", "1", "--snr-db", "10",
+         "--algorithms", "dps,ls"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().split("\n")
+    assert lines[0] == CSV_COLUMNS
+    assert len(lines) == 1 + 2
 
 
 def test_scenario_round_trip_keeps_spacing(tmp_path, capsys):

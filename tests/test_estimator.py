@@ -14,7 +14,6 @@ from nfce.model import (
     SubcarrierGrid,
     delay_steering,
     index_offsets,
-    phase_ramp,
     steering_vector,
     subarray_centers,
     subarray_delay_profile,
@@ -27,7 +26,6 @@ from nfce.estimator import (
     PathEstimate,
     StoppingRule,
     central_index,
-    conj_atoms,
     decouple_angle,
     decouple_distance,
     decouple_profile,
@@ -82,7 +80,8 @@ def test_window_scores_match_grid_scores_on_grid():
     rng = np.random.default_rng(4)
     y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     np.testing.assert_allclose(
-        window_scores(y, conj_atoms(dic.grid, 32)), grid_scores(y, dic), atol=1e-10
+        window_scores(y, delay_steering(dic.grid[:, None], 32).conj()), grid_scores(y, dic),
+        atol=1e-10
     )
 
 
@@ -120,7 +119,7 @@ def test_central_index():
 def test_extrapolate_step_window():
     dic = DelayDictionary(64)
     prev = dic.grid[20]
-    ramp = phase_ramp(-2 * np.pi * prev, 64)  # b(prev)^*
+    ramp = delay_steering(prev, 64).conj()  # b(prev)^*
     y = delay_steering(dic.grid[22], 64)  # two bins up
     kappa, _, next_ramp = extrapolate_step(y, ramp, 2)
     assert kappa == 2
@@ -400,7 +399,7 @@ def _extrapolate_rebuilt(Y, seed_tau, geom, dictionary, m_hop):
     for chain, back in ((range(kc + 1, K), -1), (range(kc - 1, -1, -1), 1)):
         for k in chain:
             prev = taus[k + back]
-            scores = window_scores(Y[k] * phase_ramp(-2.0 * np.pi * prev, M), table)
+            scores = window_scores(Y[k] * delay_steering(prev, M).conj(), table)
             kappas[k] = int(np.argmax(scores)) - m_hop
             taus[k] = prev + kappas[k] / M
     return kappas, taus
@@ -431,11 +430,11 @@ def test_chained_hops_match_rebuilt_ramps(equivalence):
     # the ramp carried to the end of the longer (ascending) chain stays
     # within 1e-12 of the ramp rebuilt at that tau
     M, K = dic.size, geom.n_subarrays
-    ramp = phase_ramp(-2.0 * np.pi * tau_c, M)
+    ramp = delay_steering(tau_c, M).conj()
     for k in range(kc + 1, K):
         _, _, ramp = extrapolate_step(Y[k], ramp, m_hop)
     assert K - 1 - kc == 128
-    np.testing.assert_allclose(ramp, phase_ramp(-2.0 * np.pi * track.taus_unwrapped[-1], M),
+    np.testing.assert_allclose(ramp, delay_steering(track.taus_unwrapped[-1], M).conj(),
                                rtol=0, atol=1e-12)
 
 
@@ -489,17 +488,32 @@ def _assert_close(got, want):
 
 
 @pytest.mark.parametrize("M", [2, 7, 96, 128, 1024])
-def test_phase_ramp_matches_direct_exponential(M):
-    phis = np.concatenate([[0.0, 2 * np.pi, -2 * np.pi, 1e-9],
-                           np.random.default_rng(M).uniform(-2 * np.pi, 2 * np.pi, 12)])
-    for phi in phis:
-        np.testing.assert_allclose(phase_ramp(phi, M),
-                                   np.exp(1j * phi * index_offsets(M)),
+def test_hop_atoms_match_direct_exponential(M, monkeypatch):
+    # the hop table's rows b(kappa/M)^* and extrapolate_delays' seed ramp
+    # b(tau_c)^* are the plain exponentials exp(-j 2 pi delta_m tau)
+    delta = index_offsets(M)
+    for m_hop in (1, 3):
+        kappas = np.arange(-m_hop, m_hop + 1)
+        np.testing.assert_allclose(shift_table(m_hop, M),
+                                   np.exp(-2j * np.pi * np.outer(kappas / M, delta)),
                                    rtol=1e-12, atol=0)
-    # an array of phases gives one ramp per entry along a new last axis
-    np.testing.assert_allclose(phase_ramp(phis, M),
-                               np.exp(1j * np.outer(phis, index_offsets(M))),
-                               rtol=1e-12, atol=0)
+    # with K = 2 the one hop, center -> subarray 1, is handed the seed ramp
+    ramps = []
+
+    def record_ramp(y, ramp, m_hop):
+        ramps.append(ramp)
+        return extrapolate_step(y, ramp, m_hop)
+
+    monkeypatch.setattr("nfce.estimator.extrapolate_step", record_ramp)
+    geom, dic = ArrayGeometry(2, 2), DelayDictionary(M)
+    Y = np.ones((2, M), dtype=complex)
+    taus = np.concatenate([[0.0, 1e-9, dic.grid[0], dic.grid[-1]],
+                           np.random.default_rng(M).uniform(0.0, 1.0, 8)])
+    for tau in taus:
+        extrapolate_delays(Y, tau, geom, dic, 1)
+        np.testing.assert_allclose(ramps.pop(), np.exp(-2j * np.pi * tau * delta),
+                                   rtol=1e-12, atol=0)
+    assert not ramps
 
 
 @pytest.mark.parametrize("off_grid", [False, True])
@@ -517,7 +531,7 @@ def test_hop_scores_match_direct_window(off_grid):
             np.exp(2j * np.pi * np.outer(prev + kappas / M, delta)).conj() @ y) ** 2 / M
         hop = window_scores(y * np.exp(-2j * np.pi * prev * delta), shift_table(m_hop, M))
         _assert_close(hop, direct)
-        kappa, score, ramp = extrapolate_step(y, phase_ramp(-2 * np.pi * prev, M), m_hop)
+        kappa, score, ramp = extrapolate_step(y, np.exp(-2j * np.pi * prev * delta), m_hop)
         assert kappa == kappas[np.argmax(direct)]
         assert score == pytest.approx(direct.max(), rel=1e-12)
         # the carried ramp is b(tau)^* at the winner tau = prev + kappa/M

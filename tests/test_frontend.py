@@ -16,7 +16,6 @@ from nfce.frontend import (
     noise_var_for_snr,
     observe,
     random_phase_combiner,
-    snr_db,
 )
 
 from conftest import matched_combiner
@@ -87,7 +86,11 @@ def test_snr_roundtrip():
     geom, grid, _, H = _setup()
     W = random_phase_combiner(geom, np.random.default_rng(9))
     nv = noise_var_for_snr(H, W, 2.0, 12.5)
-    assert snr_db(H, W, 2.0, nv) == pytest.approx(12.5, abs=1e-9)
+    # the post-combining SNR P ||A H||_F^2 / (K M sigma^2) is the target
+    AH = combining_matrix(W) @ H
+    signal = 2.0 * np.sum(np.abs(AH) ** 2)
+    assert nv == pytest.approx(signal / (AH.size * 10.0 ** (12.5 / 10.0)), rel=1e-12)
+    assert 10.0 * np.log10(signal / (AH.size * nv)) == pytest.approx(12.5, abs=1e-9)
 
 
 def test_apply_impairments_gain_only():

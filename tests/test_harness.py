@@ -77,12 +77,15 @@ def test_simconfig_validation():
     assert cfg.grid().n_subcarriers == 256
 
 
-def test_simconfig_derived_summary():
-    cfg = SimConfig(n_antennas=1024, n_subarrays=256, n_subcarriers=1024)
-    summary = cfg.derived_summary()
-    assert summary["subarray_size"] == 4
-    assert summary["extrapolation_hop"] == 1
-    assert summary["cfar_threshold_unit_noise"] == pytest.approx(13.838726876123081)
+@pytest.mark.parametrize("key", ["snr_db", "algorithms"])
+def test_empty_sweep_list_is_a_config_error(tmp_path, key):
+    # an empty list leaves a trial no SNR to draw at and a sweep nothing to run
+    with pytest.raises(ConfigError, match=f"sweep.{key}"):
+        SimConfig(**{key: ()})
+    path = tmp_path / "run.ini"
+    path.write_text(f"[sweep]\n{key} =\n")
+    with pytest.raises(ConfigError, match=f"sweep.{key}"):
+        load_config(str(path))
 
 
 def test_load_config_ini(tmp_path):

@@ -52,7 +52,6 @@ def test_geometry_defaults_half_wavelength():
     geom = ArrayGeometry(256, 32, 7e9)
     assert geom.spacing_m == pytest.approx(299792458.0 / 7e9 / 2, rel=1e-15)
     assert geom.subarray_size == 8
-    assert geom.aperture_m == pytest.approx(255 * geom.spacing_m)
     assert geom.subarray_pitch_m == pytest.approx(8 * geom.spacing_m)
 
 
