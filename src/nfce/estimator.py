@@ -58,6 +58,14 @@ class DelayDictionary:
         return (2.0 * m - 1.0) / (2.0 * self.size)
 
 
+@functools.lru_cache(maxsize=8)
+def _pre_rotation(size: int) -> np.ndarray:
+    """exp(-j pi i / M), i = 0..M-1: :func:`grid_scores`' pre-rotation, shared and read-only."""
+    pre = np.exp(-1j * np.pi * np.arange(size) / size)
+    pre.flags.writeable = False
+    return pre
+
+
 def grid_scores(y: np.ndarray, dictionary: DelayDictionary) -> np.ndarray:
     """|b(tau_m)^H y|^2 / M over the full grid, computed via one FFT.
 
@@ -68,9 +76,7 @@ def grid_scores(y: np.ndarray, dictionary: DelayDictionary) -> np.ndarray:
     M = dictionary.size
     if y.shape != (M,):
         raise ValueError(f"expected length-{M} vector, got {y.shape}")
-    i = np.arange(M)
-    pre = np.exp(-1j * np.pi * i / M)
-    spectrum = np.fft.fft(y * pre)
+    spectrum = np.fft.fft(y * _pre_rotation(M))
     return np.abs(spectrum) ** 2 / M
 
 
@@ -78,7 +84,7 @@ def window_scores(y: np.ndarray, atoms_h: np.ndarray) -> np.ndarray:
     """|b(tau)^H y|^2 / M for a handful of off-grid candidates (direct).
 
     ``atoms_h`` holds the candidates' conjugated atoms b(tau)^* row by row,
-    e.g. the cached hop table :func:`shift_table`.
+    e.g. an extrapolation hop's candidate window.
     """
     return np.abs(atoms_h @ y) ** 2 / atoms_h.shape[-1]
 
@@ -87,11 +93,12 @@ def ml_delay_detect(y: np.ndarray, dictionary: DelayDictionary):
     """Largest-correlation grid point: (0-based index, tau, score).
 
     Score is |b^H y|^2 / ||b||^2; ties resolve to the smallest index
-    (np.argmax returns the first maximum).  A zero vector returns score 0.
+    (argmax returns the first maximum).  A zero vector returns score 0.
+    The winner's tau is computed alone, as ``dictionary.grid`` would give it.
     """
     scores = grid_scores(y, dictionary)
-    idx = int(np.argmax(scores))
-    return idx, float(dictionary.grid[idx]), float(scores[idx])
+    idx = int(scores.argmax())
+    return idx, (2.0 * idx + 1.0) / (2.0 * dictionary.size), float(scores[idx])
 
 
 def max_hop(geom: ArrayGeometry, grid: SubcarrierGrid) -> int:
@@ -111,30 +118,39 @@ def max_hop(geom: ArrayGeometry, grid: SubcarrierGrid) -> int:
 def shift_table(m_hop: int, size: int) -> np.ndarray:
     """Conjugated hop atoms b(kappa/M)^*, kappa = -m_hop..m_hop, shape (2 m_hop + 1, M).
 
-    b(tau + kappa/M) = b(tau) * b(kappa/M) elementwise, so after de-rotating
-    a row by b(tau)^* every hop is scored against this one fixed table.  The
-    table is shared by every caller, hence read-only.
+    b(tau + kappa/M) = b(tau) * b(kappa/M) elementwise, so the candidate
+    window of a hop from tau is this table times b(tau)^*, and rows
+    m_hop -+ 1 step a window by one bin.  The table is shared by every
+    caller, hence read-only.
     """
     table = delay_steering((np.arange(-m_hop, m_hop + 1) / size)[:, None], size).conj()
     table.flags.writeable = False
     return table
 
 
-def extrapolate_step(y: np.ndarray, ramp: np.ndarray, m_hop: int):
+def extrapolate_step(y: np.ndarray, window: np.ndarray, m_hop: int):
     """One serial hop: pick kappa in [-m_hop, m_hop] maximizing the score.
 
-    ``ramp`` is b(tau_prev)^*, the previous hop's de-rotation.  The
-    candidates prev_tau + kappa/M are scored by de-rotating ``y`` with it and
-    correlating against the cached :func:`shift_table`; b() is 1-periodic so
-    no explicit wrap is needed.  Ties resolve to the most negative kappa
-    (first maximum).  Returns (kappa, score, next ramp): since
-    b(tau + kappa/M)^* = b(tau)^* b(kappa/M)^*, the winner's ramp is
-    ``ramp`` times its table row, with no new exponential.
+    ``window`` is the (2 m_hop + 1, M) candidate window, row kappa + m_hop
+    holding b(tau_prev + kappa/M)^*; ``y`` is scored against it as it is.
+    b() is 1-periodic so no explicit wrap is needed.  Ties resolve to the
+    most negative kappa (first maximum).  Returns (kappa, score) and slides
+    ``window`` in place to the winner, so that it holds the next hop's
+    candidates: the rows move by |kappa| and each new edge row is its
+    neighbour times :func:`shift_table`'s row b(+-1/M)^*.  A kappa = 0 hop
+    leaves the window as it is.
     """
-    table = shift_table(m_hop, y.shape[-1])
-    scores = window_scores(y * ramp, table)
-    j = int(np.argmax(scores))
-    return j - m_hop, float(scores[j]), ramp * table[j]
+    scores = window_scores(y, window)
+    j = int(scores.argmax())
+    kappa = j - m_hop
+    if kappa:
+        # slide toward the winner: a negative kappa slides the row-reversed view up
+        rows, n = (window, kappa) if kappa > 0 else (window[::-1], -kappa)
+        rows[:-n] = rows[n:]
+        step = shift_table(m_hop, y.shape[-1])[m_hop + kappa // n]
+        for row in range(len(rows) - n, len(rows)):
+            np.multiply(rows[row - 1], step, out=rows[row])
+    return kappa, float(scores[j])
 
 
 def central_index(n_subarrays: int) -> int:
@@ -181,19 +197,20 @@ def extrapolate_delays(
 
     Ascending chain center -> K-1 and descending chain center -> 0, each hop
     evaluating exactly 2*m_hop+1 correlations on that subarray's row.  The
-    de-rotation b(seed_tau)^* is built once; each chain carries it from hop
-    to hop (:func:`extrapolate_step`).
+    candidate window around seed_tau, ``shift_table`` times b(seed_tau)^*,
+    is built once; each chain slides its own copy from hop to hop
+    (:func:`extrapolate_step`).
     """
     K, M = geom.n_subarrays, dictionary.size
     kc = central_index(K)
     taus = np.zeros(K)
     kappas = np.zeros(K, dtype=int)
     taus[kc] = seed_tau
-    seed_ramp = delay_steering(seed_tau, M).conj()
+    seed_window = shift_table(m_hop, M) * delay_steering(seed_tau, M).conj()
     for chain, back in ((range(kc + 1, K), -1), (range(kc - 1, -1, -1), 1)):
-        ramp = seed_ramp
+        window = seed_window.copy()
         for k in chain:
-            kappa, _, ramp = extrapolate_step(Y[k], ramp, m_hop)
+            kappa, _ = extrapolate_step(Y[k], window, m_hop)
             kappas[k] = kappa
             taus[k] = taus[k + back] + kappa / M
     return SubarrayDelayTrack(taus, kappas, m_hop, kc, dictionary.size)

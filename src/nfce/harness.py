@@ -123,6 +123,9 @@ class SimConfig:
                 raise ConfigError(
                     f"unknown algorithm {alg!r}; choose from {ALGORITHMS}"
                 )
+        repeated = sorted({alg for alg in self.algorithms if self.algorithms.count(alg) > 1})
+        if repeated:
+            raise ConfigError(f"sweep.algorithms names {', '.join(repeated)} more than once")
         if not self.snr_db:
             raise ConfigError("sweep.snr_db must list at least one SNR")
         if not all(np.isfinite(self.snr_db)):

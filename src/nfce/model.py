@@ -201,11 +201,19 @@ def profile_factors(length_m, grid: SubcarrierGrid) -> tuple[np.ndarray, np.ndar
     is kron(coarse, fine) along the last axis, M = A B: with phi = 2 pi df L / c
     the factors are exp(j phi c) and exp(j phi f) of :func:`_ramp_split`.
     ``length_m`` is a length or an array of them; the factors run along a new
-    last axis.
+    last axis.  Both offset sets are symmetric about 0 (offset i < n/2 is
+    minus offset n-1-i), so only the non-negative half of each is
+    exponentiated and the other half is its conjugate, exp(-j phi o) =
+    exp(j phi o)^*: the same bits as exponentiating every offset.
     """
     outer, j_offsets = _ramp_split(grid.n_subcarriers)
     phi = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * np.asarray(length_m, dtype=float)
-    e = np.exp(phi[..., None] * j_offsets)
+    e = np.empty(phi.shape + j_offsets.shape, dtype=complex)
+    for part in (slice(0, outer), slice(outer, None)):
+        factor, j_part = e[..., part], j_offsets[part]
+        n_neg = j_part.size // 2
+        np.exp(phi[..., None] * j_part[n_neg:], out=factor[..., n_neg:])
+        np.conjugate(factor[..., :-n_neg - 1:-1], out=factor[..., :n_neg])
     return e[..., :outer], e[..., outer:]
 
 

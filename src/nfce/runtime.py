@@ -97,9 +97,6 @@ class DistributedResult(DpsResult):
     corr_by_lpu: np.ndarray
     trace: list
 
-    def trace_lines(self) -> list[str]:
-        return [m.format() for m in self.trace]
-
 
 def run_distributed(
     Y: np.ndarray,

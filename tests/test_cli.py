@@ -208,6 +208,22 @@ def test_malformed_list_flag_is_a_config_error(tmp_path, monkeypatch, capsys, ar
     assert not (tmp_path / "x.npz").exists()
 
 
+@pytest.mark.parametrize("ini, flags", [
+    ("", ["--algorithms", "ls,ls"]),
+    ("[sweep]\nalgorithms = dps, ls, dps\n", []),
+])
+def test_repeated_algorithm_is_a_config_error(tmp_path, capsys, ini, flags):
+    # a repeated name would run that algorithm twice and write its rows twice
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(ini)
+    rc = main(["sweep", "--config", str(cfg), *COMMON, "--trials", "1", *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config:") and "sweep.algorithms" in captured.err
+    assert ("ls" if flags else "dps") in captured.err.split("names", 1)[1]
+    assert not captured.out
+
+
 def test_list_flags_read_like_ini_lists(capsys):
     # the flags share the INI parser: empty entries and spaces are skipped
     rc = main(["sweep", *COMMON, "--trials", "1", "--snr-db", "10,,20",

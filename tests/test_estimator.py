@@ -116,20 +116,30 @@ def test_central_index():
         central_index(5)
 
 
+def _window_at(tau, m_hop, M):
+    """Candidate window b(tau + kappa/M)^*, kappa = -m_hop..m_hop, rebuilt from tau."""
+    return delay_steering((tau + np.arange(-m_hop, m_hop + 1) / M)[:, None], M).conj()
+
+
 def test_extrapolate_step_window():
     dic = DelayDictionary(64)
     prev = dic.grid[20]
-    ramp = delay_steering(prev, 64).conj()  # b(prev)^*
+    window = shift_table(2, 64) * delay_steering(prev, 64).conj()  # b(prev + kappa/M)^*
     y = delay_steering(dic.grid[22], 64)  # two bins up
-    kappa, _, next_ramp = extrapolate_step(y, ramp, 2)
+    kappa, _ = extrapolate_step(y, window, 2)
     assert kappa == 2
     assert prev + kappa / 64 == pytest.approx(dic.grid[22])
-    # the returned ramp de-rotates the winner, b(prev + kappa/M)^*
-    np.testing.assert_allclose(next_ramp, delay_steering(dic.grid[22], 64).conj(),
-                               rtol=0, atol=1e-12)
+    # the window slid to the winner holds b(prev + kappa/M + kappa'/M)^*
+    np.testing.assert_allclose(window, _window_at(dic.grid[22], 2, 64), rtol=0, atol=1e-12)
+    # a hop that stays put leaves the window's bits as they are
+    before = window.copy()
+    assert extrapolate_step(y, window, 2)[0] == 0
+    np.testing.assert_array_equal(window, before)
     # hop cap of one bin cannot reach it; best in-window candidate wins
-    kappa1, _, _ = extrapolate_step(y, ramp, 1)
+    window1 = shift_table(1, 64) * delay_steering(prev, 64).conj()
+    kappa1, _ = extrapolate_step(y, window1, 1)
     assert kappa1 == 1
+    np.testing.assert_allclose(window1, _window_at(dic.grid[21], 1, 64), rtol=0, atol=1e-12)
 
 
 def test_stopping_threshold_frozen_values():
@@ -427,14 +437,15 @@ def test_chained_hops_match_rebuilt_ramps(equivalence):
         kappas, taus = _extrapolate_rebuilt(Y, tau_c, geom, dic, m_hop)
         np.testing.assert_array_equal(track.kappas, kappas)
         np.testing.assert_array_equal(track.taus_unwrapped, taus)
-    # the ramp carried to the end of the longer (ascending) chain stays
-    # within 1e-12 of the ramp rebuilt at that tau
+    # the window carried to the end of the longer (ascending) chain stays
+    # within 1e-12 of the window rebuilt at that tau
     M, K = dic.size, geom.n_subarrays
-    ramp = delay_steering(tau_c, M).conj()
+    window = shift_table(m_hop, M) * delay_steering(tau_c, M).conj()
     for k in range(kc + 1, K):
-        _, _, ramp = extrapolate_step(Y[k], ramp, m_hop)
+        extrapolate_step(Y[k], window, m_hop)
     assert K - 1 - kc == 128
-    np.testing.assert_allclose(ramp, delay_steering(track.taus_unwrapped[-1], M).conj(),
+    assert np.count_nonzero(track.kappas[kc + 1:]) > 0  # the window did slide
+    np.testing.assert_allclose(window, _window_at(track.taus_unwrapped[-1], m_hop, M),
                                rtol=0, atol=1e-12)
 
 
@@ -489,31 +500,34 @@ def _assert_close(got, want):
 
 @pytest.mark.parametrize("M", [2, 7, 96, 128, 1024])
 def test_hop_atoms_match_direct_exponential(M, monkeypatch):
-    # the hop table's rows b(kappa/M)^* and extrapolate_delays' seed ramp
-    # b(tau_c)^* are the plain exponentials exp(-j 2 pi delta_m tau)
+    # the hop table's rows b(kappa/M)^* and extrapolate_delays' seed window
+    # b(tau_c + kappa/M)^* are the plain exponentials exp(-j 2 pi delta_m tau)
     delta = index_offsets(M)
     for m_hop in (1, 3):
         kappas = np.arange(-m_hop, m_hop + 1)
         np.testing.assert_allclose(shift_table(m_hop, M),
                                    np.exp(-2j * np.pi * np.outer(kappas / M, delta)),
                                    rtol=1e-12, atol=0)
-    # with K = 2 the one hop, center -> subarray 1, is handed the seed ramp
-    ramps = []
+    # with K = 2 the one hop, center -> subarray 1, is handed the seed
+    # window (copied before the hop slides it)
+    windows = []
 
-    def record_ramp(y, ramp, m_hop):
-        ramps.append(ramp)
-        return extrapolate_step(y, ramp, m_hop)
+    def record_window(y, window, m_hop):
+        windows.append(window.copy())
+        return extrapolate_step(y, window, m_hop)
 
-    monkeypatch.setattr("nfce.estimator.extrapolate_step", record_ramp)
+    monkeypatch.setattr("nfce.estimator.extrapolate_step", record_window)
     geom, dic = ArrayGeometry(2, 2), DelayDictionary(M)
     Y = np.ones((2, M), dtype=complex)
     taus = np.concatenate([[0.0, 1e-9, dic.grid[0], dic.grid[-1]],
                            np.random.default_rng(M).uniform(0.0, 1.0, 8)])
+    kappas = np.arange(-1, 2)
     for tau in taus:
         extrapolate_delays(Y, tau, geom, dic, 1)
-        np.testing.assert_allclose(ramps.pop(), np.exp(-2j * np.pi * tau * delta),
+        np.testing.assert_allclose(windows.pop(),
+                                   np.exp(-2j * np.pi * np.outer(tau + kappas / M, delta)),
                                    rtol=1e-12, atol=0)
-    assert not ramps
+    assert not windows
 
 
 @pytest.mark.parametrize("off_grid", [False, True])
@@ -523,20 +537,26 @@ def test_hop_scores_match_direct_window(off_grid):
     rng = np.random.default_rng(5 + off_grid)
     kappas = np.arange(-m_hop, m_hop + 1)
     delta = index_offsets(M)
+    seen = set()
     for _ in range(10):
         prev = dic.grid[rng.integers(M)] + (rng.uniform(-0.5, 0.5) / M if off_grid else 0)
         y = (rng.standard_normal(M) + 1j * rng.standard_normal(M)
              + 3.0 * delay_steering(prev + rng.integers(-m_hop, m_hop + 1) / M, M))
         direct = np.abs(
             np.exp(2j * np.pi * np.outer(prev + kappas / M, delta)).conj() @ y) ** 2 / M
-        hop = window_scores(y * np.exp(-2j * np.pi * prev * delta), shift_table(m_hop, M))
-        _assert_close(hop, direct)
-        kappa, score, ramp = extrapolate_step(y, np.exp(-2j * np.pi * prev * delta), m_hop)
+        window = shift_table(m_hop, M) * np.exp(-2j * np.pi * prev * delta)
+        _assert_close(window_scores(y, window), direct)
+        kappa, score = extrapolate_step(y, window, m_hop)
         assert kappa == kappas[np.argmax(direct)]
         assert score == pytest.approx(direct.max(), rel=1e-12)
-        # the carried ramp is b(tau)^* at the winner tau = prev + kappa/M
+        seen.add(kappa)
+        # the slid window holds b(tau + kappa'/M)^* around the winner
+        # tau = prev + kappa/M
         tau = prev + kappa / M
-        np.testing.assert_allclose(ramp, np.exp(-2j * np.pi * tau * delta), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(window, np.exp(-2j * np.pi * np.outer(tau + kappas / M, delta)),
+                                   rtol=0, atol=1e-12)
+    # slides of more than one row, both ways
+    assert min(seen) < -1 and max(seen) > 1
     # one read-only table per (m_hop, M), shared by every hop
     assert shift_table(m_hop, M) is shift_table(m_hop, M)
     assert not shift_table(m_hop, M).flags.writeable

@@ -201,6 +201,22 @@ def test_profile_factors_split(M, B):
         np.testing.assert_array_equal(fine, 1.0)
 
 
+@pytest.mark.parametrize("M", [2, 7, 9, 13, 15, 96, 128, 1000, 1024])
+def test_profile_factors_are_the_plain_exponentials(M):
+    # only the non-negative offsets are exponentiated and the mirror half is
+    # their conjugate; that must be the same bits as exponentiating every
+    # offset, for even, odd and prime A and B, negative phases included
+    grid = SubcarrierGrid.from_bandwidth(M, 600e6)
+    outer, j_offsets = _ramp_split(M)
+    rng = np.random.default_rng(M)
+    for lengths in (np.float64(17.25), rng.uniform(-50.0, 500.0, (3, 5)), np.zeros(2)):
+        phi = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * lengths
+        plain = np.exp(phi[..., None] * j_offsets)
+        coarse, fine = profile_factors(lengths, grid)
+        assert np.array_equal(coarse, plain[..., :outer])
+        assert np.array_equal(fine, plain[..., outer:])
+
+
 def test_subarray_centers_against_exact_distances():
     # a virtual array whose elements sit at the subarray centers must see
     # exactly the same spherical geometry

@@ -136,7 +136,7 @@ def test_trace_message_discipline():
         assert len(msg.payload) <= 3
         for item in msg.payload:
             assert np.isscalar(item) or isinstance(item, (int, float, complex))
-    lines = res.trace_lines()
+    lines = [msg.format() for msg in res.trace]
     assert all(line.startswith("iter=") for line in lines)
     assert any("kind=StopQuery from=cpu" in line for line in lines)
     assert any("kind=ParamBroadcast from=cpu" in line for line in lines)
