@@ -52,11 +52,6 @@ class DelayDictionary:
         if self.size < 2:
             raise ValueError("dictionary needs at least 2 grid points")
 
-    @property
-    def grid(self) -> np.ndarray:
-        m = np.arange(1, self.size + 1, dtype=float)
-        return (2.0 * m - 1.0) / (2.0 * self.size)
-
 
 @functools.lru_cache(maxsize=8)
 def _pre_rotation(size: int) -> np.ndarray:
@@ -94,7 +89,7 @@ def ml_delay_detect(y: np.ndarray, dictionary: DelayDictionary):
 
     Score is |b^H y|^2 / ||b||^2; ties resolve to the smallest index
     (argmax returns the first maximum).  A zero vector returns score 0.
-    The winner's tau is computed alone, as ``dictionary.grid`` would give it.
+    The winner's tau is (2 idx + 1) / (2M), computed alone.
     """
     scores = grid_scores(y, dictionary)
     idx = int(scores.argmax())

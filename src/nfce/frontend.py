@@ -56,16 +56,21 @@ def observe(
 
     Noise is circular complex Gaussian, variance ``noise_var`` per combined
     sample (i.e. injected after the analog combiner, which preserves the
-    variance because the combiner rows are unit-norm).
+    variance because the combiner rows are unit-norm).  Its real and
+    imaginary parts are one (2, K, M) draw, added to Y in place.
     """
-    Y = np.sqrt(power) * combine(H, combiners)
+    _check_finite_positive("power", power)
+    if not (np.isfinite(noise_var) and noise_var >= 0.0):
+        raise ValueError(f"noise_var must be finite and >= 0, got {noise_var!r}")
+    Y = combine(H, combiners).astype(complex, copy=False)
+    Y *= np.sqrt(power)
     if noise_var > 0.0:
         if rng is None:
             raise ValueError("noise_var > 0 requires an rng")
-        scale = np.sqrt(noise_var / 2.0)
-        Y = Y + scale * (
-            rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape)
-        )
+        noise = rng.standard_normal((2,) + Y.shape)
+        noise *= np.sqrt(noise_var / 2.0)
+        Y.real += noise[0]
+        Y.imag += noise[1]
     return Y
 
 
@@ -73,9 +78,17 @@ def noise_var_for_snr(
     H: np.ndarray, combiners: np.ndarray, power: float, snr_target_db: float
 ) -> float:
     """Noise variance that realizes ``snr_target_db`` for this channel draw."""
+    _check_finite_positive("power", power)
+    if not np.isfinite(snr_target_db):
+        raise ValueError(f"snr_target_db must be finite, got {snr_target_db!r}")
     AH = combine(H, combiners)
     signal = power * float(np.vdot(AH, AH).real)
     return signal / (AH.size * 10.0 ** (snr_target_db / 10.0))
+
+
+def _check_finite_positive(name: str, value: float) -> None:
+    if not (np.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def apply_impairments(

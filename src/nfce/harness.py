@@ -280,12 +280,32 @@ class RunRecord:
 # metrics and baselines
 
 
+# entries of H per chunk of nmse's error sum: 256 KB of complex128, so two
+# chunks (the one being freed and the next) stay well under H's size
+_NMSE_CHUNK = 1 << 14
+
+
 def nmse(H_est: np.ndarray, H_true: np.ndarray) -> float:
-    """||vec(H_est - H_true)||^2 / ||vec(H_true)||^2."""
-    denom = float(np.sum(np.abs(H_true) ** 2))
-    if denom == 0.0:
+    """||vec(H_est - H_true)||^2 / ||vec(H_true)||^2.
+
+    The error energy is summed over chunks of rows, so no array of H's size
+    is formed.
+    """
+    if np.shape(H_est) != np.shape(H_true):
+        raise ValueError(f"H_est has shape {np.shape(H_est)}, "
+                         f"H_true has shape {np.shape(H_true)}")
+    H_est, H_true = np.atleast_2d(H_est), np.atleast_2d(H_true)
+    rows = max(1, _NMSE_CHUNK // max(1, H_true[0].size))
+    err = energy = 0.0
+    for start in range(0, len(H_true), rows):
+        true = H_true[start:start + rows]
+        diff = H_est[start:start + rows] - true
+        err += float(np.vdot(diff, diff).real)
+        # summed chunk by chunk like err, so an all-zero H_est reads exactly 1
+        energy += float(np.vdot(true, true).real)
+    if energy == 0.0:
         raise ValueError("true channel is identically zero")
-    return float(np.sum(np.abs(H_est - H_true) ** 2)) / denom
+    return err / energy
 
 
 def nmse_db(H_est: np.ndarray, H_true: np.ndarray) -> float:
@@ -300,8 +320,11 @@ def ls_baseline(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> np.
     """
     check_inputs(Y, combiners, power)
     K, ns = combiners.shape
-    blocks = combiners[:, :, None] * Y[:, None, :]
-    return blocks.reshape(K * ns, Y.shape[1]) / np.sqrt(power)
+    scale = np.sqrt(power)
+    blocks = np.multiply(combiners[:, :, None], Y[:, None, :],
+                         dtype=np.result_type(combiners, Y, scale))
+    blocks /= scale
+    return blocks.reshape(K * ns, Y.shape[1])
 
 
 def polar_omp_fallback(
@@ -483,52 +506,33 @@ def estimate(
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
-# One slot: the last (config, trial) drawn and its (paths, H, W).  A sweep
+# One slot: the last (config, trial) drawn, its channel (paths, H, W), and
+# the observation (SNR, noise_var, Y) of the last SNR drawn for it.  A sweep
 # runs every SNR and algorithm of a trial back to back, and none of them
-# changes these, so each trial's channel is synthesized once.  The noise and
-# the impairments depend on the SNR and are drawn on every call.  The key is
-# a snapshot of the config's values, so a config that differs in any field,
-# or whose lists were changed in place, draws afresh.  The slot is read and
-# replaced as one reference, so a caller never pairs one trial's key with
-# another trial's channel.
+# changes these, so each trial's channel is synthesized once and each
+# (trial, SNR) observation is drawn once, however many algorithms read it.
+# The key is a snapshot of the config's values, so a config that differs in
+# any field, or whose lists were changed in place, draws afresh.  The slot is
+# read and replaced as one reference, so a caller never pairs one trial's key
+# with another trial's channel or observation.
 _TRIAL_SLOT: list = [None]
 
 
-def _trial_channel(cfg: SimConfig, trial: int):
-    """(paths, H, W) of one trial, shared by all its SNRs and algorithms.
-
-    H and W are read-only because every caller of the trial shares them;
-    each call gets a new list of the (frozen) paths.
-    """
-    key = (astuple(cfg), trial)
-    held = _TRIAL_SLOT[0]
-    if held is None or held[0] != key:
-        held = _TRIAL_SLOT[0] = None  # before drawing, so two channels never coexist
-        geom, grid = cfg.geometry(), cfg.grid()
-        paths = draw_paths(cfg, trial_rng(cfg.seed, trial, _STREAM_PATHS), grid)
-        check_delay_validity(paths, geom, grid)
-        H = synthesize_channel(paths, geom, grid)
-        W = random_phase_combiner(geom, trial_rng(cfg.seed, trial, _STREAM_COMBINER))
-        H.flags.writeable = False
-        W.flags.writeable = False
-        held = _TRIAL_SLOT[0] = (key, (tuple(paths), H, W))
-    paths, H, W = held[1]
-    return list(paths), H, W
-
-
-def _release_trial_channel() -> None:
-    """Empty the slot, so no channel outlives the sweep that drew it."""
-    _TRIAL_SLOT[0] = None
-
-
-def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
-    """One trial's scenario: (paths, H, W, noise_var, Y).
-
-    Y carries the configured impairments, so every caller (``run_trial``,
-    ``simulate``) estimates from the same observation.  H and W are read-only.
-    """
+def _draw_channel(cfg: SimConfig, trial: int):
+    """(paths, H, W) of one trial, with H and W read-only."""
     geom, grid = cfg.geometry(), cfg.grid()
-    paths, H, W = _trial_channel(cfg, trial)
+    paths = draw_paths(cfg, trial_rng(cfg.seed, trial, _STREAM_PATHS), grid)
+    check_delay_validity(paths, geom, grid)
+    H = synthesize_channel(paths, geom, grid)
+    W = random_phase_combiner(geom, trial_rng(cfg.seed, trial, _STREAM_COMBINER))
+    H.flags.writeable = False
+    W.flags.writeable = False
+    return tuple(paths), H, W
+
+
+def _draw_observation(cfg: SimConfig, trial: int, snr_db: float, H, W):
+    """(noise_var, Y) of one trial at one SNR, with the configured impairments."""
+    geom, grid = cfg.geometry(), cfg.grid()
     noise_var = noise_var_for_snr(H, W, cfg.power, snr_db)
     Y = observe(H, W, cfg.power, noise_var, trial_rng(cfg.seed, trial, _STREAM_NOISE))
     if cfg.clock_offset_frac_max > 0.0 or cfg.gain_factor_min < 1.0:
@@ -543,13 +547,53 @@ def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
             if cfg.gain_factor_min < 1.0 else None
         )
         Y = apply_impairments(Y, grid, geom.carrier_hz, offsets, factors)
-    return paths, H, W, noise_var, Y
+    Y.flags.writeable = False
+    return noise_var, Y
+
+
+def _shared_draw(cfg: SimConfig, trial: int, snr_db: float):
+    """(paths, H, W, noise_var, Y) of one (trial, SNR), shared by its algorithms.
+
+    H, W and Y are read-only because every caller of the trial shares them;
+    each call gets a new list of the (frozen) paths.  A new trial or SNR
+    empties its part of the slot before drawing, so two channels or two
+    observations are never held at once.
+    """
+    key = (astuple(cfg), trial)
+    held = _TRIAL_SLOT[0]
+    if held is None or held[0] != key:
+        _TRIAL_SLOT[0] = None
+        held = _TRIAL_SLOT[0] = (key, _draw_channel(cfg, trial), None)
+    _, channel, obs = held
+    paths, H, W = channel
+    if obs is None or obs[0] != snr_db:
+        _TRIAL_SLOT[0] = (key, channel, None)
+        obs = (snr_db,) + _draw_observation(cfg, trial, snr_db, H, W)
+        _TRIAL_SLOT[0] = (key, channel, obs)
+    return list(paths), H, W, obs[1], obs[2]
+
+
+def _release_trial_channel() -> None:
+    """Empty the slot, so no channel or observation outlives the sweep that drew it."""
+    _TRIAL_SLOT[0] = None
+
+
+def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
+    """One trial's scenario: (paths, H, W, noise_var, Y).
+
+    Y carries the configured impairments, so every caller (``run_trial``,
+    ``simulate``) estimates from the same observation.  H and W are read-only;
+    Y is the caller's own copy.
+    """
+    paths, H, W, noise_var, Y = _shared_draw(cfg, trial, snr_db)
+    return paths, H, W, noise_var, Y.copy()
 
 
 def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
               ) -> RunRecord:
     geom, grid = cfg.geometry(), cfg.grid()
-    paths, H, W, noise_var, Y = draw_trial(cfg, trial, snr_db)
+    # every estimator copies Y or only reads it, so it reads the shared draw
+    paths, H, W, noise_var, Y = _shared_draw(cfg, trial, snr_db)
 
     rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
     dist_grid = cfg.distance_grid()

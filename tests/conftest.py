@@ -2,7 +2,8 @@
 
 Fixtures: a recorder that prints one line per acceptance check, and the
 tools (equivalence check, benchmark record) loaded as modules.  References: formulas that only tests
-use (the Fresnel wavefront expansion and a matched combiner), imported with
+use (the delay dictionary's grid points, the Fresnel wavefront expansion
+and a matched combiner), imported with
 ``from conftest import ...``.
 """
 import importlib.util
@@ -45,6 +46,12 @@ def equivalence():
 def bench_record():
     """tools/bench_record.py."""
     return _load_tool("bench_record")
+
+
+def delay_grid(dictionary):
+    """A DelayDictionary's grid points tau_m = (2m-1)/(2M), m = 1..M."""
+    m = np.arange(1, dictionary.size + 1, dtype=float)
+    return (2.0 * m - 1.0) / (2.0 * dictionary.size)
 
 
 def fresnel_deltas(theta, dist_m, geom):

@@ -66,3 +66,26 @@ def test_perturbed_channel_is_flagged(equivalence, tmp_path, capsys):
     b.write_text(json.dumps(records))
     assert equivalence.main(["compare", str(a), str(b)]) == 1
     assert "default/seed1000/0dB channel: different dump formats" in capsys.readouterr().out
+
+
+def test_perturbed_observation_is_flagged(equivalence, tmp_path, capsys):
+    # the observation the estimators read must agree exactly, so a Y moved
+    # by 1e-12 relative exits 2 even if every estimate agrees
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert equivalence.main(["dump", str(a), "--limit", "1"]) == 0
+    records = json.loads(a.read_text())
+    Y = next(equivalence.scenarios())[4]
+    assert records[0]["observation"] == equivalence.channel_record(Y)
+    rng = np.random.default_rng(2)
+    dY = rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape)
+    dY *= 1e-12 * np.linalg.norm(Y) / np.linalg.norm(dY)
+    for perturbed in (Y * (1.0 + 1e-12), Y + dY):
+        records[0]["observation"] = equivalence.channel_record(perturbed)
+        b.write_text(json.dumps(records))
+        capsys.readouterr()
+        assert equivalence.main(["compare", str(a), str(b)]) == 2
+        assert "largest observation (relative) difference" in capsys.readouterr().out
+    del records[0]["observation"]
+    b.write_text(json.dumps(records))
+    assert equivalence.main(["compare", str(a), str(b)]) == 1
+    assert "default/seed1000/0dB observation: different dump formats" in capsys.readouterr().out

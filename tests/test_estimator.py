@@ -47,19 +47,19 @@ from nfce.estimator import (
     window_scores,
 )
 
-from conftest import fresnel_delay_profile
+from conftest import delay_grid, fresnel_delay_profile
 
 
 def test_dictionary_grid_points():
     dic = DelayDictionary(8)
-    np.testing.assert_allclose(dic.grid, (2 * np.arange(1, 9) - 1) / 16.0)
+    np.testing.assert_allclose(delay_grid(dic), (2 * np.arange(1, 9) - 1) / 16.0)
     with pytest.raises(ValueError):
         DelayDictionary(1)
 
 
 def test_dictionary_atoms_orthogonal():
     dic = DelayDictionary(16)
-    B = np.stack([delay_steering(t, 16) for t in dic.grid])
+    B = np.stack([delay_steering(t, 16) for t in delay_grid(dic)])
     G = B.conj() @ B.T
     np.testing.assert_allclose(G, 16.0 * np.eye(16), atol=1e-9)
 
@@ -69,7 +69,7 @@ def test_grid_scores_match_direct_correlation():
     rng = np.random.default_rng(23)
     y = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     direct = np.array([np.abs(np.vdot(delay_steering(t, 64), y)) ** 2 / 64.0
-                       for t in dic.grid])
+                       for t in delay_grid(dic)])
     np.testing.assert_allclose(grid_scores(y, dic), direct, atol=1e-10)
     with pytest.raises(ValueError):
         grid_scores(y[:10], dic)
@@ -80,7 +80,7 @@ def test_window_scores_match_grid_scores_on_grid():
     rng = np.random.default_rng(4)
     y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     np.testing.assert_allclose(
-        window_scores(y, delay_steering(dic.grid[:, None], 32).conj()), grid_scores(y, dic),
+        window_scores(y, delay_steering(delay_grid(dic)[:, None], 32).conj()), grid_scores(y, dic),
         atol=1e-10
     )
 
@@ -88,10 +88,10 @@ def test_window_scores_match_grid_scores_on_grid():
 def test_ml_delay_detect_finds_planted_atom():
     dic = DelayDictionary(128)
     idx_true = 37
-    y = 2.2 * delay_steering(dic.grid[idx_true], 128)
+    y = 2.2 * delay_steering(delay_grid(dic)[idx_true], 128)
     idx, tau, score = ml_delay_detect(y, dic)
     assert idx == idx_true
-    assert tau == pytest.approx(dic.grid[idx_true])
+    assert tau == pytest.approx(delay_grid(dic)[idx_true])
     assert score == pytest.approx(2.2**2 * 128.0, rel=1e-12)
 
 
@@ -123,14 +123,14 @@ def _window_at(tau, m_hop, M):
 
 def test_extrapolate_step_window():
     dic = DelayDictionary(64)
-    prev = dic.grid[20]
+    prev = delay_grid(dic)[20]
     window = shift_table(2, 64) * delay_steering(prev, 64).conj()  # b(prev + kappa/M)^*
-    y = delay_steering(dic.grid[22], 64)  # two bins up
+    y = delay_steering(delay_grid(dic)[22], 64)  # two bins up
     kappa, _ = extrapolate_step(y, window, 2)
     assert kappa == 2
-    assert prev + kappa / 64 == pytest.approx(dic.grid[22])
+    assert prev + kappa / 64 == pytest.approx(delay_grid(dic)[22])
     # the window slid to the winner holds b(prev + kappa/M + kappa'/M)^*
-    np.testing.assert_allclose(window, _window_at(dic.grid[22], 2, 64), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(window, _window_at(delay_grid(dic)[22], 2, 64), rtol=0, atol=1e-12)
     # a hop that stays put leaves the window's bits as they are
     before = window.copy()
     assert extrapolate_step(y, window, 2)[0] == 0
@@ -139,7 +139,7 @@ def test_extrapolate_step_window():
     window1 = shift_table(1, 64) * delay_steering(prev, 64).conj()
     kappa1, _ = extrapolate_step(y, window1, 1)
     assert kappa1 == 1
-    np.testing.assert_allclose(window1, _window_at(dic.grid[21], 1, 64), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(window1, _window_at(delay_grid(dic)[21], 1, 64), rtol=0, atol=1e-12)
 
 
 def test_stopping_threshold_frozen_values():
@@ -390,9 +390,9 @@ def test_extrapolate_delays_tracks_profile():
     dic = DelayDictionary(256)
     taus_true = subarray_delay_profile(0.6, 11.0, 9.0, geom, grid)
     idx_true = np.round(taus_true * 256 - 0.5).astype(int)
-    Y = np.stack([delay_steering(dic.grid[i], 256) for i in idx_true])
+    Y = np.stack([delay_steering(delay_grid(dic)[i], 256) for i in idx_true])
     kc = central_index(64)
-    track = extrapolate_delays(Y, dic.grid[idx_true[kc]], geom, dic, max_hop(geom, grid))
+    track = extrapolate_delays(Y, delay_grid(dic)[idx_true[kc]], geom, dic, max_hop(geom, grid))
     np.testing.assert_array_equal(track.grid_indices, idx_true)
     assert track.kappas[kc] == 0
     assert not track.all_equal()
@@ -519,7 +519,7 @@ def test_hop_atoms_match_direct_exponential(M, monkeypatch):
     monkeypatch.setattr("nfce.estimator.extrapolate_step", record_window)
     geom, dic = ArrayGeometry(2, 2), DelayDictionary(M)
     Y = np.ones((2, M), dtype=complex)
-    taus = np.concatenate([[0.0, 1e-9, dic.grid[0], dic.grid[-1]],
+    taus = np.concatenate([[0.0, 1e-9, delay_grid(dic)[0], delay_grid(dic)[-1]],
                            np.random.default_rng(M).uniform(0.0, 1.0, 8)])
     kappas = np.arange(-1, 2)
     for tau in taus:
@@ -539,7 +539,7 @@ def test_hop_scores_match_direct_window(off_grid):
     delta = index_offsets(M)
     seen = set()
     for _ in range(10):
-        prev = dic.grid[rng.integers(M)] + (rng.uniform(-0.5, 0.5) / M if off_grid else 0)
+        prev = delay_grid(dic)[rng.integers(M)] + (rng.uniform(-0.5, 0.5) / M if off_grid else 0)
         y = (rng.standard_normal(M) + 1j * rng.standard_normal(M)
              + 3.0 * delay_steering(prev + rng.integers(-m_hop, m_hop + 1) / M, M))
         direct = np.abs(

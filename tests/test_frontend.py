@@ -1,4 +1,6 @@
 """Analog combining and observation model."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,61 @@ def test_observe_noise_statistics():
     Z = observe(H, W, 1.0, nv, rng=rng) - observe(H, W, 1.0, 0.0)
     measured = float(np.mean(np.abs(Z) ** 2))
     assert measured == pytest.approx(nv, rel=0.1)
+
+
+@pytest.mark.parametrize("power,noise_var", [(1.0, 0.25), (4.0, 1e-3), (0.3, 7.0)])
+def test_observe_matches_plain_formula(power, noise_var):
+    # one (2, K, M) draw added in place is the plain sqrt(P) A H + Z, bit for
+    # bit, from the same seeded stream: real parts first, then imaginary
+    geom, grid, _, H = _setup()
+    W = random_phase_combiner(geom, np.random.default_rng(3))
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((geom.n_subarrays, grid.n_subcarriers))
+    b = rng.standard_normal((geom.n_subarrays, grid.n_subcarriers))
+    scale = np.sqrt(noise_var / 2.0)
+    want = np.sqrt(power) * combine(H, W) + scale * (a + 1j * b)
+    got = observe(H, W, power, noise_var, np.random.default_rng(11))
+    assert np.array_equal(got, want)
+
+
+def test_observe_rejects_bad_power_and_noise_var():
+    geom, grid, _, H = _setup()
+    W = random_phase_combiner(geom, np.random.default_rng(3))
+    rng = np.random.default_rng(0)
+    for noise_var in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_var must be finite and >= 0"):
+            observe(H, W, 1.0, noise_var, rng)
+    for power in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="power must be finite and positive"):
+            observe(H, W, power, 0.1, rng)
+
+
+def test_noise_var_for_snr_rejects_non_finite():
+    geom, grid, _, H = _setup()
+    W = random_phase_combiner(geom, np.random.default_rng(9))
+    for snr in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="snr_target_db must be finite"):
+            noise_var_for_snr(H, W, 1.0, snr)
+    for power in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="power must be finite and positive"):
+            noise_var_for_snr(H, W, power, 10.0)
+
+
+def test_observe_peak_memory():
+    # at 1024/256/1024 the noisy Y is built in place: Y plus one (2, K, M)
+    # real draw, about 2x Y's bytes (3.0x when the noise was summed as
+    # complex temporaries)
+    geom = ArrayGeometry(1024, 256, 7e9)
+    rng = np.random.default_rng(2)
+    H = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    W = random_phase_combiner(geom, rng)
+    tracemalloc.start()
+    try:
+        Y = observe(H, W, 2.0, 0.5, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * Y.nbytes
 
 
 def test_snr_roundtrip():

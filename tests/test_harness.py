@@ -1,5 +1,6 @@
 """Simulation harness: reproducible streams, config, trials, CSV output."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,51 @@ def test_nmse_definitions():
     assert nmse_db(0.9 * H, H) == pytest.approx(-20.0)
     with pytest.raises(ValueError):
         nmse(H, np.zeros_like(H))
+
+
+@pytest.mark.parametrize("shape", [(1000, 999), (3, 20000), (17, 5)])
+def test_nmse_matches_plain_formula(shape):
+    # the chunked sum agrees with the one-pass formula, also when the row
+    # count is not a multiple of the chunk or one row exceeds a chunk
+    rng = np.random.default_rng(4)
+    H = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    H_est = H + 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    plain = np.sum(np.abs(H_est - H) ** 2) / np.sum(np.abs(H) ** 2)
+    assert nmse(H_est, H) == pytest.approx(plain, rel=1e-12)
+
+
+def test_nmse_rejects_mismatched_shapes():
+    # these used to broadcast (or raise numpy's own error); a transposed
+    # estimate of a square channel has the right shape and cannot be caught
+    rng = np.random.default_rng(5)
+    H = rng.standard_normal((64, 128)) + 1j * rng.standard_normal((64, 128))
+    for bad in (H[:1], H[:, :1], H[0], H.T):
+        with pytest.raises(ValueError, match="H_est has shape"):
+            nmse(bad, H)
+
+
+def _traced_peak(fn):
+    """(peak bytes numpy allocated while ``fn`` ran, its result)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_nmse_and_ls_peak_memory():
+    # at 1024/256/1024: nmse sums the error chunk by chunk, and LS divides
+    # its output by sqrt(P) in place (they peaked at 1.5x H and 2x the output)
+    geom = ArrayGeometry(1024, 256, 7e9)
+    rng = np.random.default_rng(6)
+    H = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
+    W = random_phase_combiner(geom, rng)
+    Y = rng.standard_normal((256, 1024)) + 1j * rng.standard_normal((256, 1024))
+    peak, H_ls = _traced_peak(lambda: ls_baseline(Y, W, 2.0))
+    assert peak <= 1.1 * H_ls.nbytes
+    peak, _ = _traced_peak(lambda: nmse(H_ls, H))
+    assert peak <= 0.1 * H.nbytes
 
 
 def test_ls_baseline_projects_back():
@@ -296,6 +342,24 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_sweep_observes_each_trial_snr_once(monkeypatch):
+    harness._release_trial_channel()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return observe(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "observe", counted)
+    cfg = SimConfig(**_SMALL, trials=2, seed=21, snr_db=(0.0, 10.0, 20.0),
+                    algorithms=ALGORITHMS)
+    assert len(monte_carlo_sweep(cfg)) == 2 * 3 * 3
+    assert len(calls) == 2 * 3  # once per (trial, SNR), not per algorithm
+    # the sweep does not keep its last observation once it returns
+    draw_trial(cfg, 1, 20.0)
+    assert len(calls) == 7
+
+
 def test_memo_hits_equal_fresh_draws():
     cfg = SimConfig(**_SMALL, seed=22)
     other = dataclasses.replace(cfg, seed=23)
@@ -336,6 +400,14 @@ def test_shared_trial_arrays_are_read_only():
     Y[0, 0] = 0.0  # the observation is the caller's own
     paths.clear()  # and so is the list of paths
     assert len(draw_trial(cfg, 0, 10.0)[0]) == 2
+    # run_trial reads the shared observation, which no caller can write
+    shared = harness._shared_draw(cfg, 0, 10.0)[4]
+    with pytest.raises(ValueError):
+        shared[0, 0] = 0.0
+    assert shared[0, 0] != 0.0
+    before = run_trial(cfg, 0, 10.0, "ls").csv_row()
+    draw_trial(cfg, 0, 10.0)[4][...] = 0.0
+    assert run_trial(cfg, 0, 10.0, "ls").csv_row() == before
 
 
 def test_path_params_are_frozen():

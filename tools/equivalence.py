@@ -4,9 +4,10 @@
     PYTHONPATH=src python3 tools/equivalence.py compare A.json B.json
 
 ``dump`` runs ``run_dps``, ``polar_omp_fallback`` and ``reconstruct_channel``
-on 153 scenarios and writes what they return as JSON, together with the
-synthesized channel H itself: its Frobenius norm and its projection on one
-fixed random matrix.  The scenarios are
+on 153 scenarios and writes what they return as JSON, together with a
+digest of the synthesized channel H and of the observation Y the estimators
+read: each one's Frobenius norm and its projection on one fixed random
+matrix.  The scenarios are
 seeds 1000-1039 at the ``SimConfig`` defaults at 0, 10 and 20 dB, then seeds
 0-29 at the 64/16/128 config of acceptance test a12, then seeds 3-5 at the
 full 1024/256/1024 scale with 4 paths at 10 dB.  ``--limit N`` keeps the
@@ -16,7 +17,8 @@ checkout, point PYTHONPATH at its ``src``.  The tool pins BLAS to one thread.
 ``compare`` prints every discrete mismatch (stop reason, path count,
 correlation count, fallback, rejected count, delay-hop track) and the largest
 differences of theta/d/r, per-LPU gains, nmse_db and, relative, of the
-channel's norm and projection.  Records whose keys or
+channel's and the observation's norm and projection; the observation must
+agree exactly.  Records whose keys or
 array shapes differ (dumps written by different versions of this tool) are
 reported as different dump formats.  Paths whose range exceeds 1e4 m are
 unphysical; their gains, and the nmse_db of scenarios that hold one, are
@@ -52,7 +54,10 @@ from nfce.harness import (  # noqa: E402
 from nfce.model import synthesize_channel  # noqa: E402
 
 UNPHYSICAL_RANGE_M = 1e4
-TOLERANCES = {"theta/d/r": 0.0, "lpu gain": 1e-10, "nmse_db": 1e-9, "channel (relative)": 1e-12}
+TOLERANCES = {"theta/d/r": 0.0, "lpu gain": 1e-10, "nmse_db": 1e-9, "channel (relative)": 1e-12,
+              "observation (relative)": 0.0}
+# the dumped array digests and the quantity each one's difference is reported as
+_DIGESTS = (("channel", "channel (relative)"), ("observation", "observation (relative)"))
 PROJECTION_SEED = 20261018
 _DISCRETE = {
     "dps": ("stop_reason", "n_paths", "corr_total", "fallback", "rejected", "kappas"),
@@ -109,7 +114,7 @@ def _paths_record(paths, H, geom, grid) -> dict:
 
 
 def channel_record(H: np.ndarray) -> dict:
-    """||H||_F and u^H H for one fixed random u of H's shape."""
+    """||H||_F and u^H H for one fixed random u of H's shape (H or Y)."""
     rng = np.random.default_rng(PROJECTION_SEED)
     u = rng.standard_normal(H.shape) + 1j * rng.standard_normal(H.shape)
     proj = np.vdot(u, H)
@@ -140,7 +145,8 @@ def dump(limit: int | None = None) -> list[dict]:
                                          cfg.distance_grid(), cfg.power)
         omp = _paths_record(paths, H, geom, grid)
         omp["corr"] = [int(c) for c in corr]
-        records.append({"name": name, "channel": channel_record(H), "dps": dps, "omp": omp})
+        records.append({"name": name, "channel": channel_record(H),
+                        "observation": channel_record(Y), "dps": dps, "omp": omp})
     return records
 
 
@@ -152,11 +158,12 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], dict, dict]:
     if [r["name"] for r in a] != [r["name"] for r in b]:
         return ["the two dumps hold different scenario lists"], worst, skipped
     for ra, rb in zip(a, b):
-        if "channel" not in ra or "channel" not in rb:
-            mismatches.append(f"{ra['name']} channel: different dump formats (keys)")
-        else:
-            worst["channel (relative)"] = max(worst["channel (relative)"],
-                                              _channel_difference(ra["channel"], rb["channel"]))
+        for key, quantity in _DIGESTS:
+            if key not in ra or key not in rb:
+                mismatches.append(f"{ra['name']} {key}: different dump formats (keys)")
+            else:
+                worst[quantity] = max(worst[quantity],
+                                      _channel_difference(ra[key], rb[key]))
         for alg, keys in _DISCRETE.items():
             xa, xb = ra[alg], rb[alg]
             if xa.keys() != xb.keys():
