@@ -61,7 +61,7 @@ def observe(
     """
     _check_finite_positive("power", power)
     if not (np.isfinite(noise_var) and noise_var >= 0.0):
-        raise ValueError(f"noise_var must be finite and >= 0, got {noise_var!r}")
+        raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var!r}")
     Y = combine(H, combiners).astype(complex, copy=False)
     Y *= np.sqrt(power)
     if noise_var > 0.0:

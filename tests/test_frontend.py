@@ -104,7 +104,7 @@ def test_observe_rejects_bad_power_and_noise_var():
     W = random_phase_combiner(geom, np.random.default_rng(3))
     rng = np.random.default_rng(0)
     for noise_var in (-1e-3, np.nan, np.inf):
-        with pytest.raises(ValueError, match="noise_var must be finite and >= 0"):
+        with pytest.raises(ValueError, match="noise_var must be finite and nonnegative"):
             observe(H, W, 1.0, noise_var, rng)
     for power in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="power must be finite and positive"):
