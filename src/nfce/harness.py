@@ -327,6 +327,56 @@ def ls_baseline(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> np.
     return blocks.reshape(K * ns, Y.shape[1])
 
 
+# One slot: the key and the (theta grid, atoms, atoms^H, squared norms) of
+# the last polar-OMP atom table built.  The table reads only the geometry,
+# the polar grid and the combiners, which a trial's SNRs share, so a sweep
+# builds it once per trial.  The key holds the combiners' bytes, so a W that
+# differs in any entry or in dtype (or was changed in place) builds afresh.
+_ATOM_SLOT: list = [None]
+
+
+def _polar_atom_table(combiners: np.ndarray, geom: ArrayGeometry,
+                      angle_grid_size: int, distance_grid: np.ndarray):
+    """(theta grid, atoms (G, K), atoms^H, squared atom norms), read-only.
+
+    The table is built one angle (G_d steering vectors) at a time.  The
+    antenna offsets are symmetric, so w(-theta) is w(theta) reversed, bit for
+    bit; an angle whose grid value is exactly minus an earlier angle's
+    reverses that angle's responses instead of calling ``steering_vector``.
+    """
+    combiners = np.asarray(combiners)
+    key = (geom, angle_grid_size, distance_grid.shape, distance_grid.tobytes(),
+           combiners.dtype, combiners.shape, combiners.tobytes())
+    held = _ATOM_SLOT[0]
+    if held is not None and held[0] == key:
+        return held[1]
+    _ATOM_SLOT[0] = None
+
+    K, n_dist = geom.n_subarrays, distance_grid.size
+    theta_grid = (2.0 * np.arange(angle_grid_size) + 1.0) / angle_grid_size - 1.0
+    atoms = np.empty((angle_grid_size, n_dist, K), dtype=complex)
+    f_h = combiners.conj()
+    for i in range((angle_grid_size + 1) // 2):
+        w = steering_vector(theta_grid[i], distance_grid[:, None], geom)
+        atoms[i] = np.einsum("kn,gkn->gk", f_h, w.reshape(n_dist, K, -1))
+        j = angle_grid_size - 1 - i
+        if j == i:
+            continue
+        if theta_grid[j] == -theta_grid[i]:
+            w = np.ascontiguousarray(w[:, ::-1])
+        else:
+            w = steering_vector(theta_grid[j], distance_grid[:, None], geom)
+        atoms[j] = np.einsum("kn,gkn->gk", f_h, w.reshape(n_dist, K, -1))
+    atoms = atoms.reshape(-1, K)
+    atoms_h = atoms.conj()
+    norms2 = np.maximum(np.linalg.norm(atoms, axis=1), 1e-300) ** 2
+    table = (theta_grid, atoms, atoms_h, norms2)
+    for arr in table:
+        arr.flags.writeable = False
+    _ATOM_SLOT[0] = (key, table)
+    return table
+
+
 def polar_omp_fallback(
     Y: np.ndarray,
     combiners: np.ndarray,
@@ -341,7 +391,10 @@ def polar_omp_fallback(
 
     Atoms are combined narrowband subarray steering responses
     c_k(theta_g, d_g) = f_k^H w_k(theta_g, d_g), stored as one (G, K) table
-    with G = G_theta * G_d in theta-major order.  Each iteration scores every
+    with G = G_theta * G_d in theta-major order.  The table depends only on
+    (geometry, polar grid, W), so it is held in a one-slot memo and shared by
+    every call with the same three, such as a trial's SNRs; angle -theta is
+    built by mirroring theta's steering responses.  Each iteration scores every
     atom by the band energy of its normalized projection,
     ||a_g^H R||^2 / ||a_g||^2, in Gram form a_g^H (R R^H) a_g, so the G x M
     projection is never formed; ties go to the first atom in theta-major
@@ -351,23 +404,19 @@ def polar_omp_fallback(
     """
     check_inputs(Y, combiners, power, geom, grid)
     K, M = geom.n_subarrays, grid.n_subcarriers
-    if angle_grid_size < 1:
-        raise ValueError("empty angle grid")
+    if (not isinstance(angle_grid_size, (int, np.integer))
+            or isinstance(angle_grid_size, bool) or angle_grid_size < 1):
+        raise ValueError(
+            f"angle_grid_size must be a positive integer, got {angle_grid_size!r}")
     distance_grid = np.asarray(distance_grid, dtype=float)
     if distance_grid.size == 0:
-        raise ValueError("empty distance grid")
-    theta_grid = (2.0 * np.arange(angle_grid_size) + 1.0) / angle_grid_size - 1.0
+        raise ValueError("distance_grid is empty")
+    if not np.all(np.isfinite(distance_grid) & (distance_grid > 0.0)):
+        raise ValueError("distance_grid entries must be finite and positive, "
+                         f"got {distance_grid}")
+    theta_grid, atoms, atoms_h, norms2 = _polar_atom_table(
+        combiners, geom, angle_grid_size, distance_grid)
     n_dist = distance_grid.size
-
-    # atom table (G, K), built one angle (G_d steering vectors) at a time
-    atoms = np.empty((angle_grid_size, n_dist, K), dtype=complex)
-    f_h = combiners.conj()
-    for i, th in enumerate(theta_grid):
-        w = steering_vector(th, distance_grid[:, None], geom)
-        atoms[i] = np.einsum("kn,gkn->gk", f_h, w.reshape(n_dist, K, -1))
-    atoms = atoms.reshape(-1, K)
-    atoms_h = atoms.conj()
-    norms = np.maximum(np.linalg.norm(atoms, axis=1), 1e-300)
 
     dictionary = DelayDictionary(M)
     threshold = stopping_threshold(rule.noise_var, M, rule.p_fa)
@@ -381,13 +430,13 @@ def polar_omp_fallback(
         if peak <= threshold:
             break
         gram = resid @ resid.conj().T
-        scores = np.sum((atoms_h @ gram) * atoms, axis=1).real / norms**2
+        scores = np.sum((atoms_h @ gram) * atoms, axis=1).real / norms2
         corr_per_iter.append(atoms.shape[0])
         g = int(np.argmax(scores))
         th_g, d_g = float(theta_grid[g // n_dist]), float(distance_grid[g % n_dist])
 
         # frequency series along the chosen atom -> delay and range
-        series = (atoms_h[g] @ resid) / norms[g] ** 2
+        series = (atoms_h[g] @ resid) / norms2[g]
         _, tau, _ = ml_delay_detect(series, dictionary)
         rng_m = tau * SPEED_OF_LIGHT / grid.spacing_hz - d_g
         paths.append(fit_and_cancel(resid, th_g, d_g, rng_m, combiners, geom, grid,
@@ -574,8 +623,10 @@ def _shared_draw(cfg: SimConfig, trial: int, snr_db: float):
 
 
 def _release_trial_channel() -> None:
-    """Empty the slot, so no channel or observation outlives the sweep that drew it."""
+    """Empty the trial and atom-table slots, so no channel, observation or
+    polar-OMP table outlives the sweep that drew it."""
     _TRIAL_SLOT[0] = None
+    _ATOM_SLOT[0] = None
 
 
 def draw_trial(cfg: SimConfig, trial: int, snr_db: float):

@@ -44,6 +44,24 @@ def test_one_pair_summarizes_to_its_value(bench_record):
     assert out["time"]["parent"]["wins"] == out["time"]["change"]["wins"] == 0
 
 
+def test_held_out_change_is_set_beside_the_pairs_range(bench_record):
+    pairs = _pairs([
+        (10.0, 11.0, 2.0, 2.0),
+        (10.0, 13.0, 4.0, 3.0),
+        (20.0, 22.0, 1.0, 1.5),
+    ])
+    held = {"parent": {"rate": 10.0, "time": 2.0}, "change": {"rate": 15.0, "time": 1.5}}
+    out = bench_record.held_out_check(pairs, held, SPEC)
+    rate = out["rate"]
+    assert rate["relative_change"] == pytest.approx(0.5)
+    assert (rate["pair_min"], rate["pair_max"]) == pytest.approx((0.1, 0.3))
+    assert rate["inside"] is False
+    time_ = out["time"]
+    assert time_["relative_change"] == pytest.approx(-0.25)
+    assert (time_["pair_min"], time_["pair_max"]) == pytest.approx((-0.25, 0.5))
+    assert time_["inside"] is True  # the ends of the range count as inside
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_a_record_names_the_commit_of_a_clean_checkout(bench_record, tmp_path):
     def git(*args):

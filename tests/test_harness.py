@@ -513,6 +513,86 @@ def test_gram_scores_equal_projection_energy():
     np.testing.assert_allclose(scores, explicit, rtol=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# the one-slot polar-OMP atom table: built once per (geometry, grid, W)
+
+
+def _direct_atom_table(W, geom, angle_grid_size, distance_grid):
+    """The atom table with one ``steering_vector`` call per angle, as
+    ``polar_omp_fallback`` built it before the table was mirrored."""
+    theta_grid = (2.0 * np.arange(angle_grid_size) + 1.0) / angle_grid_size - 1.0
+    K, n_dist = geom.n_subarrays, distance_grid.size
+    atoms = np.empty((angle_grid_size, n_dist, K), dtype=complex)
+    for i, th in enumerate(theta_grid):
+        w = steering_vector(th, distance_grid[:, None], geom)
+        atoms[i] = np.einsum("kn,gkn->gk", W.conj(), w.reshape(n_dist, K, -1))
+    return theta_grid, atoms.reshape(-1, K)
+
+
+@pytest.mark.parametrize("angle_grid_size", [64, 7, 10, 1])
+@pytest.mark.parametrize("shape", [(256, 32), (64, 16)])
+def test_mirrored_atom_table_equals_direct_build(angle_grid_size, shape):
+    harness._release_trial_channel()
+    geom = ArrayGeometry(*shape, 7e9)
+    W = random_phase_combiner(geom, np.random.default_rng(angle_grid_size))
+    dist = SimConfig().distance_grid()
+    theta_grid, atoms, atoms_h, norms2 = harness._polar_atom_table(
+        W, geom, angle_grid_size, dist)
+    ref_theta, ref_atoms = _direct_atom_table(W, geom, angle_grid_size, dist)
+    assert np.array_equal(theta_grid, ref_theta)
+    assert np.array_equal(atoms, ref_atoms)
+    assert np.array_equal(atoms_h, ref_atoms.conj())
+    assert np.array_equal(
+        norms2, np.maximum(np.linalg.norm(ref_atoms, axis=1), 1e-300) ** 2)
+    harness._release_trial_channel()
+
+
+def test_sweep_builds_each_trial_atom_table_once(monkeypatch):
+    harness._release_trial_channel()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return steering_vector(*args, **kwargs)
+
+    # harness calls steering_vector only to build the polar-OMP table
+    monkeypatch.setattr(harness, "steering_vector", counted)
+    cfg = SimConfig(**_SMALL, trials=2, seed=21, snr_db=(0.0, 10.0, 20.0),
+                    algorithms=ALGORITHMS)
+    assert cfg.angle_grid_size == 64
+    assert len(monte_carlo_sweep(cfg)) == 2 * 3 * 3
+    # G/2 per trial: one table per trial, its negative angles mirrored
+    assert len(calls) == 2 * cfg.angle_grid_size // 2
+    assert harness._ATOM_SLOT[0] is None  # released with the trial slot
+
+
+def test_atom_table_follows_the_combiners():
+    harness._release_trial_channel()
+    geom = ArrayGeometry(64, 16, 7e9)
+    dist = SimConfig().distance_grid()
+    W = random_phase_combiner(geom, np.random.default_rng(31))
+    first = harness._polar_atom_table(W, geom, 10, dist)
+    assert harness._polar_atom_table(W.copy(), geom, 10, dist) is first
+    for arr in first:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # a writable W changed in place builds afresh
+    W[3, 1] *= -1.0
+    changed = harness._polar_atom_table(W, geom, 10, dist)
+    assert changed is not first
+    assert np.array_equal(changed[1], _direct_atom_table(W, geom, 10, dist)[1])
+    # so does the same W in another dtype, and another grid
+    W64 = W.astype(np.complex64)
+    narrow = harness._polar_atom_table(W64, geom, 10, dist)
+    assert narrow is not changed
+    assert np.array_equal(narrow[1], _direct_atom_table(W64, geom, 10, dist)[1])
+    assert harness._polar_atom_table(W64, geom, 12, dist)[1].shape == (12 * 16, 16)
+    assert harness._polar_atom_table(W64, geom, 12, dist[:4])[1].shape == (12 * 4, 16)
+    harness._release_trial_channel()
+    assert harness._ATOM_SLOT[0] is None
+
+
 def test_bounds_table_format():
     geom = ArrayGeometry(512, 128, 7e9)
     grid = SubcarrierGrid.from_bandwidth(512, 600e6)
@@ -603,6 +683,31 @@ def test_inputs_reject_non_numeric(entry):
             calls[entry](bad, W, 1.0)
     with pytest.raises(ValueError, match="combiners must be numeric"):
         calls[entry](Y, W.astype(object), 1.0)
+
+
+def test_omp_rejects_bad_polar_grid():
+    # a bad distance entry used to give paths at that distance, a fractional
+    # angle grid size a bare TypeError
+    Y, W, _ = _entry_points()
+    geom = ArrayGeometry(64, 16, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(128, 600e6)
+    rule = StoppingRule(noise_var=1.0)
+
+    def omp(angle_grid_size, distance_grid):
+        return polar_omp_fallback(Y, W, geom, grid, rule, angle_grid_size,
+                                  distance_grid)
+
+    for bad in ([10.0, np.nan], [np.inf], [0.0, 10.0], [-5.0], [10.0, -np.inf]):
+        with pytest.raises(ValueError, match="distance_grid entries must be finite "
+                                             "and positive"):
+            omp(8, bad)
+    with pytest.raises(ValueError, match="distance_grid is empty"):
+        omp(8, [])
+    for bad in (2.5, 8.0, 0, -1, "8", True, None):
+        with pytest.raises(ValueError, match="angle_grid_size must be a positive "
+                                             "integer"):
+            omp(bad, [10.0])
+    omp(np.int64(8), np.array([10.0, 20.0]))
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)

@@ -18,7 +18,11 @@ record holds, per end-to-end metric and side, every value, the median, the
 quartiles (``statistics.quantiles``, inclusive method) and the number of
 pairs that side won, ties counting for neither; also the failed-run
 counts, one more pair at ``--held-out-seed``, and one traced run
-(``--trace 1 --seed 1``) per side with its per-layer metrics.  ``commit``
+(``--trace 1 --seed 1``) per side with its per-layer metrics.  One pair
+moves by chance, so ``held_out.check`` records, per end-to-end metric, the
+held-out pair's relative change (change - parent) / parent, the least and
+the largest relative change of the ten pairs, and whether the held-out
+change lies between them.  ``commit``
 is each side's ``git rev-parse HEAD``; ``env`` is the environment block
 ``bench/run.py`` prints, from each side's first run.  A benchmark process
 that exits nonzero or prints no result stops the recording.  Last, each
@@ -135,6 +139,23 @@ def compare(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def held_out_check(pairs: list[dict], held_out: dict, end_to_end: list[dict]) -> dict:
+    """Per metric: the held-out pair's relative change, the range of the
+    pairs' relative changes, and whether the held-out change is inside it."""
+    def rel(pair, name):
+        return (pair["change"][name] - pair["parent"][name]) / pair["parent"][name]
+
+    out = {}
+    for spec in end_to_end:
+        name = spec["name"]
+        changes = [rel(p, name) for p in pairs]
+        held = rel(held_out, name)
+        lo, hi = min(changes), max(changes)
+        out[name] = {"relative_change": held, "pair_min": lo, "pair_max": hi,
+                     "inside": lo <= held <= hi}
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -179,13 +200,15 @@ def main(argv=None) -> int:
                       + " ".join(f"{k}={v:.6g}" for k, v in pair[side].items()
                                  if v is not None), file=sys.stderr)
             pairs.append(pair)
+        held_out = {side: metric_values(run(side, workload, args.held_out_seed, 0))
+                    for side in SIDES}
         entry = {"seeds": seeds,
                  "first": [SIDES[i % 2] for i in range(len(seeds))],
                  "end_to_end": compare(pairs, spec["end_to_end"]),
                  "failed": failed,
-                 "held_out": {"seed": args.held_out_seed, **{
-                     side: metric_values(run(side, workload, args.held_out_seed, 0))
-                     for side in SIDES}}}
+                 "held_out": {"seed": args.held_out_seed, **held_out,
+                              "check": held_out_check(pairs, held_out,
+                                                      spec["end_to_end"])}}
         traced = {}
         for side in SIDES:
             result = run(side, workload, TRACE_SEED, 1)
