@@ -44,7 +44,7 @@ def test_one_pair_summarizes_to_its_value(bench_record):
     assert out["time"]["parent"]["wins"] == out["time"]["change"]["wins"] == 0
 
 
-def test_held_out_change_is_set_beside_the_pairs_range(bench_record):
+def test_held_out_change_is_checked_against_the_pairs_range(bench_record):
     pairs = _pairs([
         (10.0, 11.0, 2.0, 2.0),
         (10.0, 13.0, 4.0, 3.0),
