@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -667,19 +669,43 @@ def run_dps(
     )
 
 
-def reconstruct_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
-    """Rebuild the antenna-domain channel from path estimates, shape (N, M).
+@dataclass
+class RowBlocks:
+    """An (N, M) channel estimate that is built a block of whole subarrays at a time.
+
+    ``build(k0, k1)`` returns the rows of subarrays k0..k1-1, shape
+    ((k1 - k0) * subarray_size, M).  :meth:`rows` calls it and adds the wall
+    time it took to ``build_s``, so a caller that never forms the whole
+    estimate can still count the time spent building it.
+    """
+
+    shape: tuple
+    subarray_size: int
+    build: Callable
+    build_s: float = 0.0
+
+    def rows(self, k0: int, k1: int) -> np.ndarray:
+        t0 = time.perf_counter()
+        block = self.build(k0, k1)
+        self.build_s += time.perf_counter() - t0
+        return block
+
+
+def reconstruct_rows(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> RowBlocks:
+    """The channel rebuilt from path estimates, as blocks of subarray rows.
 
     Each path contributes per-subarray rank-1 blocks
     rho_k * w_k(theta, d) p(r + d~_k)^T with rho_k subarray k's own fitted
     gain, which absorbs per-subarray phase error.  So row i of subarray k's
-    block of H is sum_l rho_lk w_lk[i] p(r_l + d~_lk): one
-    :func:`nfce.model.profile_sum` over the K subarrays, with ns rows each,
-    written straight into H.
+    block of H is sum_l rho_lk w_lk[i] p(r_l + d~_lk): the steering rows,
+    gains and lengths are prepared once, and each block is one
+    :func:`nfce.model.profile_sum` over its subarrays, with ns rows each.  A
+    subarray's rows are the same bits in any block.
     """
     K, ns, M = geom.n_subarrays, geom.subarray_size, grid.n_subcarriers
     if not paths:
-        return np.zeros((K * ns, M), dtype=complex)
+        return RowBlocks((K * ns, M), ns,
+                         lambda k0, k1: np.zeros(((k1 - k0) * ns, M), dtype=complex))
     steer = np.stack(
         [steering_vector(e.theta, e.dist_m, geom).reshape(K, ns) for e in paths], axis=-1
     )  # (K, ns, L)
@@ -688,6 +714,18 @@ def reconstruct_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.
     )  # (K, L)
     gains = np.stack([e.lpu_gains for e in paths], axis=-1)  # (K, L)
     steer *= gains[:, None, :]
-    H = np.empty((K * ns, M), dtype=complex)
-    profile_sum(steer, lengths, grid, out=H.reshape(K, ns, M))
-    return H
+
+    def build(k0: int, k1: int) -> np.ndarray:
+        block = np.empty(((k1 - k0) * ns, M), dtype=complex)
+        profile_sum(steer[k0:k1], lengths[k0:k1], grid, out=block.reshape(k1 - k0, ns, M))
+        return block
+
+    return RowBlocks((K * ns, M), ns, build)
+
+
+def reconstruct_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
+    """Rebuild the antenna-domain channel from path estimates, shape (N, M).
+
+    The whole of :func:`reconstruct_rows` as one block.
+    """
+    return reconstruct_rows(paths, geom, grid).build(0, geom.n_subarrays)

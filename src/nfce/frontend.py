@@ -56,8 +56,9 @@ def observe(
 
     Noise is circular complex Gaussian, variance ``noise_var`` per combined
     sample (i.e. injected after the analog combiner, which preserves the
-    variance because the combiner rows are unit-norm).  Its real and
-    imaginary parts are one (2, K, M) draw, added to Y in place.
+    variance because the combiner rows are unit-norm).  Its real part, then
+    its imaginary part, is drawn into one (K, M) buffer and added to Y in
+    place: the same stream as one (2, K, M) draw, at half its size.
     """
     _check_finite_positive("power", power)
     if not (np.isfinite(noise_var) and noise_var >= 0.0):
@@ -67,23 +68,38 @@ def observe(
     if noise_var > 0.0:
         if rng is None:
             raise ValueError("noise_var > 0 requires an rng")
-        noise = rng.standard_normal((2,) + Y.shape)
-        noise *= np.sqrt(noise_var / 2.0)
-        Y.real += noise[0]
-        Y.imag += noise[1]
+        scale = np.sqrt(noise_var / 2.0)
+        noise = np.empty(Y.shape)
+        for part in (Y.real, Y.imag):
+            rng.standard_normal(out=noise)
+            noise *= scale
+            part += noise
     return Y
+
+
+# entries of A H per chunk of noise_var_for_snr's energy sum
+_SUM_CHUNK = 1 << 14
 
 
 def noise_var_for_snr(
     H: np.ndarray, combiners: np.ndarray, power: float, snr_target_db: float
 ) -> float:
-    """Noise variance that realizes ``snr_target_db`` for this channel draw."""
+    """Noise variance that realizes ``snr_target_db`` for this channel draw.
+
+    The signal energy sum |A H|^2 is a numpy reduction, not a BLAS dot
+    product, so it does not depend on the BLAS thread count; it runs over
+    chunks of rows, so it forms no temporary of A H's size.
+    """
     _check_finite_positive("power", power)
     if not np.isfinite(snr_target_db):
         raise ValueError(f"snr_target_db must be finite, got {snr_target_db!r}")
     AH = combine(H, combiners)
-    signal = power * float(np.vdot(AH, AH).real)
-    return signal / (AH.size * 10.0 ** (snr_target_db / 10.0))
+    rows = max(1, _SUM_CHUNK // max(1, AH.shape[1]))
+    energy = 0.0
+    for start in range(0, len(AH), rows):
+        part = AH[start:start + rows]
+        energy += float(np.sum(part.real * part.real) + np.sum(part.imag * part.imag))
+    return power * energy / (AH.size * 10.0 ** (snr_target_db / 10.0))
 
 
 def _check_finite_positive(name: str, value: float) -> None:

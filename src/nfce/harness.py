@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import time
 from dataclasses import astuple, dataclass, fields
 
@@ -35,11 +36,12 @@ from .frontend import (
 from .estimator import (
     DelayDictionary,
     PathEstimate,
+    RowBlocks,
     StoppingRule,
     check_inputs,
     fit_and_cancel,
     ml_delay_detect,
-    reconstruct_channel,
+    reconstruct_rows,
     run_dps,
     stopping_threshold,
 )
@@ -98,6 +100,10 @@ class SimConfig:
     timing: bool = False
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{_config_key(name)} must be an integer, got {value!r}")
         for section, build in (("geometry", self.geometry), ("grid", self.grid)):
             try:
                 build()
@@ -161,6 +167,18 @@ class SimConfig:
         return np.geomspace(
             self.distance_grid_min_m, self.distance_grid_max_m, self.distance_grid_size
         )
+
+
+# fields that size arrays or count loops; the INI and CLI paths parse them as
+# int, so only a library caller can pass a float (or a bool) here
+_INTEGER_FIELDS = ("n_antennas", "n_subarrays", "n_subcarriers", "trials",
+                   "max_paths", "angle_grid_size", "distance_grid_size")
+
+
+def _config_key(name: str) -> str:
+    """The ``section.key`` an INI file sets field ``name`` with."""
+    return next(f"{section}.{key}" for (section, key), (field, _) in _SCHEMA.items()
+                if field == name)
 
 
 _SCHEMA = {
@@ -284,36 +302,58 @@ class RunRecord:
 # chunks (the one being freed and the next) stay well under H's size
 _NMSE_CHUNK = 1 << 14
 
+# entries per block of estimate rows that nmse builds (or slices) at a time:
+# 2 MB of complex128, an eighth of H at 1024/256/1024 and all of it at the
+# SimConfig defaults.  Blocks much smaller than this cost a run time: each
+# one is a profile_sum call.
+_SCORE_BLOCK = 1 << 17
 
-def nmse(H_est: np.ndarray, H_true: np.ndarray) -> float:
+
+def nmse(H_est, H_true: np.ndarray) -> float:
     """||vec(H_est - H_true)||^2 / ||vec(H_true)||^2.
 
-    The error energy is summed over chunks of rows, so no array of H's size
-    is formed.
+    ``H_est`` is an array of H_true's shape, or the :class:`RowBlocks` of an
+    estimate that :func:`estimate` returns, which is built block by block
+    and never whole.  Each block is whole subarrays and a whole number of
+    chunks; the error energy is summed chunk by chunk in row order, so no
+    array of H's size is formed and the sum is the same bits whichever form
+    the estimate takes.
     """
-    if np.shape(H_est) != np.shape(H_true):
-        raise ValueError(f"H_est has shape {np.shape(H_est)}, "
+    shape = H_est.shape if isinstance(H_est, RowBlocks) else np.shape(H_est)
+    if shape != np.shape(H_true):
+        raise ValueError(f"H_est has shape {shape}, "
                          f"H_true has shape {np.shape(H_true)}")
-    H_est, H_true = np.atleast_2d(H_est), np.atleast_2d(H_true)
-    rows = max(1, _NMSE_CHUNK // max(1, H_true[0].size))
+    H_true = np.atleast_2d(H_true)
+    if not isinstance(H_est, RowBlocks):
+        dense = np.atleast_2d(H_est)
+        H_est = RowBlocks(dense.shape, 1, lambda r0, r1: dense[r0:r1])
+    width = max(1, H_true[0].size)
+    chunk = max(1, _NMSE_CHUNK // width)
+    ns = H_est.subarray_size
+    unit = math.lcm(chunk, ns)
+    block = unit * max(1, _SCORE_BLOCK // (unit * width))
     err = energy = 0.0
-    for start in range(0, len(H_true), rows):
-        true = H_true[start:start + rows]
-        diff = H_est[start:start + rows] - true
-        err += float(np.vdot(diff, diff).real)
-        # summed chunk by chunk like err, so an all-zero H_est reads exactly 1
-        energy += float(np.vdot(true, true).real)
+    for b0 in range(0, len(H_true), block):
+        b1 = min(b0 + block, len(H_true))
+        rows = H_est.rows(b0 // ns, b1 // ns)
+        for start in range(0, b1 - b0, chunk):
+            true = H_true[b0 + start:b0 + start + chunk]
+            diff = rows[start:start + chunk] - true
+            err += float(np.vdot(diff, diff).real)
+            # summed chunk by chunk like err, so an all-zero H_est reads exactly 1
+            energy += float(np.vdot(true, true).real)
+        del rows  # freed before the next block is built
     if energy == 0.0:
         raise ValueError("true channel is identically zero")
     return err / energy
 
 
-def nmse_db(H_est: np.ndarray, H_true: np.ndarray) -> float:
+def nmse_db(H_est, H_true: np.ndarray) -> float:
     return 10.0 * np.log10(nmse(H_est, H_true))
 
 
-def ls_baseline(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> np.ndarray:
-    """Minimum-norm LS estimate A^H Y / sqrt(P); rank-K in an N-dim space.
+def ls_rows(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> RowBlocks:
+    """The minimum-norm LS estimate A^H Y / sqrt(P), as blocks of subarray rows.
 
     A is block diagonal with rows f_k^H, so subarray k's block of A^H Y is
     the outer product f_k y_k^T; the dense K x N matrix is never formed.
@@ -321,10 +361,22 @@ def ls_baseline(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> np.
     check_inputs(Y, combiners, power)
     K, ns = combiners.shape
     scale = np.sqrt(power)
-    blocks = np.multiply(combiners[:, :, None], Y[:, None, :],
-                         dtype=np.result_type(combiners, Y, scale))
-    blocks /= scale
-    return blocks.reshape(K * ns, Y.shape[1])
+    dtype = np.result_type(combiners, Y, scale)
+
+    def build(k0: int, k1: int) -> np.ndarray:
+        blocks = np.multiply(combiners[k0:k1, :, None], Y[k0:k1, None, :], dtype=dtype)
+        blocks /= scale
+        return blocks.reshape((k1 - k0) * ns, Y.shape[1])
+
+    return RowBlocks((K * ns, Y.shape[1]), ns, build)
+
+
+def ls_baseline(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> np.ndarray:
+    """Minimum-norm LS estimate A^H Y / sqrt(P); rank-K in an N-dim space.
+
+    The whole of :func:`ls_rows` as one block.
+    """
+    return ls_rows(Y, combiners, power).build(0, len(combiners))
 
 
 # One slot: the key and the (theta grid, atoms, atoms^H, squared norms) of
@@ -538,20 +590,21 @@ def estimate(
 ):
     """Run one algorithm on an observation: (paths, H_hat, fallback, corr_count).
 
-    ``angle_grid_size`` and ``distance_grid`` set the polar-OMP dictionary;
-    LS extracts no paths and counts no correlations.
+    H_hat is the estimate's :class:`RowBlocks`, which :func:`nmse` scores
+    without forming it whole.  ``angle_grid_size`` and ``distance_grid`` set
+    the polar-OMP dictionary; LS extracts no paths and counts no correlations.
     """
     if algorithm == "dps":
         res = run_dps(Y, combiners, geom, grid, rule, power=power)
-        return (res.paths, reconstruct_channel(res.paths, geom, grid),
+        return (res.paths, reconstruct_rows(res.paths, geom, grid),
                 res.fallback, res.corr_total)
     if algorithm == "omp":
         paths, corr_iters = polar_omp_fallback(
             Y, combiners, geom, grid, rule, angle_grid_size, distance_grid, power
         )
-        return paths, reconstruct_channel(paths, geom, grid), False, int(sum(corr_iters))
+        return paths, reconstruct_rows(paths, geom, grid), False, int(sum(corr_iters))
     if algorithm == "ls":
-        return [], ls_baseline(Y, combiners, power), False, 0
+        return [], ls_rows(Y, combiners, power), False, 0
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
@@ -605,17 +658,18 @@ def _shared_draw(cfg: SimConfig, trial: int, snr_db: float):
 
     H, W and Y are read-only because every caller of the trial shares them;
     each call gets a new list of the (frozen) paths.  A new trial or SNR
-    empties its part of the slot before drawing, so two channels or two
-    observations are never held at once.
+    empties its part of the slot, and drops every local reference to it,
+    before drawing, so two channels or two observations are never held at
+    once.
     """
     key = (astuple(cfg), trial)
-    held = _TRIAL_SLOT[0]
-    if held is None or held[0] != key:
+    if _TRIAL_SLOT[0] is None or _TRIAL_SLOT[0][0] != key:
         _TRIAL_SLOT[0] = None
-        held = _TRIAL_SLOT[0] = (key, _draw_channel(cfg, trial), None)
-    _, channel, obs = held
+        _TRIAL_SLOT[0] = (key, _draw_channel(cfg, trial), None)
+    _, channel, obs = _TRIAL_SLOT[0]
     paths, H, W = channel
     if obs is None or obs[0] != snr_db:
+        obs = None  # else this local keeps the old Y alive while drawing
         _TRIAL_SLOT[0] = (key, channel, None)
         obs = (snr_db,) + _draw_observation(cfg, trial, snr_db, H, W)
         _TRIAL_SLOT[0] = (key, channel, obs)
@@ -652,7 +706,10 @@ def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
     est_paths, H_hat, fallback, corr_count = estimate(
         algorithm, Y, W, geom, grid, rule, cfg.angle_grid_size, dist_grid, cfg.power
     )
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
+    elapsed_s = time.perf_counter() - t0
+    score = nmse_db(H_hat, H)
+    # building the estimate is part of the run, as when it was formed whole
+    elapsed_ms = (elapsed_s + H_hat.build_s) * 1e3
 
     th_err, d_err, r_err = parameter_errors(est_paths, paths, grid)
     return RunRecord(
@@ -665,7 +722,7 @@ def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
         n_paths=len(paths),
         n_paths_est=len(est_paths),
         algorithm=algorithm,
-        nmse_db=nmse_db(H_hat, H),
+        nmse_db=score,
         theta_err=th_err,
         d_err_m=d_err,
         r_err_m=r_err,

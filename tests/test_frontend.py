@@ -86,8 +86,8 @@ def test_observe_noise_statistics():
 
 @pytest.mark.parametrize("power,noise_var", [(1.0, 0.25), (4.0, 1e-3), (0.3, 7.0)])
 def test_observe_matches_plain_formula(power, noise_var):
-    # one (2, K, M) draw added in place is the plain sqrt(P) A H + Z, bit for
-    # bit, from the same seeded stream: real parts first, then imaginary
+    # the real parts' draw, then the imaginary parts', added in place, is the
+    # plain sqrt(P) A H + Z bit for bit, from the same seeded stream
     geom, grid, _, H = _setup()
     W = random_phase_combiner(geom, np.random.default_rng(3))
     rng = np.random.default_rng(11)
@@ -123,9 +123,9 @@ def test_noise_var_for_snr_rejects_non_finite():
 
 
 def test_observe_peak_memory():
-    # at 1024/256/1024 the noisy Y is built in place: Y plus one (2, K, M)
-    # real draw, about 2x Y's bytes (3.0x when the noise was summed as
-    # complex temporaries)
+    # at 1024/256/1024 the noisy Y is built in place: Y plus one (K, M) real
+    # draw, about 1.5x Y's bytes (2.0x with one (2, K, M) draw, 3.0x when the
+    # noise was summed as complex temporaries)
     geom = ArrayGeometry(1024, 256, 7e9)
     rng = np.random.default_rng(2)
     H = rng.standard_normal((1024, 1024)) + 1j * rng.standard_normal((1024, 1024))
@@ -136,7 +136,7 @@ def test_observe_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * Y.nbytes
+    assert peak <= 1.6 * Y.nbytes
 
 
 def test_snr_roundtrip():
@@ -148,6 +148,15 @@ def test_snr_roundtrip():
     signal = 2.0 * np.sum(np.abs(AH) ** 2)
     assert nv == pytest.approx(signal / (AH.size * 10.0 ** (12.5 / 10.0)), rel=1e-12)
     assert 10.0 * np.log10(signal / (AH.size * nv)) == pytest.approx(12.5, abs=1e-9)
+
+
+def test_noise_var_sums_over_chunks():
+    # 256 subarrays at 128 subcarriers are two chunks of the energy sum
+    geom, grid, _, H = _setup(n=1024, k=256, m=128)
+    W = random_phase_combiner(geom, np.random.default_rng(9))
+    AH = combine(H, W)
+    plain = 0.5 * np.sum(np.abs(AH) ** 2) / (AH.size * 10.0 ** (3.0 / 10.0))
+    assert noise_var_for_snr(H, W, 0.5, 3.0) == pytest.approx(plain, rel=1e-12)
 
 
 def test_apply_impairments_gain_only():

@@ -1,5 +1,9 @@
 """Simulation harness: reproducible streams, config, trials, CSV output."""
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +24,8 @@ from nfce.estimator import (
     StoppingRule,
     fit_and_cancel,
     ml_delay_detect,
+    reconstruct_channel,
+    reconstruct_rows,
     run_dps,
     stopping_threshold,
 )
@@ -32,8 +38,10 @@ from nfce.harness import (
     bounds_table,
     draw_paths,
     draw_trial,
+    estimate,
     load_config,
     ls_baseline,
+    ls_rows,
     match_paths,
     monte_carlo_sweep,
     nmse,
@@ -76,6 +84,31 @@ def test_simconfig_validation():
     cfg = SimConfig()
     assert cfg.geometry().n_antennas == 256
     assert cfg.grid().n_subcarriers == 256
+
+
+@pytest.mark.parametrize("field,key", [
+    ("n_antennas", "geometry.n_antennas"),
+    ("n_subarrays", "geometry.n_subarrays"),
+    ("n_subcarriers", "grid.n_subcarriers"),
+    ("trials", "sweep.trials"),
+    ("max_paths", "stopping.max_paths"),
+    ("angle_grid_size", "omp.angle_grid_size"),
+    ("distance_grid_size", "omp.distance_grid_size"),
+])
+def test_simconfig_rejects_non_integer_sizes(field, key):
+    # a float reached np.geomspace (a bare TypeError) or the estimators; a
+    # bool is an int to Python but never a size
+    for value in (2.5, 4.0, True):
+        with pytest.raises(ConfigError, match=rf"^{key} must be an integer, got {value!r}$"):
+            SimConfig(**{field: value})
+    SimConfig(**{field: np.int64(getattr(SimConfig(), field))})
+
+
+def test_simconfig_names_the_polar_grid_keys():
+    with pytest.raises(ConfigError, match="omp.distance_grid_size"):
+        SimConfig(distance_grid_size=2.5)
+    with pytest.raises(ConfigError, match="omp.angle_grid_size"):
+        SimConfig(angle_grid_size=True)
 
 
 @pytest.mark.parametrize("key", ["snr_db", "algorithms"])
@@ -190,6 +223,110 @@ def test_nmse_and_ls_peak_memory():
     assert peak <= 1.1 * H_ls.nbytes
     peak, _ = _traced_peak(lambda: nmse(H_ls, H))
     assert peak <= 0.1 * H.nbytes
+
+
+def _full_scale(**kw) -> SimConfig:
+    return SimConfig(n_antennas=1024, n_subarrays=256, n_subcarriers=1024, n_paths=4,
+                     **kw)
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_run_trial_scores_blocks_as_the_dense_estimate(alg):
+    # at 512/128/512 the estimate is scored as two blocks of subarray rows;
+    # the score is the same bits as nmse_db of the whole estimate
+    harness._release_trial_channel()
+    cfg = SimConfig(n_antennas=512, n_subarrays=128, n_subcarriers=512, n_paths=3,
+                    seed=5, power=2.0)
+    geom, grid = cfg.geometry(), cfg.grid()
+    _, H, W, noise_var, Y = draw_trial(cfg, 0, 10.0)
+    assert H.size > harness._SCORE_BLOCK
+    rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
+    if alg == "dps":
+        paths = run_dps(Y, W, geom, grid, rule, cfg.power).paths
+        dense = reconstruct_channel(paths, geom, grid)
+    elif alg == "omp":
+        paths, _ = polar_omp_fallback(Y, W, geom, grid, rule, cfg.angle_grid_size,
+                                      cfg.distance_grid(), cfg.power)
+        dense = reconstruct_channel(paths, geom, grid)
+    else:
+        dense = ls_baseline(Y, W, cfg.power)
+    assert run_trial(cfg, 0, 10.0, alg).nmse_db == nmse_db(dense, H)
+    # any block of subarrays is the same bits as those rows of the whole
+    rows = estimate(alg, Y, W, geom, grid, rule, cfg.angle_grid_size,
+                    cfg.distance_grid(), cfg.power)[1]
+    ns = geom.subarray_size
+    assert rows.shape == dense.shape
+    for k0, k1 in ((0, 128), (3, 70), (127, 128)):
+        assert np.array_equal(rows.build(k0, k1), dense[k0 * ns:k1 * ns])
+    harness._release_trial_channel()
+
+
+def test_row_blocks_shape_is_checked():
+    geom = ArrayGeometry(64, 16, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(128, 600e6)
+    path = PathParams(0.2, 12.0, 9.0, 1 + 0j)
+    H = synthesize_channel([path], geom, grid)
+    other = ArrayGeometry(128, 16, 7e9)
+    with pytest.raises(ValueError, match=r"H_est has shape \(128, 128\)"):
+        nmse(reconstruct_rows([], other, grid), H)
+    assert nmse(reconstruct_rows([], geom, grid), H) == 1.0
+
+
+def test_run_trial_peak_memory():
+    # with the draw held, a full-scale run forms no estimate of H's size: it
+    # is scored one block of rows at a time (1.3x H for dps and 1.0x for ls
+    # when it was formed whole).  DPS's own working set, its residual copy
+    # of Y (0.25x) and the gain fit's temporaries, peaks at about 0.31x.
+    harness._release_trial_channel()
+    cfg = _full_scale(seed=3)
+    _, H, W, _, Y = harness._shared_draw(cfg, 0, 10.0)
+    run_trial(cfg, 0, 10.0, "dps")  # first-call caches are not the run's
+    for alg, bound in (("dps", 0.32), ("ls", 0.3)):
+        peak, _ = _traced_peak(lambda: run_trial(cfg, 0, 10.0, alg))
+        assert peak <= bound * H.nbytes, alg
+    # scoring holds one block and one chunk's difference at a time
+    peak, _ = _traced_peak(lambda: nmse(ls_rows(Y, W), H))
+    assert peak <= 0.2 * H.nbytes
+    harness._release_trial_channel()
+
+
+def test_new_draw_frees_the_old_one_first():
+    # a new SNR frees the old Y, and a new trial the old H and Y, before it
+    # draws; while the old ones lived on, this peaked at 2.35x H
+    harness._release_trial_channel()
+    cfg = _full_scale(seed=3)
+
+    def draws():
+        harness._shared_draw(cfg, 0, 10.0)
+        harness._shared_draw(cfg, 0, 20.0)
+        return harness._shared_draw(cfg, 1, 10.0)[1]
+
+    peak, H = _traced_peak(draws)
+    harness._release_trial_channel()
+    assert peak <= 1.6 * H.nbytes
+
+
+_DRAW_DIGEST = """
+import hashlib
+from nfce.harness import SimConfig, draw_trial
+cfg = SimConfig(n_antennas=1024, n_subarrays=256, n_subcarriers=1024, n_paths=4, seed=3)
+_, _, _, noise_var, Y = draw_trial(cfg, 0, 10.0)
+print(noise_var.hex(), hashlib.sha256(Y.tobytes()).hexdigest())
+"""
+
+
+def test_draw_does_not_depend_on_blas_threads():
+    # the noise variance was a BLAS dot product, whose last bits moved with
+    # the thread count at full scale, and Y scales with it
+    src = str(pathlib.Path(harness.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _DRAW_DIGEST], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_ls_baseline_projects_back():
