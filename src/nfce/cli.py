@@ -10,14 +10,15 @@ on success; failures print one categorized line ``error: <category>:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
 import numpy as np
 
-from .model import ArrayGeometry, SubcarrierGrid
 from .estimator import StoppingRule
 from .harness import (
+    CONFIG_KEYS,
     ConfigError,
     SimConfig,
     bounds_table,
@@ -28,32 +29,30 @@ from .harness import (
     nmse_db,
     parse_value,
     records_csv_text,
-    run_trial,
 )
 
+# each flag sets the SimConfig field of the same row, parsed as its INI key is
 _OVERRIDE_FLAGS = (
-    ("--n-antennas", "n_antennas", int),
-    ("--n-subarrays", "n_subarrays", int),
-    ("--carrier-hz", "carrier_hz", float),
-    ("--n-subcarriers", "n_subcarriers", int),
-    ("--bandwidth-hz", "bandwidth_hz", float),
-    ("--paths", "n_paths", int),
-    ("--trials", "trials", int),
-    ("--seed", "seed", int),
-    ("--p-fa", "p_fa", float),
-    ("--max-paths", "max_paths", int),
-    ("--power", "power", float),
+    ("--n-antennas", "n_antennas"),
+    ("--n-subarrays", "n_subarrays"),
+    ("--carrier-hz", "carrier_hz"),
+    ("--n-subcarriers", "n_subcarriers"),
+    ("--bandwidth-hz", "bandwidth_hz"),
+    ("--paths", "n_paths"),
+    ("--trials", "trials"),
+    ("--seed", "seed"),
+    ("--p-fa", "p_fa"),
+    ("--max-paths", "max_paths"),
+    ("--power", "power"),
+    ("--snr-db", "snr_db"),
+    ("--algorithms", "algorithms"),
 )
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI configuration file")
-    for flag, dest, typ in _OVERRIDE_FLAGS:
-        sub.add_argument(flag, dest=dest, type=typ, default=None)
-    sub.add_argument("--snr-db", dest="snr_db",
-                     help="comma-separated SNR list in dB")
-    sub.add_argument("--algorithms", dest="algorithms",
-                     help="comma-separated subset of dps,ls,omp")
+    for flag, dest in _OVERRIDE_FLAGS:
+        sub.add_argument(flag, dest=dest, help=f"overrides {CONFIG_KEYS[dest][0]}")
     sub.add_argument("--timing", action="store_true", default=None,
                      help="record wall-clock runtime_ms (breaks byte determinism)")
 
@@ -62,15 +61,8 @@ def _build_config(args) -> SimConfig:
     trial = getattr(args, "trial", 0)
     if trial < 0:
         raise ConfigError(f"--trial must be a nonnegative integer, got {trial}")
-    overrides = {}
-    for _, dest, _ in _OVERRIDE_FLAGS:
-        val = getattr(args, dest, None)
-        if val is not None:
-            overrides[dest] = val
-    if args.snr_db is not None:
-        overrides["snr_db"] = parse_value(args.snr_db, "floats", "--snr-db")
-    if args.algorithms is not None:
-        overrides["algorithms"] = parse_value(args.algorithms, "strs", "--algorithms")
+    overrides = {dest: parse_value(getattr(args, dest), CONFIG_KEYS[dest][1], flag)
+                 for flag, dest in _OVERRIDE_FLAGS if getattr(args, dest) is not None}
     if getattr(args, "timing", None):
         overrides["timing"] = True
     if getattr(args, "out", None) and args.command == "sweep":
@@ -105,32 +97,31 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     cfg = _build_config(args)
-    algorithm = args.algorithm
     if args.scenario:
-        data = np.load(args.scenario)
-        geom = ArrayGeometry(int(data["n_antennas"]), int(data["n_subarrays"]),
-                             float(data["carrier_hz"]), float(data["spacing_m"]))
-        grid = SubcarrierGrid.from_bandwidth(int(data["n_subcarriers"]),
-                                             float(data["bandwidth_hz"]))
-        H, Y, W = data["H"], data["Y"], data["W"]
-        noise_var = float(data["noise_var"])
-        power = float(data["power"])
-        rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa,
-                            max_paths=cfg.max_paths)
-        est, H_hat, fallback, corr = estimate(
-            algorithm, Y, W, geom, grid, rule, cfg.angle_grid_size,
-            cfg.distance_grid(), power)
-        extra = {"dps": f" fallback={fallback} corr={corr}",
-                 "omp": f" corr={corr}", "ls": ""}[algorithm]
-        print(f"algorithm={algorithm} L_hat={len(est)} "
-              f"nmse_db={nmse_db(H_hat, H):.3f}{extra}")
-        for i, p in enumerate(est):
-            print(f"  path {i}: theta={p.theta:+.6f} d={p.dist_m:.4f} m "
-                  f"r={p.range_m:.4f} m |gain|={abs(p.gain):.4f}")
-        return 0
-    record = run_trial(cfg, args.trial, cfg.snr_db[0], algorithm)
-    print(f"algorithm={algorithm} L={record.n_paths} L_hat={record.n_paths_est} "
-          f"nmse_db={record.nmse_db:.3f} corr={record.corr_count}")
+        with np.load(args.scenario) as data:
+            try:
+                # the file's geometry, grid and power, validated by SimConfig
+                cfg = dataclasses.replace(cfg, **{name: data[name].item() for name in (
+                    "n_antennas", "n_subarrays", "carrier_hz", "spacing_m",
+                    "n_subcarriers", "bandwidth_hz", "power")})
+                n_paths, H, W, Y = len(data["theta"]), data["H"], data["W"], data["Y"]
+                noise_var = float(data["noise_var"])
+            except KeyError as exc:
+                raise ConfigError(f"scenario {args.scenario}: {exc.args[0]}") from None
+    else:
+        paths, H, W, noise_var, Y = draw_trial(cfg, args.trial, cfg.snr_db[0])
+        n_paths = len(paths)
+    rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
+    est, H_hat, fallback, corr = estimate(
+        args.algorithm, Y, W, cfg.geometry(), cfg.grid(), rule, cfg.angle_grid_size,
+        cfg.distance_grid(), cfg.power)
+    extra = {"dps": f" fallback={fallback} corr={corr}",
+             "omp": f" corr={corr}", "ls": ""}[args.algorithm]
+    print(f"algorithm={args.algorithm} L_hat={len(est)} "
+          f"nmse_db={nmse_db(H_hat, H):.3f} L={n_paths}{extra}")
+    for i, p in enumerate(est):
+        print(f"  path {i}: theta={p.theta:+.6f} d={p.dist_m:.4f} m "
+              f"r={p.range_m:.4f} m |gain|={abs(p.gain):.4f}")
     return 0
 
 
@@ -145,8 +136,7 @@ def _cmd_bounds(args) -> int:
     if not (math.isfinite(args.noise_var) and args.noise_var > 0.0):
         raise ConfigError(f"--noise-var must be finite and positive, got {args.noise_var!r}")
     text = bounds_table(list(zip(thetas, ds, rs)), geom, grid,
-                        args.power if args.power is not None else cfg.power,
-                        args.noise_var, form=args.form)
+                        cfg.power, args.noise_var, form=args.form)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)

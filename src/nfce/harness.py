@@ -100,10 +100,10 @@ class SimConfig:
     timing: bool = False
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
+        for name, (key, kind) in CONFIG_KEYS.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{_config_key(name)} must be an integer, got {value!r}")
+            if kind is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         for section, build in (("geometry", self.geometry), ("grid", self.grid)):
             try:
                 build()
@@ -112,8 +112,17 @@ class SimConfig:
         min_paths = 0 if self.theta_list else 1
         if self.n_paths < min_paths:
             raise ConfigError(f"paths.count must be >= {min_paths}, got {self.n_paths}")
+        if not len(self.theta_list) == len(self.d_list_m) == len(self.r_list_m):
+            raise ConfigError("paths.theta_list, d_list_m and r_list_m differ in length")
+        for entry in zip(self.theta_list, self.d_list_m, self.r_list_m):
+            try:
+                PathParams(*entry)
+            except ValueError as exc:
+                raise ConfigError(f"paths.theta_list/d_list_m/r_list_m: {exc}") from None
         if self.trials < 0:
             raise ConfigError(f"sweep.trials must be >= 0, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"sweep.seed must be >= 0, got {self.seed}")
         if not 0.0 < self.theta_max < 1.0:
             raise ConfigError(f"paths.theta_max must be in (0,1), got {self.theta_max}")
         if not (np.isfinite(self.d_max_m) and 0.0 < self.d_min_m <= self.d_max_m):
@@ -142,6 +151,9 @@ class SimConfig:
             raise ConfigError(f"stopping.p_fa must be in (0,1), got {self.p_fa}")
         if self.max_paths < 0:
             raise ConfigError(f"stopping.max_paths must be >= 0, got {self.max_paths}")
+        if not 0.0 <= self.clock_offset_frac_max < math.inf:
+            raise ConfigError("impairments.clock_offset_frac_max must be finite and "
+                              f">= 0, got {self.clock_offset_frac_max}")
         if not 0.0 < self.gain_factor_min <= 1.0:
             raise ConfigError("impairments.gain_factor_min must be in (0,1]")
         if self.angle_grid_size < 1:
@@ -167,18 +179,6 @@ class SimConfig:
         return np.geomspace(
             self.distance_grid_min_m, self.distance_grid_max_m, self.distance_grid_size
         )
-
-
-# fields that size arrays or count loops; the INI and CLI paths parse them as
-# int, so only a library caller can pass a float (or a bool) here
-_INTEGER_FIELDS = ("n_antennas", "n_subarrays", "n_subcarriers", "trials",
-                   "max_paths", "angle_grid_size", "distance_grid_size")
-
-
-def _config_key(name: str) -> str:
-    """The ``section.key`` an INI file sets field ``name`` with."""
-    return next(f"{section}.{key}" for (section, key), (field, _) in _SCHEMA.items()
-                if field == name)
 
 
 _SCHEMA = {
@@ -214,6 +214,10 @@ _SCHEMA = {
     ("omp", "distance_grid_max_m"): ("distance_grid_max_m", float),
     ("output", "csv_path"): ("csv_path", str),
 }
+
+# SimConfig field -> ("section.key", kind) of the INI key and CLI flag that set it
+CONFIG_KEYS = {field: (f"{section}.{key}", kind)
+               for (section, key), (field, kind) in _SCHEMA.items()}
 
 
 def parse_value(raw: str, kind, where: str):
@@ -309,6 +313,13 @@ _NMSE_CHUNK = 1 << 14
 _SCORE_BLOCK = 1 << 17
 
 
+def _sum_squares(x: np.ndarray) -> float:
+    """sum |x|^2 without BLAS, whose ``np.vdot`` bits move with the thread count."""
+    x = np.ascontiguousarray(x)
+    x = (x.view(x.real.dtype) if np.iscomplexobj(x) else x).ravel()
+    return float(np.einsum("i,i->", x, x))
+
+
 def nmse(H_est, H_true: np.ndarray) -> float:
     """||vec(H_est - H_true)||^2 / ||vec(H_true)||^2.
 
@@ -339,9 +350,9 @@ def nmse(H_est, H_true: np.ndarray) -> float:
         for start in range(0, b1 - b0, chunk):
             true = H_true[b0 + start:b0 + start + chunk]
             diff = rows[start:start + chunk] - true
-            err += float(np.vdot(diff, diff).real)
+            err += _sum_squares(diff)
             # summed chunk by chunk like err, so an all-zero H_est reads exactly 1
-            energy += float(np.vdot(true, true).real)
+            energy += _sum_squares(true)
         del rows  # freed before the next block is built
     if energy == 0.0:
         raise ValueError("true channel is identically zero")
@@ -509,8 +520,6 @@ def draw_paths(cfg: SimConfig, rng: np.random.Generator,
     on resolvable sets.  Explicit lists bypass the draw.
     """
     if cfg.theta_list:
-        if not (len(cfg.theta_list) == len(cfg.d_list_m) == len(cfg.r_list_m)):
-            raise ConfigError("explicit path lists must have equal lengths")
         gains = [
             complex(rng.normal(), rng.normal()) / np.sqrt(2.0)
             for _ in cfg.theta_list

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nfce import cli
 from nfce.cli import main
-from nfce.harness import BOUNDS_COLUMNS, CSV_COLUMNS
+from nfce.harness import BOUNDS_COLUMNS, CONFIG_KEYS, CSV_COLUMNS, SimConfig, load_config
 
 
 COMMON = ["--n-antennas", "64", "--n-subarrays", "16",
@@ -36,6 +37,24 @@ def test_simulate_then_estimate(tmp_path, capsys):
     rc = main(["estimate", "--scenario", str(npz), "--algorithm", "ls"])
     assert rc == 0
     assert "algorithm=ls L_hat=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda data: data.pop("n_antennas"), "n_antennas"),
+    (lambda data: data.update(n_subarrays=np.int64(7)), "n_subarrays"),
+])
+def test_malformed_scenario_is_a_config_error(tmp_path, capsys, edit, key):
+    npz = tmp_path / "scene.npz"
+    assert main(["simulate", *COMMON, "--out", str(npz)]) == 0
+    with np.load(npz) as data:
+        arrays = dict(data)
+    edit(arrays)
+    np.savez(npz, **arrays)
+    capsys.readouterr()
+    rc = main(["estimate", "--scenario", str(npz)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and key in err
 
 
 def test_estimate_fresh_trial(capsys):
@@ -159,6 +178,12 @@ def test_exit_codes(tmp_path, capsys):
     ("[geometry]\nspacing_m = nan\n", [], "spacing_m"),
     ("", ["--bandwidth-hz", "nan"], "bandwidth_hz"),
     ("[paths]\nd_min_m = nan\n", [], "d_min_m"),
+    ("", ["--seed", "-1"], "sweep.seed"),
+    ("", ["--seed", "1.5"], "--seed"),
+    ("[paths]\ntheta_list = 0.1\nd_list_m = 10, 12\nr_list_m = 9\n", [], "theta_list"),
+    ("[paths]\ntheta_list = 1.5\nd_list_m = 10\nr_list_m = 9\n", [], "theta_list"),
+    ("[impairments]\nclock_offset_frac_max = nan\n", [], "clock_offset_frac_max"),
+    ("[impairments]\nclock_offset_frac_max = -0.1\n", [], "clock_offset_frac_max"),
 ])
 def test_bad_omp_grid_and_max_paths_are_config_errors(tmp_path, capsys, ini, flags, key):
     # rejected when the config is built, even by a sweep that runs no OMP,
@@ -297,3 +322,28 @@ def test_scenario_round_trip_keeps_impairments(tmp_path, capsys):
                          "--scenario", str(npz)])
         fresh = nmse(["estimate", "--config", str(ini), "--algorithm", alg])
         assert replayed == fresh, alg
+
+
+# a valid value for each override flag, unlike the SimConfig default
+_FLAG_VALUES = {
+    "n_antennas": "128", "n_subarrays": "16", "carrier_hz": "6e9",
+    "n_subcarriers": "128", "bandwidth_hz": "400e6", "n_paths": "3", "trials": "4",
+    "seed": "7", "p_fa": "1e-2", "max_paths": "5", "power": "2",
+    "snr_db": "0, 10", "algorithms": "ls omp",
+}
+
+
+@pytest.mark.parametrize("flag, field", cli._OVERRIDE_FLAGS)
+def test_each_flag_sets_its_ini_key(tmp_path, capsys, flag, field):
+    # a flag and its INI key share one parser, so both build the same config
+    value = _FLAG_VALUES[field]
+    key, _ = CONFIG_KEYS[field]
+    section, name = key.split(".")
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[{section}]\n{name} = {value}\n")
+    from_flag = cli._build_config(cli.build_parser().parse_args(["sweep", flag, value]))
+    assert from_flag == load_config(str(ini))
+    assert from_flag != SimConfig()
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert f"overrides {key}" in capsys.readouterr().out

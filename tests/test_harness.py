@@ -79,6 +79,21 @@ def test_simconfig_validation():
         SimConfig(p_fa=0.0)
     with pytest.raises(ConfigError):
         SimConfig(gain_factor_min=0.0)
+    with pytest.raises(ConfigError, match="sweep.seed must be >= 0"):
+        SimConfig(seed=-1)
+    # explicit path lists are checked when the config is built, not when drawn
+    with pytest.raises(ConfigError, match="paths.theta_list"):
+        SimConfig(theta_list=(0.1,), d_list_m=(10.0,), r_list_m=())
+    with pytest.raises(ConfigError, match="paths.theta_list.*theta must lie in"):
+        SimConfig(theta_list=(0.1, 1.5), d_list_m=(10.0, 9.0), r_list_m=(9.0, 9.0))
+    with pytest.raises(ConfigError, match="paths.theta_list.*dist_m must be positive"):
+        SimConfig(theta_list=(0.1,), d_list_m=(0.0,), r_list_m=(9.0,))
+    with pytest.raises(ConfigError, match="paths.theta_list.*range_m must be non-neg"):
+        SimConfig(theta_list=(0.1,), d_list_m=(10.0,), r_list_m=(-1.0,))
+    # a NaN or negative bound turned the clock-offset impairment off silently
+    for bad in (float("nan"), -0.1, float("inf")):
+        with pytest.raises(ConfigError, match="impairments.clock_offset_frac_max"):
+            SimConfig(clock_offset_frac_max=bad)
     # explicit path lists need no drawn count
     SimConfig(n_paths=0, theta_list=(0.1,), d_list_m=(10.0,), r_list_m=(9.0,))
     cfg = SimConfig()
@@ -94,6 +109,8 @@ def test_simconfig_validation():
     ("max_paths", "stopping.max_paths"),
     ("angle_grid_size", "omp.angle_grid_size"),
     ("distance_grid_size", "omp.distance_grid_size"),
+    ("n_paths", "paths.count"),
+    ("seed", "sweep.seed"),
 ])
 def test_simconfig_rejects_non_integer_sizes(field, key):
     # a float reached np.geomspace (a bare TypeError) or the estimators; a
@@ -293,16 +310,18 @@ def test_new_draw_frees_the_old_one_first():
 
 _DRAW_DIGEST = """
 import hashlib
-from nfce.harness import SimConfig, draw_trial
+from nfce.harness import SimConfig, draw_trial, run_trial
 cfg = SimConfig(n_antennas=1024, n_subarrays=256, n_subcarriers=1024, n_paths=4, seed=3)
 _, _, _, noise_var, Y = draw_trial(cfg, 0, 10.0)
 print(noise_var.hex(), hashlib.sha256(Y.tobytes()).hexdigest())
+print(run_trial(cfg, 0, 10.0, "ls").nmse_db.hex())
 """
 
 
 def test_draw_does_not_depend_on_blas_threads():
-    # the noise variance was a BLAS dot product, whose last bits moved with
-    # the thread count at full scale, and Y scales with it
+    # the noise variance and nmse's sums were BLAS dot products, whose last
+    # bits moved with the thread count at full scale, and Y scales with the
+    # noise variance
     src = str(pathlib.Path(harness.__file__).resolve().parents[1])
     digests = []
     for threads in ("1", "2"):
@@ -358,9 +377,8 @@ def test_draw_paths_explicit_list():
     paths = draw_paths(cfg, trial_rng(0, 0, 0), cfg.grid())
     assert [p.theta for p in paths] == [0.1, -0.2]
     assert [p.dist_m for p in paths] == [10.0, 12.0]
-    cfg_bad = SimConfig(theta_list=(0.1,), d_list_m=(10.0, 12.0), r_list_m=(9.0,))
-    with pytest.raises(ConfigError):
-        draw_paths(cfg_bad, trial_rng(0, 0, 0), cfg_bad.grid())
+    with pytest.raises(ConfigError, match="differ in length"):
+        SimConfig(theta_list=(0.1,), d_list_m=(10.0, 12.0), r_list_m=(9.0,))
 
 
 def test_draw_paths_impossible_rejection():
