@@ -18,6 +18,7 @@ import numpy as np
 
 from .estimator import StoppingRule
 from .harness import (
+    ALGORITHMS,
     CONFIG_KEYS,
     ConfigError,
     SimConfig,
@@ -177,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = subs.add_parser("estimate", help="run one algorithm on a scenario")
     _add_common(p_est)
-    p_est.add_argument("--algorithm", default="dps", choices=("dps", "ls", "omp"))
+    p_est.add_argument("--algorithm", default="dps", choices=ALGORITHMS)
     p_est.add_argument("--scenario", help="scenario .npz from `simulate`")
     p_est.add_argument("--trial", type=int, default=0)
     p_est.set_defaults(func=_cmd_estimate)

@@ -402,12 +402,14 @@ def residual_update(
     """
     coarse, fine = v_gc
     blocks = _as_blocks(y_row, v_gc)
-    scaled = math.sqrt(power) * np.asarray(rho_k)[..., None] * coarse
-    scaled, fine = scaled.reshape(-1, scaled.shape[-1]), fine.reshape(-1, fine.shape[-1])
+    rho = math.sqrt(power) * np.reshape(rho_k, (-1, 1))
+    coarse, fine = coarse.reshape(-1, coarse.shape[-1]), fine.reshape(-1, fine.shape[-1])
     chunk = max(1, _PROFILE_CHUNK_ENTRIES // y_row.shape[-1])
     for k0 in range(0, len(blocks), chunk):
         ks = slice(k0, k0 + chunk)
-        blocks[ks] -= scaled[ks, :, None] * fine[ks, None, :]
+        # the scaled coarse factor is formed per chunk, so no K-row copy of it
+        # lives while the chunk's rank-1 term is formed
+        blocks[ks] -= (rho[ks] * coarse[ks])[:, :, None] * fine[ks, None, :]
     return y_row
 
 

@@ -390,12 +390,26 @@ def ls_baseline(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> np.
     return ls_rows(Y, combiners, power).build(0, len(combiners))
 
 
-# One slot: the key and the (theta grid, atoms, atoms^H, squared norms) of
-# the last polar-OMP atom table built.  The table reads only the geometry,
-# the polar grid and the combiners, which a trial's SNRs share, so a sweep
-# builds it once per trial.  The key holds the combiners' bytes, so a W that
-# differs in any entry or in dtype (or was changed in place) builds afresh.
-_ATOM_SLOT: list = [None]
+# One slot for what a trial's runs share, entry name -> (key, value):
+#   "channel"      (paths, H, W) of the last (config, trial) drawn;
+#   "observation"  (noise_var, Y) of that trial's last SNR;
+#   "atoms"        polar OMP's atom table for its last (geometry, polar grid, W).
+# A sweep runs every SNR and algorithm of a trial back to back, so each
+# trial is synthesized once, each (trial, SNR) observed once and each atom
+# table built once, however many algorithms read them.  Keys hold values,
+# not identities (a config snapshot, W's bytes), so an input changed in
+# place builds afresh.  Every held array is read-only.
+_SLOT: dict = {}
+
+
+def _slot_entry(name: str, key, build):
+    """The slot's ``name`` entry if it was built for ``key``; otherwise the old
+    entry is dropped first, so two are never held at once, and ``build()``
+    makes the new one."""
+    if _SLOT.get(name, (None,))[0] != key:
+        _SLOT.pop(name, None)
+        _SLOT[name] = (key, build())
+    return _SLOT[name][1]
 
 
 def _polar_atom_table(combiners: np.ndarray, geom: ArrayGeometry,
@@ -410,11 +424,12 @@ def _polar_atom_table(combiners: np.ndarray, geom: ArrayGeometry,
     combiners = np.asarray(combiners)
     key = (geom, angle_grid_size, distance_grid.shape, distance_grid.tobytes(),
            combiners.dtype, combiners.shape, combiners.tobytes())
-    held = _ATOM_SLOT[0]
-    if held is not None and held[0] == key:
-        return held[1]
-    _ATOM_SLOT[0] = None
+    return _slot_entry("atoms", key, lambda: _build_atom_table(
+        combiners, geom, angle_grid_size, distance_grid))
 
+
+def _build_atom_table(combiners: np.ndarray, geom: ArrayGeometry,
+                      angle_grid_size: int, distance_grid: np.ndarray):
     K, n_dist = geom.n_subarrays, distance_grid.size
     theta_grid = (2.0 * np.arange(angle_grid_size) + 1.0) / angle_grid_size - 1.0
     atoms = np.empty((angle_grid_size, n_dist, K), dtype=complex)
@@ -436,7 +451,6 @@ def _polar_atom_table(combiners: np.ndarray, geom: ArrayGeometry,
     table = (theta_grid, atoms, atoms_h, norms2)
     for arr in table:
         arr.flags.writeable = False
-    _ATOM_SLOT[0] = (key, table)
     return table
 
 
@@ -455,7 +469,7 @@ def polar_omp_fallback(
     Atoms are combined narrowband subarray steering responses
     c_k(theta_g, d_g) = f_k^H w_k(theta_g, d_g), stored as one (G, K) table
     with G = G_theta * G_d in theta-major order.  The table depends only on
-    (geometry, polar grid, W), so it is held in a one-slot memo and shared by
+    (geometry, polar grid, W), so it is held in the trial slot and shared by
     every call with the same three, such as a trial's SNRs; angle -theta is
     built by mirroring theta's steering responses.  Each iteration scores every
     atom by the band energy of its normalized projection,
@@ -617,18 +631,6 @@ def estimate(
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
-# One slot: the last (config, trial) drawn, its channel (paths, H, W), and
-# the observation (SNR, noise_var, Y) of the last SNR drawn for it.  A sweep
-# runs every SNR and algorithm of a trial back to back, and none of them
-# changes these, so each trial's channel is synthesized once and each
-# (trial, SNR) observation is drawn once, however many algorithms read it.
-# The key is a snapshot of the config's values, so a config that differs in
-# any field, or whose lists were changed in place, draws afresh.  The slot is
-# read and replaced as one reference, so a caller never pairs one trial's key
-# with another trial's channel or observation.
-_TRIAL_SLOT: list = [None]
-
-
 def _draw_channel(cfg: SimConfig, trial: int):
     """(paths, H, W) of one trial, with H and W read-only."""
     geom, grid = cfg.geometry(), cfg.grid()
@@ -662,52 +664,30 @@ def _draw_observation(cfg: SimConfig, trial: int, snr_db: float, H, W):
     return noise_var, Y
 
 
-def _shared_draw(cfg: SimConfig, trial: int, snr_db: float):
-    """(paths, H, W, noise_var, Y) of one (trial, SNR), shared by its algorithms.
-
-    H, W and Y are read-only because every caller of the trial shares them;
-    each call gets a new list of the (frozen) paths.  A new trial or SNR
-    empties its part of the slot, and drops every local reference to it,
-    before drawing, so two channels or two observations are never held at
-    once.
-    """
-    key = (astuple(cfg), trial)
-    if _TRIAL_SLOT[0] is None or _TRIAL_SLOT[0][0] != key:
-        _TRIAL_SLOT[0] = None
-        _TRIAL_SLOT[0] = (key, _draw_channel(cfg, trial), None)
-    _, channel, obs = _TRIAL_SLOT[0]
-    paths, H, W = channel
-    if obs is None or obs[0] != snr_db:
-        obs = None  # else this local keeps the old Y alive while drawing
-        _TRIAL_SLOT[0] = (key, channel, None)
-        obs = (snr_db,) + _draw_observation(cfg, trial, snr_db, H, W)
-        _TRIAL_SLOT[0] = (key, channel, obs)
-    return list(paths), H, W, obs[1], obs[2]
-
-
-def _release_trial_channel() -> None:
-    """Empty the trial and atom-table slots, so no channel, observation or
-    polar-OMP table outlives the sweep that drew it."""
-    _TRIAL_SLOT[0] = None
-    _ATOM_SLOT[0] = None
-
-
 def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
-    """One trial's scenario: (paths, H, W, noise_var, Y).
+    """One trial's scenario: (paths, H, W, noise_var, Y), held in the slot.
 
     Y carries the configured impairments, so every caller (``run_trial``,
-    ``simulate``) estimates from the same observation.  H and W are read-only;
-    Y is the caller's own copy.
+    ``simulate``, ``estimate``) estimates from the same observation.  H, W and
+    Y are shared by every caller of the trial and read-only; each call gets a
+    new list of the (frozen) paths.
     """
-    paths, H, W, noise_var, Y = _shared_draw(cfg, trial, snr_db)
-    return paths, H, W, noise_var, Y.copy()
+    key = (astuple(cfg), trial)
+    if _SLOT.get("channel", (None,))[0] != key:
+        # the old trial's Y and atom table go before the new H is drawn, and
+        # a draw that raises leaves nothing a later trial could be served
+        _SLOT.clear()
+    paths, H, W = _slot_entry("channel", key, lambda: _draw_channel(cfg, trial))
+    noise_var, Y = _slot_entry("observation", (key, snr_db),
+                               lambda: _draw_observation(cfg, trial, snr_db, H, W))
+    return list(paths), H, W, noise_var, Y
 
 
 def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
               ) -> RunRecord:
     geom, grid = cfg.geometry(), cfg.grid()
     # every estimator copies Y or only reads it, so it reads the shared draw
-    paths, H, W, noise_var, Y = _shared_draw(cfg, trial, snr_db)
+    paths, H, W, noise_var, Y = draw_trial(cfg, trial, snr_db)
 
     rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
     dist_grid = cfg.distance_grid()
@@ -751,7 +731,7 @@ def monte_carlo_sweep(cfg: SimConfig) -> list[RunRecord]:
             for alg in cfg.algorithms
         ]
     finally:
-        _release_trial_channel()
+        _SLOT.clear()  # a sweep's last draw does not outlive it
     if cfg.csv_path:
         write_records_csv(cfg.csv_path, records)
     return records

@@ -145,10 +145,10 @@ class PathParams:
     def __post_init__(self):
         if not -1.0 < self.theta < 1.0:
             raise ValueError(f"theta must lie in (-1, 1), got {self.theta}")
-        if self.dist_m <= 0:
-            raise ValueError(f"dist_m must be positive, got {self.dist_m}")
-        if self.range_m < 0:
-            raise ValueError(f"range_m must be non-negative, got {self.range_m}")
+        if not 0 < self.dist_m < math.inf:
+            raise ValueError(f"dist_m must be positive and finite, got {self.dist_m}")
+        if not 0 <= self.range_m < math.inf:
+            raise ValueError(f"range_m must be non-negative and finite, got {self.range_m}")
 
     @property
     def total_m(self) -> float:

@@ -94,6 +94,13 @@ def test_simconfig_validation():
     for bad in (float("nan"), -0.1, float("inf")):
         with pytest.raises(ConfigError, match="impairments.clock_offset_frac_max"):
             SimConfig(clock_offset_frac_max=bad)
+    # NaN and infinity passed the sign tests and failed only as run errors
+    small = dict(n_antennas=64, n_subarrays=16, n_subcarriers=128, theta_list=(0.1,))
+    for d, r, match in ((float("nan"), 9.0, "dist_m must be positive and finite"),
+                        (float("inf"), 9.0, "dist_m must be positive and finite"),
+                        (10.0, float("inf"), "range_m must be non-negative and finite")):
+        with pytest.raises(ConfigError, match=f"paths.theta_list.*{match}"):
+            SimConfig(**small, d_list_m=(d,), r_list_m=(r,))
     # explicit path lists need no drawn count
     SimConfig(n_paths=0, theta_list=(0.1,), d_list_m=(10.0,), r_list_m=(9.0,))
     cfg = SimConfig()
@@ -247,7 +254,7 @@ def _full_scale(**kw) -> SimConfig:
 def test_run_trial_scores_blocks_as_the_dense_estimate(alg):
     # at 512/128/512 the estimate is scored as two blocks of subarray rows;
     # the score is the same bits as nmse_db of the whole estimate
-    harness._release_trial_channel()
+    harness._SLOT.clear()
     cfg = SimConfig(n_antennas=512, n_subarrays=128, n_subcarriers=512, n_paths=3,
                     seed=5, power=2.0)
     geom, grid = cfg.geometry(), cfg.grid()
@@ -271,7 +278,7 @@ def test_run_trial_scores_blocks_as_the_dense_estimate(alg):
     assert rows.shape == dense.shape
     for k0, k1 in ((0, 128), (3, 70), (127, 128)):
         assert np.array_equal(rows.build(k0, k1), dense[k0 * ns:k1 * ns])
-    harness._release_trial_channel()
+    harness._SLOT.clear()
 
 
 def test_run_trial_peak_memory():
@@ -279,9 +286,9 @@ def test_run_trial_peak_memory():
     # is scored one block of rows at a time (1.3x H for dps and 1.0x for ls
     # when it was formed whole).  DPS's own working set, its residual copy
     # of Y (0.25x) and the gain fit's temporaries, peaks at about 0.31x.
-    harness._release_trial_channel()
+    harness._SLOT.clear()
     cfg = _full_scale(seed=3)
-    _, H, W, _, Y = harness._shared_draw(cfg, 0, 10.0)
+    _, H, W, _, Y = draw_trial(cfg, 0, 10.0)
     run_trial(cfg, 0, 10.0, "dps")  # first-call caches are not the run's
     for alg, bound in (("dps", 0.32), ("ls", 0.3)):
         peak, _ = _traced_peak(lambda: run_trial(cfg, 0, 10.0, alg))
@@ -289,22 +296,22 @@ def test_run_trial_peak_memory():
     # scoring holds one block and one chunk's difference at a time
     peak, _ = _traced_peak(lambda: nmse(ls_rows(Y, W), H))
     assert peak <= 0.2 * H.nbytes
-    harness._release_trial_channel()
+    harness._SLOT.clear()
 
 
 def test_new_draw_frees_the_old_one_first():
     # a new SNR frees the old Y, and a new trial the old H and Y, before it
     # draws; while the old ones lived on, this peaked at 2.35x H
-    harness._release_trial_channel()
+    harness._SLOT.clear()
     cfg = _full_scale(seed=3)
 
     def draws():
-        harness._shared_draw(cfg, 0, 10.0)
-        harness._shared_draw(cfg, 0, 20.0)
-        return harness._shared_draw(cfg, 1, 10.0)[1]
+        draw_trial(cfg, 0, 10.0)
+        draw_trial(cfg, 0, 20.0)
+        return draw_trial(cfg, 1, 10.0)[1]
 
     peak, H = _traced_peak(draws)
-    harness._release_trial_channel()
+    harness._SLOT.clear()
     assert peak <= 1.6 * H.nbytes
 
 
@@ -465,7 +472,7 @@ _SMALL = dict(n_antennas=64, n_subarrays=16, n_subcarriers=128, n_paths=2)
 
 
 def test_sweep_synthesizes_each_trial_once(monkeypatch):
-    harness._release_trial_channel()
+    harness._SLOT.clear()
     calls = []
 
     def counted(*args, **kwargs):
@@ -483,7 +490,7 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
 
 
 def test_sweep_observes_each_trial_snr_once(monkeypatch):
-    harness._release_trial_channel()
+    harness._SLOT.clear()
     calls = []
 
     def counted(*args, **kwargs):
@@ -506,21 +513,37 @@ def test_memo_hits_equal_fresh_draws():
     order = [(cfg, 0), (cfg, 1), (cfg, 0), (other, 0), (cfg, 0), (other, 0)]
 
     def rows(empty_slot_each_run: bool) -> list[str]:
-        harness._release_trial_channel()
+        harness._SLOT.clear()
         out = []
         for c, trial in order:
             for snr in (5.0, 15.0):
                 for alg in ALGORITHMS:
                     if empty_slot_each_run:
-                        harness._release_trial_channel()
+                        harness._SLOT.clear()
                     out.append(run_trial(c, trial, snr, alg).csv_row())
         return out
 
     assert rows(False) == rows(True)
+    # a draw that raises (16 subcarriers: a path delay of a symbol or more)
+    # leaves the slot empty, so the next trial is served nothing of the last
+    bad = dataclasses.replace(cfg, n_subcarriers=16)
+
+    def after_failed_draw(fail: bool) -> list[str]:
+        harness._SLOT.clear()
+        run_trial(cfg, 0, 5.0, "omp")
+        if fail:
+            with pytest.raises(ValueError, match="symbol"):
+                run_trial(bad, 0, 5.0, "ls")
+            assert not harness._SLOT
+        else:
+            harness._SLOT.clear()
+        return [run_trial(cfg, 1, 5.0, alg).csv_row() for alg in ALGORITHMS]
+
+    assert after_failed_draw(True) == after_failed_draw(False)
 
 
 def test_config_changed_in_place_draws_afresh():
-    harness._release_trial_channel()
+    harness._SLOT.clear()
     cfg = SimConfig(**_SMALL, seed=25, theta_list=[0.1, -0.2],
                     d_list_m=[10.0, 12.0], r_list_m=[9.0, 11.0])
     assert draw_trial(cfg, 0, 10.0)[0][0].theta == 0.1
@@ -529,25 +552,20 @@ def test_config_changed_in_place_draws_afresh():
 
 
 def test_shared_trial_arrays_are_read_only():
-    harness._release_trial_channel()
+    harness._SLOT.clear()
     cfg = SimConfig(**_SMALL, seed=24)
     paths, H, W, _, Y = draw_trial(cfg, 0, 10.0)
     assert draw_trial(cfg, 0, 20.0)[1] is H  # shared across SNRs
-    with pytest.raises(ValueError):
-        H[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        W[0, 0] = 0.0
-    Y[0, 0] = 0.0  # the observation is the caller's own
-    paths.clear()  # and so is the list of paths
+    # every caller of the trial, run_trial included, reads the same arrays
+    # and none can write them
+    Y = draw_trial(cfg, 0, 10.0)[4]
+    assert draw_trial(cfg, 0, 10.0)[4] is Y
+    for arr in (H, W, Y):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    assert Y[0, 0] != 0.0
+    paths.clear()  # the list of paths is the caller's own
     assert len(draw_trial(cfg, 0, 10.0)[0]) == 2
-    # run_trial reads the shared observation, which no caller can write
-    shared = harness._shared_draw(cfg, 0, 10.0)[4]
-    with pytest.raises(ValueError):
-        shared[0, 0] = 0.0
-    assert shared[0, 0] != 0.0
-    before = run_trial(cfg, 0, 10.0, "ls").csv_row()
-    draw_trial(cfg, 0, 10.0)[4][...] = 0.0
-    assert run_trial(cfg, 0, 10.0, "ls").csv_row() == before
 
 
 def test_path_params_are_frozen():
@@ -672,7 +690,7 @@ def _direct_atom_table(W, geom, angle_grid_size, distance_grid):
 @pytest.mark.parametrize("angle_grid_size", [64, 7, 10, 1])
 @pytest.mark.parametrize("shape", [(256, 32), (64, 16)])
 def test_mirrored_atom_table_equals_direct_build(angle_grid_size, shape):
-    harness._release_trial_channel()
+    harness._SLOT.clear()
     geom = ArrayGeometry(*shape, 7e9)
     W = random_phase_combiner(geom, np.random.default_rng(angle_grid_size))
     dist = SimConfig().distance_grid()
@@ -684,11 +702,11 @@ def test_mirrored_atom_table_equals_direct_build(angle_grid_size, shape):
     assert np.array_equal(atoms_h, ref_atoms.conj())
     assert np.array_equal(
         norms2, np.maximum(np.linalg.norm(ref_atoms, axis=1), 1e-300) ** 2)
-    harness._release_trial_channel()
+    harness._SLOT.clear()
 
 
 def test_sweep_builds_each_trial_atom_table_once(monkeypatch):
-    harness._release_trial_channel()
+    harness._SLOT.clear()
     calls = []
 
     def counted(*args, **kwargs):
@@ -703,11 +721,17 @@ def test_sweep_builds_each_trial_atom_table_once(monkeypatch):
     assert len(monte_carlo_sweep(cfg)) == 2 * 3 * 3
     # G/2 per trial: one table per trial, its negative angles mirrored
     assert len(calls) == 2 * cfg.angle_grid_size // 2
-    assert harness._ATOM_SLOT[0] is None  # released with the trial slot
+    assert not harness._SLOT  # released with its trial
+    # a new trial drops the last trial's table before it draws
+    run_trial(cfg, 0, 10.0, "omp")
+    assert "atoms" in harness._SLOT
+    draw_trial(cfg, 1, 10.0)
+    assert "atoms" not in harness._SLOT
+    harness._SLOT.clear()
 
 
 def test_atom_table_follows_the_combiners():
-    harness._release_trial_channel()
+    harness._SLOT.clear()
     geom = ArrayGeometry(64, 16, 7e9)
     dist = SimConfig().distance_grid()
     W = random_phase_combiner(geom, np.random.default_rng(31))
@@ -729,8 +753,7 @@ def test_atom_table_follows_the_combiners():
     assert np.array_equal(narrow[1], _direct_atom_table(W64, geom, 10, dist)[1])
     assert harness._polar_atom_table(W64, geom, 12, dist)[1].shape == (12 * 16, 16)
     assert harness._polar_atom_table(W64, geom, 12, dist[:4])[1].shape == (12 * 4, 16)
-    harness._release_trial_channel()
-    assert harness._ATOM_SLOT[0] is None
+    harness._SLOT.clear()
 
 
 def test_bounds_table_format():
