@@ -414,13 +414,8 @@ def _slot_entry(name: str, key, build):
 
 def _polar_atom_table(combiners: np.ndarray, geom: ArrayGeometry,
                       angle_grid_size: int, distance_grid: np.ndarray):
-    """(theta grid, atoms (G, K), atoms^H, squared atom norms), read-only.
-
-    The table is built one angle (G_d steering vectors) at a time.  The
-    antenna offsets are symmetric, so w(-theta) is w(theta) reversed, bit for
-    bit; an angle whose grid value is exactly minus an earlier angle's
-    reverses that angle's responses instead of calling ``steering_vector``.
-    """
+    """(theta grid, atoms (G, K), atoms^H, squared atom norms), read-only,
+    held in the slot's "atoms" entry."""
     combiners = np.asarray(combiners)
     key = (geom, angle_grid_size, distance_grid.shape, distance_grid.tobytes(),
            combiners.dtype, combiners.shape, combiners.tobytes())
@@ -430,6 +425,11 @@ def _polar_atom_table(combiners: np.ndarray, geom: ArrayGeometry,
 
 def _build_atom_table(combiners: np.ndarray, geom: ArrayGeometry,
                       angle_grid_size: int, distance_grid: np.ndarray):
+    """The table, built one angle (G_d steering vectors) at a time.  The
+    antenna offsets are symmetric, so w(-theta) is w(theta) reversed, bit for
+    bit; an angle whose grid value is exactly minus an earlier angle's
+    reverses that angle's responses instead of calling ``steering_vector``.
+    """
     K, n_dist = geom.n_subarrays, distance_grid.size
     theta_grid = (2.0 * np.arange(angle_grid_size) + 1.0) / angle_grid_size - 1.0
     atoms = np.empty((angle_grid_size, n_dist, K), dtype=complex)

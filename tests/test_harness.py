@@ -285,7 +285,7 @@ def test_run_trial_peak_memory():
     # with the draw held, a full-scale run forms no estimate of H's size: it
     # is scored one block of rows at a time (1.3x H for dps and 1.0x for ls
     # when it was formed whole).  DPS's own working set, its residual copy
-    # of Y (0.25x) and the gain fit's temporaries, peaks at about 0.31x.
+    # of Y (0.25x) and the gain fit's temporaries, peaks at about 0.30x.
     harness._SLOT.clear()
     cfg = _full_scale(seed=3)
     _, H, W, _, Y = draw_trial(cfg, 0, 10.0)
