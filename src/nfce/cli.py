@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from .estimator import StoppingRule
 from .harness import (
     ALGORITHMS,
     CONFIG_KEYS,
@@ -31,6 +30,7 @@ from .harness import (
     parse_value,
     records_csv_text,
 )
+from .model import PathParams
 
 # each flag sets the SimConfig field of the same row, parsed as its INI key is
 _OVERRIDE_FLAGS = (
@@ -112,10 +112,7 @@ def _cmd_estimate(args) -> int:
     else:
         paths, H, W, noise_var, Y = draw_trial(cfg, args.trial, cfg.snr_db[0])
         n_paths = len(paths)
-    rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
-    est, H_hat, fallback, corr = estimate(
-        args.algorithm, Y, W, cfg.geometry(), cfg.grid(), rule, cfg.angle_grid_size,
-        cfg.distance_grid(), cfg.power)
+    est, H_hat, fallback, corr = estimate(cfg, args.algorithm, Y, W, noise_var)
     extra = {"dps": f" fallback={fallback} corr={corr}",
              "omp": f" corr={corr}", "ls": ""}[args.algorithm]
     print(f"algorithm={args.algorithm} L_hat={len(est)} "
@@ -134,14 +131,17 @@ def _cmd_bounds(args) -> int:
     rs = parse_value(args.r_m, "floats", "--r-m")
     if not (0 < len(thetas) == len(ds) == len(rs)):
         raise ConfigError("theta, d-m and r-m lists must be nonempty and of equal lengths")
+    try:
+        paths = [PathParams(*entry) for entry in zip(thetas, ds, rs)]
+    except ValueError as exc:
+        raise ConfigError(f"--theta/--d-m/--r-m: {exc}") from None
     if not (math.isfinite(args.noise_var) and args.noise_var > 0.0):
         raise ConfigError(f"--noise-var must be finite and positive, got {args.noise_var!r}")
-    text = bounds_table(list(zip(thetas, ds, rs)), geom, grid,
-                        cfg.power, args.noise_var, form=args.form)
+    text = bounds_table(paths, geom, grid, cfg.power, args.noise_var, form=args.form)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
-        print(f"wrote {len(thetas)} scenario rows -> {args.out}")
+        print(f"wrote {len(paths)} scenario rows -> {args.out}")
     else:
         sys.stdout.write(text)
     return 0

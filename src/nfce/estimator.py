@@ -7,8 +7,9 @@ decouple (theta, dist, range), fits one complex gain per subarray, and
 cancels the path from the residual.  A CFAR threshold on the central
 correlation peak stops the iteration.
 
-Every detection attempt appends one :class:`Iteration` (central peak, delay
-track, accepted path) to the result.  The message-passing runtime
+Every detection attempt appends one :class:`Iteration` (central peak,
+correlations spent, delay track, accepted path) to the result, and every
+count the result reports is read off that record.  The message-passing runtime
 (:mod:`nfce.runtime`) replays that record as LPU/CPU messages instead of
 running a second copy of the loop, so the two entry points agree exactly.
 """
@@ -514,25 +515,45 @@ class Iteration:
     """
 
     peak: float  # central-subarray grid score, compared to the CFAR threshold
+    corr: int  # dictionary correlations spent: M, plus (K-1)(2 M_s + 1) with a track
     track: SubarrayDelayTrack | None = None
     path: PathEstimate | None = None
 
 
 @dataclass
 class DpsResult:
-    paths: list
-    fallback: bool
-    rejected: int
-    corr_per_iter: list  # dictionary correlations per completed iteration
-    corr_total: int  # includes the terminal stopping check
+    """:func:`run_dps`'s iteration record and stop reason; every count is read off them."""
+
+    iterations: list  # one Iteration per detection attempt
     stop_reason: str
     residual: np.ndarray
-    iterations: list  # one Iteration per detection attempt
     threshold: float  # CFAR level each Iteration.peak is compared against
+
+    @property
+    def paths(self) -> list:
+        return [step.path for step in self.iterations if step.path is not None]
 
     @property
     def n_paths(self) -> int:
         return len(self.paths)
+
+    @property
+    def fallback(self) -> bool:
+        return self.stop_reason == "fallback"
+
+    @property
+    def rejected(self) -> int:
+        return int(self.stop_reason == "rejected")
+
+    @property
+    def corr_per_iter(self) -> list:
+        """Dictionary correlations of each iteration that extrapolated."""
+        return [step.corr for step in self.iterations if step.track is not None]
+
+    @property
+    def corr_total(self) -> int:
+        """All dictionary correlations, the terminal stopping check included."""
+        return sum(step.corr for step in self.iterations)
 
 
 def decouple_profile(
@@ -613,62 +634,39 @@ def run_dps(
     threshold = stopping_threshold(rule.noise_var, M, rule.p_fa)
     resid = np.array(Y, dtype=complex, copy=True)
 
-    paths: list[PathEstimate] = []
     iterations: list[Iteration] = []
-    corr_per_iter: list[int] = []
-    corr_total = 0
-    rejected = 0
-    fallback = False
-    stop_reason = "max_paths"
-
     while True:
-        idx, tau_c, peak = ml_delay_detect(resid[kc], dictionary)
-        corr_total += M
-        step = Iteration(peak)
+        _, tau_c, peak = ml_delay_detect(resid[kc], dictionary)
+        step = Iteration(peak, M)
         iterations.append(step)
         if peak <= threshold:
             stop_reason = "threshold"
             break
-        if len(paths) >= rule.max_paths:
+        # every earlier attempt accepted a path, so this counts the paths
+        if len(iterations) > rule.max_paths:
             stop_reason = "max_paths"
             break
 
-        track = extrapolate_delays(resid, tau_c, geom, dictionary, m_hop)
-        step.track = track
-        corr_per_iter.append(M + (K - 1) * (2 * m_hop + 1))
-        corr_total += (K - 1) * (2 * m_hop + 1)
-
-        if track.all_equal():
+        step.track = extrapolate_delays(resid, tau_c, geom, dictionary, m_hop)
+        step.corr += (K - 1) * (2 * m_hop + 1)
+        if step.track.all_equal():
             # parametric symmetry carries no information and the residual is
             # still above threshold: stop.  No other method takes over; the
             # caller gets the paths found so far and DpsResult.fallback is set
-            fallback = True
             stop_reason = "fallback"
             break
 
-        decoupled = decouple_profile(track, geom, grid)
+        decoupled = decouple_profile(step.track, geom, grid)
         if decoupled is None:
-            rejected += 1
             stop_reason = "rejected"
             break
         theta, dist, rng_m, clamped, refined = decoupled
         step.path = fit_and_cancel(
             resid, theta, dist, rng_m, combiners, geom, grid, power,
-            track=track, clamped=clamped, refined=refined,
+            track=step.track, clamped=clamped, refined=refined,
         )
-        paths.append(step.path)
 
-    return DpsResult(
-        paths=paths,
-        fallback=fallback,
-        rejected=rejected,
-        corr_per_iter=corr_per_iter,
-        corr_total=corr_total,
-        stop_reason=stop_reason,
-        residual=resid,
-        iterations=iterations,
-        threshold=threshold,
-    )
+    return DpsResult(iterations, stop_reason, resid, threshold)
 
 
 @dataclass

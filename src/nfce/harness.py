@@ -162,8 +162,9 @@ class SimConfig:
         if self.distance_grid_size < 1:
             raise ConfigError(
                 f"omp.distance_grid_size must be >= 1, got {self.distance_grid_size}")
-        if not 0.0 < self.distance_grid_min_m <= self.distance_grid_max_m:
-            raise ConfigError("omp.distance_grid range must satisfy "
+        if not (np.isfinite(self.distance_grid_max_m)
+                and 0.0 < self.distance_grid_min_m <= self.distance_grid_max_m):
+            raise ConfigError("omp.distance_grid range must be finite and satisfy "
                               "0 < distance_grid_min_m <= distance_grid_max_m")
 
     def geometry(self) -> ArrayGeometry:
@@ -600,34 +601,30 @@ def parameter_errors(est: list, truth: list[PathParams], grid: SubcarrierGrid
 # trial execution and sweeps
 
 
-def estimate(
-    algorithm: str,
-    Y: np.ndarray,
-    combiners: np.ndarray,
-    geom: ArrayGeometry,
-    grid: SubcarrierGrid,
-    rule: StoppingRule,
-    angle_grid_size: int,
-    distance_grid: np.ndarray,
-    power: float = 1.0,
-):
+def estimate(cfg: SimConfig, algorithm: str, Y: np.ndarray, combiners: np.ndarray,
+             noise_var: float):
     """Run one algorithm on an observation: (paths, H_hat, fallback, corr_count).
 
-    H_hat is the estimate's :class:`RowBlocks`, which :func:`nmse` scores
-    without forming it whole.  ``angle_grid_size`` and ``distance_grid`` set
-    the polar-OMP dictionary; LS extracts no paths and counts no correlations.
+    The one place a config becomes estimator inputs: ``cfg``'s geometry,
+    grid, stopping rule (``noise_var`` with its p_fa and path cap) and
+    power, and for polar OMP its dictionary.  H_hat is the estimate's
+    :class:`RowBlocks`, which :func:`nmse` scores without forming it whole.
+    LS extracts no paths and counts no correlations.
     """
+    geom, grid = cfg.geometry(), cfg.grid()
+    rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
     if algorithm == "dps":
-        res = run_dps(Y, combiners, geom, grid, rule, power=power)
-        return (res.paths, reconstruct_rows(res.paths, geom, grid),
-                res.fallback, res.corr_total)
+        res = run_dps(Y, combiners, geom, grid, rule, power=cfg.power)
+        paths = res.paths
+        return paths, reconstruct_rows(paths, geom, grid), res.fallback, res.corr_total
     if algorithm == "omp":
         paths, corr_iters = polar_omp_fallback(
-            Y, combiners, geom, grid, rule, angle_grid_size, distance_grid, power
+            Y, combiners, geom, grid, rule, cfg.angle_grid_size, cfg.distance_grid(),
+            cfg.power
         )
         return paths, reconstruct_rows(paths, geom, grid), False, int(sum(corr_iters))
     if algorithm == "ls":
-        return [], ls_rows(Y, combiners, power), False, 0
+        return [], ls_rows(Y, combiners, cfg.power), False, 0
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
@@ -685,29 +682,24 @@ def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
 
 def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
               ) -> RunRecord:
-    geom, grid = cfg.geometry(), cfg.grid()
     # every estimator copies Y or only reads it, so it reads the shared draw
     paths, H, W, noise_var, Y = draw_trial(cfg, trial, snr_db)
 
-    rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
-    dist_grid = cfg.distance_grid()
     t0 = time.perf_counter()
-    est_paths, H_hat, fallback, corr_count = estimate(
-        algorithm, Y, W, geom, grid, rule, cfg.angle_grid_size, dist_grid, cfg.power
-    )
+    est_paths, H_hat, fallback, corr_count = estimate(cfg, algorithm, Y, W, noise_var)
     elapsed_s = time.perf_counter() - t0
     score = nmse_db(H_hat, H)
     # building the estimate is part of the run, as when it was formed whole
     elapsed_ms = (elapsed_s + H_hat.build_s) * 1e3
 
-    th_err, d_err, r_err = parameter_errors(est_paths, paths, grid)
+    th_err, d_err, r_err = parameter_errors(est_paths, paths, cfg.grid())
     return RunRecord(
         seed=cfg.seed,
         trial=trial,
         snr_db=snr_db,
-        n_antennas=geom.n_antennas,
-        n_subarrays=geom.n_subarrays,
-        n_subcarriers=grid.n_subcarriers,
+        n_antennas=cfg.n_antennas,
+        n_subarrays=cfg.n_subarrays,
+        n_subcarriers=cfg.n_subcarriers,
         n_paths=len(paths),
         n_paths_est=len(est_paths),
         algorithm=algorithm,
@@ -761,17 +753,16 @@ BOUNDS_COLUMNS = (
 )
 
 
-def bounds_table(scenarios, geom: ArrayGeometry, grid: SubcarrierGrid,
+def bounds_table(paths, geom: ArrayGeometry, grid: SubcarrierGrid,
                  power: float, noise_var: float, form: str = "corrected") -> str:
-    """CSV text of numeric/closed-form bounds for (theta, d, r) scenarios."""
+    """CSV text of numeric/closed-form bounds, one row per :class:`PathParams`."""
     from .bounds import bounds_report
 
     lines = [BOUNDS_COLUMNS]
-    for theta, d_m, r_m in scenarios:
-        path = PathParams(theta, d_m, r_m, gain=1.0 + 0.0j)
+    for path in paths:
         rep = bounds_report(path, geom, grid, power, noise_var, form)
         vals = (
-            theta, d_m, r_m, geom.n_subarrays, geom.n_antennas,
+            path.theta, path.dist_m, path.range_m, geom.n_subarrays, geom.n_antennas,
             grid.n_subcarriers, grid.spacing_hz, power, noise_var,
             rep.theta_cb, rep.d_cb, rep.r_cb,
             rep.theta_cb_cf, rep.d_cb_cf, rep.r_cb_cf,

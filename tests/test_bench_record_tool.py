@@ -1,4 +1,4 @@
-"""tools/bench_record.py: per-metric summaries, pair wins, checkout commits, tier-1 time."""
+"""tools/bench_record.py: metric summaries, pair wins, traced medians, commits, tier-1 time."""
 import re
 import shutil
 import subprocess
@@ -60,6 +60,29 @@ def test_held_out_change_is_checked_against_the_pairs_range(bench_record):
     assert time_["relative_change"] == pytest.approx(-0.25)
     assert (time_["pair_min"], time_["pair_max"]) == pytest.approx((-0.25, 0.5))
     assert time_["inside"] is True  # the ends of the range count as inside
+
+
+def _traced(correct, failed, seconds, calls, nmse=-3.0):
+    return {"correct": correct, "failed": failed, "metrics": {
+        "x.s": {"value": seconds, "unit": "s"},
+        "x.calls": {"value": calls, "unit": "count"},
+        "x.nmse_db": {"value": nmse, "unit": "dB"}}}
+
+
+def test_traced_block_is_the_median_of_the_runs(bench_record):
+    out = bench_record.traced_summary([
+        _traced(True, 0, 0.30, 12), _traced(False, 1, 0.10, 12, None),
+        _traced(True, 0, 0.20, 12)])
+    assert out["correct"] == [True, False, True]
+    assert out["failed"] == [0, 1, 0]
+    assert out["metrics"] == {"x.s": 0.20, "x.calls": 12, "x.nmse_db": None}
+
+
+def test_a_count_that_differs_between_traced_runs_stops_the_recording(bench_record):
+    with pytest.raises(RuntimeError, match="x.calls differs"):
+        bench_record.traced_summary([
+            _traced(True, 0, 0.3, 12), _traced(True, 0, 0.3, 13),
+            _traced(True, 0, 0.3, 12)])
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

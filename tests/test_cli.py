@@ -184,6 +184,7 @@ def test_exit_codes(tmp_path, capsys):
     ("[paths]\ntheta_list = 1.5\nd_list_m = 10\nr_list_m = 9\n", [], "theta_list"),
     ("[impairments]\nclock_offset_frac_max = nan\n", [], "clock_offset_frac_max"),
     ("[impairments]\nclock_offset_frac_max = -0.1\n", [], "clock_offset_frac_max"),
+    ("[omp]\ndistance_grid_max_m = inf\n", [], "distance_grid_max_m"),
 ])
 def test_bad_omp_grid_and_max_paths_are_config_errors(tmp_path, capsys, ini, flags, key):
     # rejected when the config is built, even by a sweep that runs no OMP,
@@ -223,6 +224,9 @@ def test_empty_sweep_list_is_a_config_error(tmp_path, monkeypatch, capsys, comma
     (["bounds", "--theta", "a"], "--theta"),
     (["bounds", "--d-m", "10,x"], "--d-m"),
     (["bounds", "--theta", "", "--d-m", "", "--r-m", ""], "nonempty"),
+    (["bounds", "--d-m", "inf"], "--theta/--d-m/--r-m: dist_m"),
+    (["bounds", "--r-m", "nan"], "--theta/--d-m/--r-m: range_m"),
+    (["bounds", "--theta", "1.5"], "--theta/--d-m/--r-m: theta"),
 ])
 def test_malformed_list_flag_is_a_config_error(tmp_path, monkeypatch, capsys, argv, where):
     monkeypatch.chdir(tmp_path)

@@ -21,6 +21,7 @@ from nfce.model import (
 )
 from nfce.frontend import observe, random_phase_combiner
 from nfce.harness import SimConfig, draw_trial
+from nfce.runtime import run_distributed
 from nfce.estimator import (
     DelayDictionary,
     PathEstimate,
@@ -471,8 +472,17 @@ def test_run_dps_iteration_record(equivalence, reason):
     tracked = [s for s in steps if s.track is not None]
     # one record per detection attempt: each costs M correlations at the
     # center, and each that went on to extrapolate (K-1)(2 M_s + 1) more
-    assert len(tracked) == len(res.corr_per_iter)
+    assert [s.corr for s in steps] == [
+        M + (s.track is not None) * (K - 1) * (2 * hop + 1) for s in steps]
+    assert res.corr_per_iter == [s.corr for s in tracked]
     assert res.corr_total == len(steps) * M + len(tracked) * (K - 1) * (2 * hop + 1)
+    assert res.fallback is (reason == "fallback")
+    assert type(res.rejected) is int and res.rejected == (reason == "rejected")
+    # the distributed run replays the same record, so it reads the same values
+    dist = run_distributed(Y, W, geom, grid, rule)
+    for name in ("stop_reason", "n_paths", "fallback", "rejected",
+                 "corr_per_iter", "corr_total"):
+        assert getattr(dist, name) == getattr(res, name)
     accepted = [s.path for s in steps if s.path is not None]
     assert len(accepted) == res.n_paths
     assert all(a is p for a, p in zip(accepted, res.paths))

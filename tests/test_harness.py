@@ -272,8 +272,7 @@ def test_run_trial_scores_blocks_as_the_dense_estimate(alg):
         dense = ls_baseline(Y, W, cfg.power)
     assert run_trial(cfg, 0, 10.0, alg).nmse_db == nmse_db(dense, H)
     # any block of subarrays is the same bits as those rows of the whole
-    rows = estimate(alg, Y, W, geom, grid, rule, cfg.angle_grid_size,
-                    cfg.distance_grid(), cfg.power)[1]
+    rows = estimate(cfg, alg, Y, W, noise_var)[1]
     ns = geom.subarray_size
     assert rows.shape == dense.shape
     for k0, k1 in ((0, 128), (3, 70), (127, 128)):
@@ -760,7 +759,7 @@ def test_bounds_table_format():
     geom = ArrayGeometry(512, 128, 7e9)
     grid = SubcarrierGrid.from_bandwidth(512, 600e6)
     text = bounds_table(
-        [(0.1, 10.0, 10.0), (0.3, 15.0, 12.0)], geom, grid, 1.0, 1e-2
+        [PathParams(0.1, 10.0, 10.0), PathParams(0.3, 15.0, 12.0)], geom, grid, 1.0, 1e-2
     )
     lines = text.strip().split("\n")
     assert lines[0] == BOUNDS_COLUMNS

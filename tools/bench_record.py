@@ -17,15 +17,19 @@ the parent first when i is even and the change first when it is odd.  The
 record holds, per end-to-end metric and side, every value, the median, the
 quartiles (``statistics.quantiles``, inclusive method) and the number of
 pairs that side won, ties counting for neither; also the failed-run
-counts, one more pair at ``--held-out-seed``, and one traced run
-(``--trace 1 --seed 1``) per side with its per-layer metrics.  One pair
+counts, one more pair at ``--held-out-seed``, and a traced block: three
+traced runs (``--trace 1 --seed 1``) per side, in the pairs' alternating
+order, with each run's ``correct`` and ``failed`` and the median of each
+per-layer metric over the three.  One pair
 moves by chance, so ``held_out.check`` records, per end-to-end metric, the
 held-out pair's relative change (change - parent) / parent, the least and
 the largest relative change of the ten pairs, and whether the held-out
 change lies between them.  ``commit``
 is each side's ``git rev-parse HEAD``; ``env`` is the environment block
 ``bench/run.py`` prints, from each side's first run.  A benchmark process
-that exits nonzero or prints no result stops the recording.  Last, each
+that exits nonzero or prints no result stops the recording, and so does a
+metric of unit ``count`` that differs between one side's traced runs:
+counts are exact for a fixed seed.  Last, each
 side runs the tier-1 test command of the change's ``ROADMAP.md`` once from
 its own root, and ``tier1`` records its wall time, exit code and pytest's
 summary line.
@@ -46,6 +50,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
 PAIRS = 10
 TRACE_SEED = 1
+TRACED_RUNS = 3
 
 
 def checkout_commit(root: str) -> str:
@@ -139,6 +144,21 @@ def compare(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def traced_summary(results: list[dict]) -> dict:
+    """One side's traced block: each run's ``correct`` and ``failed``, and per
+    metric the median over the runs (None if a run read it non-finite).  A
+    ``count`` metric must read the same in every run."""
+    metrics = {}
+    for name, entry in results[0]["metrics"].items():
+        values = [r["metrics"][name]["value"] for r in results]
+        if entry["unit"] == "count" and len(set(values)) > 1:
+            raise RuntimeError(f"count metric {name} differs between traced "
+                               f"runs of one commit: {values}")
+        metrics[name] = None if None in values else statistics.median(values)
+    return {"correct": [r["correct"] for r in results],
+            "failed": [r["failed"] for r in results], "metrics": metrics}
+
+
 def held_out_check(pairs: list[dict], held_out: dict, end_to_end: list[dict]) -> dict:
     """Per metric: the held-out pair's relative change, the range of the
     pairs' relative changes, and whether the held-out change is inside it."""
@@ -209,12 +229,12 @@ def main(argv=None) -> int:
                  "held_out": {"seed": args.held_out_seed, **held_out,
                               "check": held_out_check(pairs, held_out,
                                                       spec["end_to_end"])}}
-        traced = {}
-        for side in SIDES:
-            result = run(side, workload, TRACE_SEED, 1)
-            traced[side] = {"correct": result["correct"], "failed": result["failed"],
-                            "metrics": metric_values(result)}
-        entry["traced"] = {"seed": TRACE_SEED, **traced}
+        traced = {side: [] for side in SIDES}
+        for i in range(TRACED_RUNS):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                traced[side].append(run(side, workload, TRACE_SEED, 1))
+        entry["traced"] = {"seed": TRACE_SEED, "runs": TRACED_RUNS,
+                           **{side: traced_summary(traced[side]) for side in SIDES}}
         record["workloads"][workload] = entry
 
     record["tier1"] = {"command": tier1, **{
