@@ -611,6 +611,8 @@ def estimate(cfg: SimConfig, algorithm: str, Y: np.ndarray, combiners: np.ndarra
     :class:`RowBlocks`, which :func:`nmse` scores without forming it whole.
     LS extracts no paths and counts no correlations.
     """
+    if algorithm == "ls":
+        return [], ls_rows(Y, combiners, cfg.power), False, 0
     geom, grid = cfg.geometry(), cfg.grid()
     rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
     if algorithm == "dps":
@@ -623,8 +625,6 @@ def estimate(cfg: SimConfig, algorithm: str, Y: np.ndarray, combiners: np.ndarra
             cfg.power
         )
         return paths, reconstruct_rows(paths, geom, grid), False, int(sum(corr_iters))
-    if algorithm == "ls":
-        return [], ls_rows(Y, combiners, cfg.power), False, 0
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 

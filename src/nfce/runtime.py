@@ -92,10 +92,16 @@ def schedule_extrapolation(n_subarrays: int, center: int) -> list[tuple[int, int
 
 @dataclass
 class DistributedResult(DpsResult):
-    """``run_dps``'s result plus its LPU/CPU view: counters and message log."""
+    """``run_dps``'s result plus its LPU/CPU view: counters and message log.
+
+    ``corr_total`` is the CPU's tally summed from the per-LPU counters, not
+    read off the iteration record, so comparing it with ``run_dps``'s checks
+    that the two counts agree.
+    """
 
     corr_by_lpu: np.ndarray
     trace: list
+    corr_total: int = 0  # a class-level default shadows DpsResult's property
 
 
 def run_distributed(
@@ -125,6 +131,7 @@ def run_distributed(
     return DistributedResult(
         **vars(res),
         corr_by_lpu=corr_by_lpu,
+        corr_total=int(corr_by_lpu.sum()),
         trace=_replay_messages(res.iterations, K) if trace else [],
     )
 

@@ -171,7 +171,8 @@ def test_corr_by_lpu_accounting():
     # detection attempt (iterations plus the final stopping check)
     expected[kc] = (n_iter + 1) * M
     np.testing.assert_array_equal(res.corr_by_lpu, expected)
-    assert res.corr_by_lpu.sum() == res.corr_total
+    # the CPU's tally is summed from the counters and matches the record's
+    assert res.corr_total == res.corr_by_lpu.sum() == run_dps(Y, W, geom, grid, rule).corr_total
 
 
 def test_run_distributed_pure_noise():
