@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import math
 import sys
+import zipfile
 
 import numpy as np
 
@@ -99,16 +100,20 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     cfg = _build_config(args)
     if args.scenario:
-        with np.load(args.scenario) as data:
-            try:
-                # the file's geometry, grid and power, validated by SimConfig
-                cfg = dataclasses.replace(cfg, **{name: data[name].item() for name in (
+        try:
+            with np.load(args.scenario) as data:
+                scene = {name: data[name].item() for name in (
                     "n_antennas", "n_subarrays", "carrier_hz", "spacing_m",
-                    "n_subcarriers", "bandwidth_hz", "power")})
+                    "n_subcarriers", "bandwidth_hz", "power")}
                 n_paths, H, W, Y = len(data["theta"]), data["H"], data["W"], data["Y"]
                 noise_var = float(data["noise_var"])
-            except KeyError as exc:
-                raise ConfigError(f"scenario {args.scenario}: {exc.args[0]}") from None
+        except KeyError as exc:
+            raise ConfigError(f"scenario {args.scenario}: {exc.args[0]}") from None
+        except (ValueError, zipfile.BadZipFile) as exc:
+            # not a readable .npz: numpy's messages can span several lines
+            raise ConfigError(f"scenario {args.scenario}: {' '.join(str(exc).split())}") from None
+        # the file's geometry, grid and power, validated by SimConfig
+        cfg = dataclasses.replace(cfg, **scene)
     else:
         paths, H, W, noise_var, Y = draw_trial(cfg, args.trial, cfg.snr_db[0])
         n_paths = len(paths)

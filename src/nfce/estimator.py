@@ -169,16 +169,10 @@ class SubarrayDelayTrack:
     grid_size: int
 
     @property
-    def taus(self) -> np.ndarray:
-        """Grid-valued delays wrapped to [0, 1)."""
-        return np.mod(self.taus_unwrapped, 1.0)
-
-    @property
     def grid_indices(self) -> np.ndarray:
-        """0-based dictionary indices of the wrapped delays."""
-        return np.mod(
-            np.round(self.taus * self.grid_size - 0.5).astype(int), self.grid_size
-        )
+        """0-based dictionary indices of the delays wrapped to [0, 1)."""
+        taus = np.mod(self.taus_unwrapped, 1.0)
+        return np.mod(np.round(taus * self.grid_size - 0.5).astype(int), self.grid_size)
 
     def all_equal(self) -> bool:
         return bool(np.all(self.grid_indices == self.grid_indices[0]))
@@ -498,11 +492,15 @@ class PathEstimate:
     theta: float
     dist_m: float
     range_m: float
-    gain: complex  # average of lpu_gains
     lpu_gains: np.ndarray  # shape (K,)
     track: SubarrayDelayTrack
     clamped: bool = False  # theta hit the (-1, 1) clamp during decoupling
     refined: bool = False  # exact-geometry fit accepted over the Fresnel one
+
+    @property
+    def gain(self) -> complex:
+        """Average of ``lpu_gains``."""
+        return complex(np.mean(self.lpu_gains))
 
 
 @dataclass
@@ -526,7 +524,6 @@ class DpsResult:
 
     iterations: list  # one Iteration per detection attempt
     stop_reason: str
-    residual: np.ndarray
     threshold: float  # CFAR level each Iteration.peak is compared against
 
     @property
@@ -564,20 +561,19 @@ def decouple_profile(
 ):
     """Full parameter decoupling of one delay track.
 
-    With refine="exact" the exact-geometry closed-form fit is kept when it
-    is valid; otherwise (or with refine="none") the Fresnel reflection solves
-    give the path.  The angle solve always runs, since it supplies the clamp
-    flag.  Returns (theta, d, r, clamped, refined) or None when the path is
+    The exact-geometry closed-form fit is kept when it is valid; otherwise
+    the Fresnel reflection solves give the path.  ``refine`` accepts only
+    "exact".  The angle solve always runs, since it supplies the clamp flag.
+    Returns (theta, d, r, clamped, refined) or None when the path is
     unidentifiable.
     """
-    if refine not in ("exact", "none"):
+    if refine != "exact":
         raise ValueError(f"unknown refine mode {refine!r}")
     taus = track.taus_unwrapped
     theta, clamped = decouple_angle(taus, geom, grid)
-    if refine == "exact":
-        fit = fit_profile_exact(taus, geom, grid)
-        if fit is not None:
-            return fit[0], fit[1], fit[2], clamped, True
+    fit = fit_profile_exact(taus, geom, grid)
+    if fit is not None:
+        return fit[0], fit[1], fit[2], clamped, True
     dist = decouple_distance(taus, theta, geom, grid)
     if not (math.isfinite(dist) and dist > 0.0):
         return None
@@ -605,8 +601,7 @@ def fit_and_cancel(
     v_gc = gain_column(theta, dist_m, range_m, combiners, geom, grid)
     gains = estimate_gain_lpu(resid, v_gc, power)
     residual_update(resid, gains, v_gc, power)
-    return PathEstimate(theta, dist_m, range_m, complex(np.mean(gains)), gains,
-                        track, clamped, refined)
+    return PathEstimate(theta, dist_m, range_m, gains, track, clamped, refined)
 
 
 def run_dps(
@@ -666,7 +661,7 @@ def run_dps(
             track=step.track, clamped=clamped, refined=refined,
         )
 
-    return DpsResult(iterations, stop_reason, resid, threshold)
+    return DpsResult(iterations, stop_reason, threshold)
 
 
 @dataclass

@@ -89,7 +89,6 @@ class SimConfig:
     p_fa: float = 1e-3
     max_paths: int = 16
     power: float = 1.0
-    reject_unresolvable: bool = True
     clock_offset_frac_max: float = 0.0
     gain_factor_min: float = 1.0
     angle_grid_size: int = 64
@@ -138,13 +137,15 @@ class SimConfig:
                 raise ConfigError(
                     f"unknown algorithm {alg!r}; choose from {ALGORITHMS}"
                 )
-        repeated = sorted({alg for alg in self.algorithms if self.algorithms.count(alg) > 1})
-        if repeated:
-            raise ConfigError(f"sweep.algorithms names {', '.join(repeated)} more than once")
         if not self.snr_db:
             raise ConfigError("sweep.snr_db must list at least one SNR")
         if not all(np.isfinite(self.snr_db)):
             raise ConfigError(f"sweep.snr_db must be finite, got {self.snr_db}")
+        # a repeated value would run again and write the same rows twice
+        for key, values in (("sweep.algorithms", self.algorithms), ("sweep.snr_db", self.snr_db)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{key} names {', '.join(map(str, repeated))} more than once")
         if not (np.isfinite(self.power) and self.power > 0.0):
             raise ConfigError(f"sweep.power must be finite and > 0, got {self.power}")
         if not 0.0 < self.p_fa < 1.0:
@@ -202,7 +203,6 @@ _SCHEMA = {
     ("sweep", "trials"): ("trials", int),
     ("sweep", "seed"): ("seed", int),
     ("sweep", "algorithms"): ("algorithms", "strs"),
-    ("sweep", "reject_unresolvable"): ("reject_unresolvable", "bool"),
     ("sweep", "timing"): ("timing", "bool"),
     ("sweep", "power"): ("power", float),
     ("stopping", "p_fa"): ("p_fa", float),
@@ -247,17 +247,20 @@ def parse_value(raw: str, kind, where: str):
 def load_config(path: str, overrides: dict | None = None) -> SimConfig:
     """Read an INI config file; ``overrides`` maps SimConfig field names."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
     values: dict = {}
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            entry = _SCHEMA.get((section, key))
-            if entry is None:
-                raise ConfigError(f"unknown config key [{section}] {key}")
-            name, kind = entry
-            values[name] = parse_value(raw, kind, f"[{section}] {key}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        for section in parser.sections():
+            for key, raw in parser.items(section):
+                entry = _SCHEMA.get((section, key))
+                if entry is None:
+                    raise ConfigError(f"unknown config key [{section}] {key}")
+                name, kind = entry
+                values[name] = parse_value(raw, kind, f"[{section}] {key}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # a file the parser rejects, or that is not text; its message can span lines
+        raise ConfigError(f"config file {path!r}: {' '.join(str(exc).split())}") from None
     if overrides:
         values.update(overrides)
     return SimConfig(**values)
@@ -478,7 +481,8 @@ def polar_omp_fallback(
     projection is never formed; ties go to the first atom in theta-major
     order.  Only the winner is projected: the delay is fit on its frequency
     series, and the per-subarray gains and residual use the same machinery as
-    the main estimator.  Returns (paths, correlations_per_iteration).
+    the main estimator.  Returns (paths, correlations_per_iteration), G for
+    each path.
     """
     check_inputs(Y, combiners, power, geom, grid)
     K, M = geom.n_subarrays, grid.n_subcarriers
@@ -501,7 +505,6 @@ def polar_omp_fallback(
     resid = np.array(Y, dtype=complex, copy=True)
     kc = K // 2 - 1
     paths: list[PathEstimate] = []
-    corr_per_iter: list[int] = []
 
     while len(paths) < rule.max_paths:
         _, _, peak = ml_delay_detect(resid[kc], dictionary)
@@ -509,7 +512,6 @@ def polar_omp_fallback(
             break
         gram = resid @ resid.conj().T
         scores = np.sum((atoms_h @ gram) * atoms, axis=1).real / norms2
-        corr_per_iter.append(atoms.shape[0])
         g = int(np.argmax(scores))
         th_g, d_g = float(theta_grid[g // n_dist]), float(distance_grid[g % n_dist])
 
@@ -519,7 +521,8 @@ def polar_omp_fallback(
         rng_m = tau * SPEED_OF_LIGHT / grid.spacing_hz - d_g
         paths.append(fit_and_cancel(resid, th_g, d_g, rng_m, combiners, geom, grid,
                                     power))
-    return paths, corr_per_iter
+    # each iteration scores all G atoms and accepts one path
+    return paths, [atoms.shape[0]] * len(paths)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +533,9 @@ def draw_paths(cfg: SimConfig, rng: np.random.Generator,
                grid: SubcarrierGrid) -> list[PathParams]:
     """Draw L paths from the configured distributions.
 
-    With rejection enabled, redraws any path whose center delay is within one
-    dictionary bin of an already drawn path, so multipath NMSE benchmarks run
-    on resolvable sets.  Explicit lists bypass the draw.
+    Redraws any path whose center delay is within one dictionary bin of an
+    already drawn path, so multipath NMSE benchmarks run on resolvable sets.
+    Explicit lists bypass the draw.
     """
     if cfg.theta_list:
         gains = [
@@ -558,9 +561,7 @@ def draw_paths(cfg: SimConfig, rng: np.random.Generator,
             range_m=float(rng.uniform(cfg.r_min_m, cfg.r_max_m)),
             gain=complex(rng.normal(), rng.normal()) / np.sqrt(2.0),
         )
-        if cfg.reject_unresolvable and any(
-            not resolution_predicate(cand, p, grid)[0] for p in paths
-        ):
+        if any(not resolution_predicate(cand, p, grid)[0] for p in paths):
             continue
         paths.append(cand)
     return paths

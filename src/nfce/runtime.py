@@ -61,18 +61,6 @@ class Message:
                     f"{self.kind} payload must be scalars, got {type(item).__name__}"
                 )
 
-    def format(self) -> str:
-        parts = ", ".join(_fmt_scalar(x) for x in self.payload)
-        return f"iter={self.iteration} kind={self.kind} from={self.sender} payload=({parts})"
-
-
-def _fmt_scalar(x) -> str:
-    if isinstance(x, (complex, np.complexfloating)):
-        return f"{x.real:.12g}{x.imag:+.12g}j"
-    if isinstance(x, (float, np.floating)):
-        return f"{x:.12g}"
-    return str(x)
-
 
 def schedule_extrapolation(n_subarrays: int, center: int) -> list[tuple[int, int]]:
     """Serial hop schedule as (source, target) pairs, 1-based indices.

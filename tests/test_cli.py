@@ -253,6 +253,45 @@ def test_repeated_algorithm_is_a_config_error(tmp_path, capsys, ini, flags):
     assert not captured.out
 
 
+@pytest.mark.parametrize("ini, flags, repeated", [
+    ("", ["--snr-db", "10,10"], "10.0"),
+    ("", ["--snr-db", "10,10.0,1e1"], "10.0"),
+    ("[sweep]\nsnr_db = 0, 10, 0\n", [], "0.0"),
+])
+def test_repeated_snr_is_a_config_error(tmp_path, capsys, ini, flags, repeated):
+    # a repeated value, however it is written, would run that SNR twice
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(ini)
+    rc = main(["sweep", "--config", str(cfg), *COMMON, "--trials", "1",
+               "--algorithms", "ls", *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: config: sweep.snr_db names {repeated} more than once\n"
+    assert not captured.out
+
+
+@pytest.mark.parametrize("command, content", [
+    (["sweep"], b"[sweep]\ntrials = 1\ntrials = 2\n"),
+    (["sweep"], b"[sweep]\ntrials = 1\n[sweep]\nseed = 2\n"),
+    (["sweep"], b"trials = 1\n"),
+    (["sweep"], b"[sweep]\ntrials = 1 # \xff\xfe\n"),
+    (["sweep"], b"[output]\ncsv_path = out%.csv\n"),
+    (["estimate", "--scenario"], b"PK\x03\x04" + bytes(40)),
+    (["estimate", "--scenario"], b"not a scenario\n"),
+], ids=["duplicate-key", "duplicate-section", "no-section", "not-utf8", "interpolation",
+     "bad-zip", "text"])
+def test_malformed_input_file_is_a_config_error(tmp_path, capsys, command, content):
+    # one categorized line naming the file, never a traceback or a run error
+    path = tmp_path / "input.bin"
+    path.write_bytes(content)
+    flag = [] if command[-1] == "--scenario" else ["--config"]
+    rc = main([*command, *flag, str(path), *COMMON])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_list_flags_read_like_ini_lists(capsys):
     # the flags share the INI parser: empty entries and spaces are skipped
     rc = main(["sweep", *COMMON, "--trials", "1", "--snr-db", "10,,20",

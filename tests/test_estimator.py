@@ -228,7 +228,7 @@ def test_fit_profile_exact_rejects_flat():
     assert fit_profile_exact(np.full(16, 0.3), geom, grid) is None
 
 
-def test_decouple_profile_prefers_exact():
+def test_decouple_profile_prefers_exact(monkeypatch):
     geom = ArrayGeometry(512, 128, 7e9)
     grid = SubcarrierGrid.from_bandwidth(1024, 600e6)
     taus = subarray_delay_profile(0.5, 12.0, 10.0, geom, grid)
@@ -242,11 +242,16 @@ def test_decouple_profile_prefers_exact():
     assert refined and not clamped
     assert theta == pytest.approx(0.5, rel=1e-9)
     assert d == pytest.approx(12.0, rel=1e-8)
-    # refine="none" keeps the reflection solution (Fresnel-accurate only)
-    out2 = decouple_profile(FakeTrack(), geom, grid, refine="none")
-    assert out2 is not None and not out2[4]
-    with pytest.raises(ValueError):
-        decouple_profile(FakeTrack(), geom, grid, refine="bogus")
+    # without an exact fit the reflection solves give the path (Fresnel-accurate only)
+    monkeypatch.setattr("nfce.estimator.fit_profile_exact", lambda *args: None)
+    theta2, d2, r2, clamped2, refined2 = decouple_profile(FakeTrack(), geom, grid)
+    assert refined2 is False and not clamped2
+    assert theta2 == decouple_angle(taus, geom, grid)[0]
+    assert d2 == decouple_distance(taus, theta2, geom, grid)
+    assert r2 == decouple_range(taus, theta2, d2, geom, grid)
+    for mode in ("none", "bogus"):
+        with pytest.raises(ValueError):
+            decouple_profile(FakeTrack(), geom, grid, refine=mode)
 
 
 def test_gain_fit_exact_on_matched_row():
@@ -690,7 +695,7 @@ def _drawn_paths(n_paths, n_subarrays, seed=0):
     rng = np.random.default_rng(seed)
     return [
         PathEstimate(rng.uniform(-0.8, 0.8), rng.uniform(8.0, 30.0), rng.uniform(5.0, 20.0),
-                     0j, rng.standard_normal(n_subarrays)
+                     rng.standard_normal(n_subarrays)
                      + 1j * rng.standard_normal(n_subarrays), None)
         for _ in range(n_paths)
     ]

@@ -32,6 +32,7 @@ from nfce.estimator import (
 from nfce.harness import (
     ALGORITHMS,
     BOUNDS_COLUMNS,
+    CONFIG_KEYS,
     CSV_COLUMNS,
     ConfigError,
     SimConfig,
@@ -156,7 +157,7 @@ def test_load_config_ini(tmp_path):
         "snr_db = 0, 10, 20\n"
         "trials = 4\n"
         "algorithms = dps ls\n"
-        "reject_unresolvable = yes\n"
+        "timing = yes\n"
         "[stopping]\n"
         "p_fa = 1e-2\n"
     )
@@ -167,6 +168,7 @@ def test_load_config_ini(tmp_path):
     assert cfg.snr_db == (0.0, 10.0, 20.0)
     assert cfg.algorithms == ("dps", "ls")
     assert cfg.p_fa == 1e-2
+    assert cfg.timing is True
     # overrides take precedence over file values
     cfg2 = load_config(str(path), overrides={"trials": 9})
     assert cfg2.trials == 9
@@ -186,6 +188,15 @@ def test_load_config_bad_value(tmp_path):
     path.write_text("[sweep]\ntrials = many\n")
     with pytest.raises(ConfigError):
         load_config(str(path))
+
+
+def test_config_keys_match_simconfig_fields():
+    # every field has exactly one INI key (and flag), and every key sets a field
+    names = [field.name for field in dataclasses.fields(SimConfig)]
+    assert sorted(CONFIG_KEYS) == sorted(names)
+    assert len(harness._SCHEMA) == len(names)
+    keys = [key for key, _ in CONFIG_KEYS.values()]
+    assert len(set(keys)) == len(keys)
 
 
 def test_nmse_definitions():

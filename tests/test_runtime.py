@@ -36,13 +36,6 @@ def test_message_validation():
         Message(0, "GainReport", 1, ([1.0, 2.0],))
 
 
-def test_message_format_line():
-    m = Message(3, "ParamBroadcast", "cpu", (0.5, 12.0, 9.0))
-    assert m.format() == "iter=3 kind=ParamBroadcast from=cpu payload=(0.5, 12, 9)"
-    g = Message(1, "GainReport", 7, (1.5 - 2.0j,))
-    assert g.format() == "iter=1 kind=GainReport from=7 payload=(1.5-2j)"
-
-
 def test_schedule_extrapolation_chains():
     # center LPU 3 of 6: ascending 3->4->5->6 then descending 3->2->1
     sched = schedule_extrapolation(6, 3)
@@ -136,10 +129,9 @@ def test_trace_message_discipline():
         assert len(msg.payload) <= 3
         for item in msg.payload:
             assert np.isscalar(item) or isinstance(item, (int, float, complex))
-    lines = [msg.format() for msg in res.trace]
-    assert all(line.startswith("iter=") for line in lines)
-    assert any("kind=StopQuery from=cpu" in line for line in lines)
-    assert any("kind=ParamBroadcast from=cpu" in line for line in lines)
+    # the CPU only polls for the stop test and broadcasts accepted paths
+    assert {msg.kind for msg in res.trace if msg.sender == "cpu"} == {
+        "StopQuery", "ParamBroadcast"}
 
 
 def test_trace_counts_per_iteration():
