@@ -33,27 +33,19 @@ from .harness import (
 )
 from .model import PathParams
 
-# each flag sets the SimConfig field of the same row, parsed as its INI key is
-_OVERRIDE_FLAGS = (
-    ("--n-antennas", "n_antennas"),
-    ("--n-subarrays", "n_subarrays"),
-    ("--carrier-hz", "carrier_hz"),
-    ("--n-subcarriers", "n_subcarriers"),
-    ("--bandwidth-hz", "bandwidth_hz"),
-    ("--paths", "n_paths"),
-    ("--trials", "trials"),
-    ("--seed", "seed"),
-    ("--p-fa", "p_fa"),
-    ("--max-paths", "max_paths"),
-    ("--power", "power"),
-    ("--snr-db", "snr_db"),
-    ("--algorithms", "algorithms"),
-)
+# flag -> the SimConfig field it sets, parsed as the field's INI key is
+_FLAGS = {f.metadata["flag"]: f.name
+          for f in dataclasses.fields(SimConfig) if f.metadata["flag"]}
+
+# the config fields a scenario file stores, so `estimate --scenario` rebuilds
+# the geometry, grid and power it was drawn with
+_SCENARIO_FIELDS = ("n_antennas", "n_subarrays", "carrier_hz", "spacing_m",
+                    "n_subcarriers", "bandwidth_hz", "power")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI configuration file")
-    for flag, dest in _OVERRIDE_FLAGS:
+    for flag, dest in _FLAGS.items():
         sub.add_argument(flag, dest=dest, help=f"overrides {CONFIG_KEYS[dest][0]}")
     sub.add_argument("--timing", action="store_true", default=None,
                      help="record wall-clock runtime_ms (breaks byte determinism)")
@@ -64,7 +56,7 @@ def _build_config(args) -> SimConfig:
     if trial < 0:
         raise ConfigError(f"--trial must be a nonnegative integer, got {trial}")
     overrides = {dest: parse_value(getattr(args, dest), CONFIG_KEYS[dest][1], flag)
-                 for flag, dest in _OVERRIDE_FLAGS if getattr(args, dest) is not None}
+                 for flag, dest in _FLAGS.items() if getattr(args, dest) is not None}
     if getattr(args, "timing", None):
         overrides["timing"] = True
     if getattr(args, "out", None) and args.command == "sweep":
@@ -76,9 +68,10 @@ def _build_config(args) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _build_config(args)
-    geom, grid = cfg.geometry(), cfg.grid()
     snr = cfg.snr_db[0]
     paths, H, W, noise_var, Y = draw_trial(cfg, args.trial, snr)
+    # the spacing it was drawn with: None in the config means half a wavelength
+    saved = dataclasses.replace(cfg, spacing_m=cfg.geometry().spacing_m)
     np.savez(
         args.out,
         H=H, Y=Y, W=W,
@@ -86,12 +79,8 @@ def _cmd_simulate(args) -> int:
         d_m=[p.dist_m for p in paths],
         r_m=[p.range_m for p in paths],
         gain=[p.gain for p in paths],
-        n_antennas=geom.n_antennas, n_subarrays=geom.n_subarrays,
-        carrier_hz=geom.carrier_hz, spacing_m=geom.spacing_m,
-        n_subcarriers=grid.n_subcarriers,
-        bandwidth_hz=grid.n_subcarriers * grid.spacing_hz,
-        snr_db=snr, noise_var=noise_var, power=cfg.power, seed=cfg.seed,
-        trial=args.trial,
+        **{name: getattr(saved, name) for name in _SCENARIO_FIELDS},
+        snr_db=snr, noise_var=noise_var, seed=cfg.seed, trial=args.trial,
     )
     print(f"wrote scenario with L={len(paths)} paths, SNR {snr:g} dB -> {args.out}")
     return 0
@@ -102,15 +91,15 @@ def _cmd_estimate(args) -> int:
     if args.scenario:
         try:
             with np.load(args.scenario) as data:
-                scene = {name: data[name].item() for name in (
-                    "n_antennas", "n_subarrays", "carrier_hz", "spacing_m",
-                    "n_subcarriers", "bandwidth_hz", "power")}
+                scene = {name: data[name].item() for name in _SCENARIO_FIELDS}
                 n_paths, H, W, Y = len(data["theta"]), data["H"], data["W"], data["Y"]
                 noise_var = float(data["noise_var"])
         except KeyError as exc:
             raise ConfigError(f"scenario {args.scenario}: {exc.args[0]}") from None
-        except (ValueError, zipfile.BadZipFile) as exc:
-            # not a readable .npz: numpy's messages can span several lines
+        except (TypeError, ValueError, zipfile.BadZipFile) as exc:
+            # not a readable .npz (a .npy file loads as an array, not an
+            # archive), or an entry of the wrong shape (a 0-d theta has no
+            # length); numpy's messages can span several lines
             raise ConfigError(f"scenario {args.scenario}: {' '.join(str(exc).split())}") from None
         # the file's geometry, grid and power, validated by SimConfig
         cfg = dataclasses.replace(cfg, **scene)

@@ -465,7 +465,7 @@ class StoppingRule:
             raise ValueError(f"noise_var must be finite and nonnegative, "
                              f"got {self.noise_var}")
         if self.max_paths < 0:
-            raise ValueError("max_paths must be nonnegative")
+            raise ValueError(f"max_paths must be nonnegative, got {self.max_paths}")
 
 
 def stopping_threshold(noise_var: float, n_subcarriers: int, p_fa: float) -> float:

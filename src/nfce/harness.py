@@ -14,7 +14,7 @@ import configparser
 import io
 import math
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -65,43 +65,49 @@ class ConfigError(ValueError):
     """Invalid or unparseable configuration."""
 
 
+def _setting(default, key: str, kind, flag: str | None = None):
+    """A SimConfig field: its INI ``key`` ("section.key"), parsed as ``kind``
+    (see :func:`parse_value`), and the CLI ``flag`` that overrides it, if any."""
+    return field(default=default, metadata={"key": key, "kind": kind, "flag": flag})
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    n_antennas: int = 256
-    n_subarrays: int = 32
-    carrier_hz: float = 7e9
-    spacing_m: float | None = None
-    n_subcarriers: int = 256
-    bandwidth_hz: float = 600e6
-    n_paths: int = 2
-    d_min_m: float = 10.0
-    d_max_m: float = 20.0
-    r_min_m: float = 10.0
-    r_max_m: float = 20.0
-    theta_max: float = 0.95
-    theta_list: tuple = ()
-    d_list_m: tuple = ()
-    r_list_m: tuple = ()
-    snr_db: tuple = (10.0,)
-    trials: int = 10
-    seed: int = 0
-    algorithms: tuple = ("dps",)
-    p_fa: float = 1e-3
-    max_paths: int = 16
-    power: float = 1.0
-    clock_offset_frac_max: float = 0.0
-    gain_factor_min: float = 1.0
-    angle_grid_size: int = 64
-    distance_grid_size: int = 16
-    distance_grid_min_m: float = 5.0
-    distance_grid_max_m: float = 40.0
-    csv_path: str | None = None
-    timing: bool = False
+    n_antennas: int = _setting(256, "geometry.n_antennas", int, "--n-antennas")
+    n_subarrays: int = _setting(32, "geometry.n_subarrays", int, "--n-subarrays")
+    carrier_hz: float = _setting(7e9, "geometry.carrier_hz", float, "--carrier-hz")
+    spacing_m: float | None = _setting(None, "geometry.spacing_m", float)
+    n_subcarriers: int = _setting(256, "grid.n_subcarriers", int, "--n-subcarriers")
+    bandwidth_hz: float = _setting(600e6, "grid.bandwidth_hz", float, "--bandwidth-hz")
+    n_paths: int = _setting(2, "paths.count", int, "--paths")
+    d_min_m: float = _setting(10.0, "paths.d_min_m", float)
+    d_max_m: float = _setting(20.0, "paths.d_max_m", float)
+    r_min_m: float = _setting(10.0, "paths.r_min_m", float)
+    r_max_m: float = _setting(20.0, "paths.r_max_m", float)
+    theta_max: float = _setting(0.95, "paths.theta_max", float)
+    theta_list: tuple = _setting((), "paths.theta_list", "floats")
+    d_list_m: tuple = _setting((), "paths.d_list_m", "floats")
+    r_list_m: tuple = _setting((), "paths.r_list_m", "floats")
+    snr_db: tuple = _setting((10.0,), "sweep.snr_db", "floats", "--snr-db")
+    trials: int = _setting(10, "sweep.trials", int, "--trials")
+    seed: int = _setting(0, "sweep.seed", int, "--seed")
+    algorithms: tuple = _setting(("dps",), "sweep.algorithms", "strs", "--algorithms")
+    p_fa: float = _setting(1e-3, "stopping.p_fa", float, "--p-fa")
+    max_paths: int = _setting(16, "stopping.max_paths", int, "--max-paths")
+    power: float = _setting(1.0, "sweep.power", float, "--power")
+    clock_offset_frac_max: float = _setting(0.0, "impairments.clock_offset_frac_max", float)
+    gain_factor_min: float = _setting(1.0, "impairments.gain_factor_min", float)
+    angle_grid_size: int = _setting(64, "omp.angle_grid_size", int)
+    distance_grid_size: int = _setting(16, "omp.distance_grid_size", int)
+    distance_grid_min_m: float = _setting(5.0, "omp.distance_grid_min_m", float)
+    distance_grid_max_m: float = _setting(40.0, "omp.distance_grid_max_m", float)
+    csv_path: str | None = _setting(None, "output.csv_path", str)
+    timing: bool = _setting(False, "sweep.timing", "bool")
 
     def __post_init__(self):
-        for name, (key, kind) in CONFIG_KEYS.items():
+        for name, key in _INT_KEYS:
             value = getattr(self, name)
-            if kind is int and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         for section, build in (("geometry", self.geometry), ("grid", self.grid)):
             try:
@@ -110,20 +116,20 @@ class SimConfig:
                 raise ConfigError(f"{section}: {exc}") from None
         min_paths = 0 if self.theta_list else 1
         if self.n_paths < min_paths:
-            raise ConfigError(f"paths.count must be >= {min_paths}, got {self.n_paths}")
+            raise ConfigError(f"{_ini_key('n_paths')} must be >= {min_paths}, got {self.n_paths}")
         if not len(self.theta_list) == len(self.d_list_m) == len(self.r_list_m):
-            raise ConfigError("paths.theta_list, d_list_m and r_list_m differ in length")
+            raise ConfigError(f"{_ini_key('theta_list')}, d_list_m and r_list_m differ in length")
         for entry in zip(self.theta_list, self.d_list_m, self.r_list_m):
             try:
                 PathParams(*entry)
             except ValueError as exc:
-                raise ConfigError(f"paths.theta_list/d_list_m/r_list_m: {exc}") from None
+                raise ConfigError(f"{_ini_key('theta_list')}/d_list_m/r_list_m: {exc}") from None
         if self.trials < 0:
-            raise ConfigError(f"sweep.trials must be >= 0, got {self.trials}")
+            raise ConfigError(f"{_ini_key('trials')} must be >= 0, got {self.trials}")
         if self.seed < 0:
-            raise ConfigError(f"sweep.seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"{_ini_key('seed')} must be >= 0, got {self.seed}")
         if not 0.0 < self.theta_max < 1.0:
-            raise ConfigError(f"paths.theta_max must be in (0,1), got {self.theta_max}")
+            raise ConfigError(f"{_ini_key('theta_max')} must be in (0,1), got {self.theta_max}")
         if not (np.isfinite(self.d_max_m) and 0.0 < self.d_min_m <= self.d_max_m):
             raise ConfigError("paths.d range must be finite and satisfy "
                               "0 < d_min_m <= d_max_m")
@@ -131,38 +137,39 @@ class SimConfig:
             raise ConfigError("paths.r range must be finite and satisfy "
                               "0 <= r_min_m <= r_max_m")
         if not self.algorithms:
-            raise ConfigError("sweep.algorithms must name at least one algorithm")
+            raise ConfigError(f"{_ini_key('algorithms')} must name at least one algorithm")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ConfigError(
                     f"unknown algorithm {alg!r}; choose from {ALGORITHMS}"
                 )
         if not self.snr_db:
-            raise ConfigError("sweep.snr_db must list at least one SNR")
+            raise ConfigError(f"{_ini_key('snr_db')} must list at least one SNR")
         if not all(np.isfinite(self.snr_db)):
-            raise ConfigError(f"sweep.snr_db must be finite, got {self.snr_db}")
+            raise ConfigError(f"{_ini_key('snr_db')} must be finite, got {self.snr_db}")
         # a repeated value would run again and write the same rows twice
-        for key, values in (("sweep.algorithms", self.algorithms), ("sweep.snr_db", self.snr_db)):
+        for name, values in (("algorithms", self.algorithms), ("snr_db", self.snr_db)):
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
-                raise ConfigError(f"{key} names {', '.join(map(str, repeated))} more than once")
+                raise ConfigError(f"{_ini_key(name)} names "
+                                  f"{', '.join(map(str, repeated))} more than once")
         if not (np.isfinite(self.power) and self.power > 0.0):
-            raise ConfigError(f"sweep.power must be finite and > 0, got {self.power}")
-        if not 0.0 < self.p_fa < 1.0:
-            raise ConfigError(f"stopping.p_fa must be in (0,1), got {self.p_fa}")
-        if self.max_paths < 0:
-            raise ConfigError(f"stopping.max_paths must be >= 0, got {self.max_paths}")
+            raise ConfigError(f"{_ini_key('power')} must be finite and > 0, got {self.power}")
+        try:
+            StoppingRule(noise_var=0.0, p_fa=self.p_fa, max_paths=self.max_paths)
+        except ValueError as exc:
+            raise ConfigError(f"stopping: {exc}") from None
         if not 0.0 <= self.clock_offset_frac_max < math.inf:
-            raise ConfigError("impairments.clock_offset_frac_max must be finite and "
+            raise ConfigError(f"{_ini_key('clock_offset_frac_max')} must be finite and "
                               f">= 0, got {self.clock_offset_frac_max}")
         if not 0.0 < self.gain_factor_min <= 1.0:
-            raise ConfigError("impairments.gain_factor_min must be in (0,1]")
+            raise ConfigError(f"{_ini_key('gain_factor_min')} must be in (0,1]")
         if self.angle_grid_size < 1:
             raise ConfigError(
-                f"omp.angle_grid_size must be >= 1, got {self.angle_grid_size}")
+                f"{_ini_key('angle_grid_size')} must be >= 1, got {self.angle_grid_size}")
         if self.distance_grid_size < 1:
-            raise ConfigError(
-                f"omp.distance_grid_size must be >= 1, got {self.distance_grid_size}")
+            raise ConfigError(f"{_ini_key('distance_grid_size')} must be >= 1, "
+                              f"got {self.distance_grid_size}")
         if not (np.isfinite(self.distance_grid_max_m)
                 and 0.0 < self.distance_grid_min_m <= self.distance_grid_max_m):
             raise ConfigError("omp.distance_grid range must be finite and satisfy "
@@ -183,42 +190,19 @@ class SimConfig:
         )
 
 
-_SCHEMA = {
-    ("geometry", "n_antennas"): ("n_antennas", int),
-    ("geometry", "n_subarrays"): ("n_subarrays", int),
-    ("geometry", "carrier_hz"): ("carrier_hz", float),
-    ("geometry", "spacing_m"): ("spacing_m", float),
-    ("grid", "n_subcarriers"): ("n_subcarriers", int),
-    ("grid", "bandwidth_hz"): ("bandwidth_hz", float),
-    ("paths", "count"): ("n_paths", int),
-    ("paths", "d_min_m"): ("d_min_m", float),
-    ("paths", "d_max_m"): ("d_max_m", float),
-    ("paths", "r_min_m"): ("r_min_m", float),
-    ("paths", "r_max_m"): ("r_max_m", float),
-    ("paths", "theta_max"): ("theta_max", float),
-    ("paths", "theta_list"): ("theta_list", "floats"),
-    ("paths", "d_list_m"): ("d_list_m", "floats"),
-    ("paths", "r_list_m"): ("r_list_m", "floats"),
-    ("sweep", "snr_db"): ("snr_db", "floats"),
-    ("sweep", "trials"): ("trials", int),
-    ("sweep", "seed"): ("seed", int),
-    ("sweep", "algorithms"): ("algorithms", "strs"),
-    ("sweep", "timing"): ("timing", "bool"),
-    ("sweep", "power"): ("power", float),
-    ("stopping", "p_fa"): ("p_fa", float),
-    ("stopping", "max_paths"): ("max_paths", int),
-    ("impairments", "clock_offset_frac_max"): ("clock_offset_frac_max", float),
-    ("impairments", "gain_factor_min"): ("gain_factor_min", float),
-    ("omp", "angle_grid_size"): ("angle_grid_size", int),
-    ("omp", "distance_grid_size"): ("distance_grid_size", int),
-    ("omp", "distance_grid_min_m"): ("distance_grid_min_m", float),
-    ("omp", "distance_grid_max_m"): ("distance_grid_max_m", float),
-    ("output", "csv_path"): ("csv_path", str),
-}
-
 # SimConfig field -> ("section.key", kind) of the INI key and CLI flag that set it
-CONFIG_KEYS = {field: (f"{section}.{key}", kind)
-               for (section, key), (field, kind) in _SCHEMA.items()}
+CONFIG_KEYS = {f.name: (f.metadata["key"], f.metadata["kind"]) for f in fields(SimConfig)}
+
+# (section, key) of an INI entry -> (SimConfig field, kind), as load_config reads it
+_INI_LOOKUP = {tuple(key.split(".")): (name, kind) for name, (key, kind) in CONFIG_KEYS.items()}
+
+# (field, "section.key") of each integer key, which SimConfig type-checks
+_INT_KEYS = tuple((name, key) for name, (key, kind) in CONFIG_KEYS.items() if kind is int)
+
+
+def _ini_key(name: str) -> str:
+    """The "section.key" of SimConfig field ``name``, for its error messages."""
+    return CONFIG_KEYS[name][0]
 
 
 def parse_value(raw: str, kind, where: str):
@@ -253,7 +237,7 @@ def load_config(path: str, overrides: dict | None = None) -> SimConfig:
             raise ConfigError(f"cannot read config file {path!r}")
         for section in parser.sections():
             for key, raw in parser.items(section):
-                entry = _SCHEMA.get((section, key))
+                entry = _INI_LOOKUP.get((section, key))
                 if entry is None:
                     raise ConfigError(f"unknown config key [{section}] {key}")
                 name, kind = entry

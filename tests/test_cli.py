@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, output formats."""
+import io
 import os
 import re
 import subprocess
@@ -270,6 +271,12 @@ def test_repeated_snr_is_a_config_error(tmp_path, capsys, ini, flags, repeated):
     assert not captured.out
 
 
+def _file_bytes(write) -> bytes:
+    buf = io.BytesIO()
+    write(buf)
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("command, content", [
     (["sweep"], b"[sweep]\ntrials = 1\ntrials = 2\n"),
     (["sweep"], b"[sweep]\ntrials = 1\n[sweep]\nseed = 2\n"),
@@ -278,8 +285,11 @@ def test_repeated_snr_is_a_config_error(tmp_path, capsys, ini, flags, repeated):
     (["sweep"], b"[output]\ncsv_path = out%.csv\n"),
     (["estimate", "--scenario"], b"PK\x03\x04" + bytes(40)),
     (["estimate", "--scenario"], b"not a scenario\n"),
+    (["estimate", "--scenario"], _file_bytes(lambda fh: np.save(fh, np.zeros(3)))),
+    (["estimate", "--scenario"], _file_bytes(lambda fh: np.savez(
+        fh, theta=0.1, **dict.fromkeys(cli._SCENARIO_FIELDS, 1)))),
 ], ids=["duplicate-key", "duplicate-section", "no-section", "not-utf8", "interpolation",
-     "bad-zip", "text"])
+     "bad-zip", "text", "npy", "0-d-theta"])
 def test_malformed_input_file_is_a_config_error(tmp_path, capsys, command, content):
     # one categorized line naming the file, never a traceback or a run error
     path = tmp_path / "input.bin"
@@ -367,6 +377,48 @@ def test_scenario_round_trip_keeps_impairments(tmp_path, capsys):
         assert replayed == fresh, alg
 
 
+# the config surface, pinned: (SimConfig field, INI key, parse kind, flag or None)
+_CONFIG_SURFACE = [
+    ("n_antennas", "geometry.n_antennas", int, "--n-antennas"),
+    ("n_subarrays", "geometry.n_subarrays", int, "--n-subarrays"),
+    ("carrier_hz", "geometry.carrier_hz", float, "--carrier-hz"),
+    ("spacing_m", "geometry.spacing_m", float, None),
+    ("n_subcarriers", "grid.n_subcarriers", int, "--n-subcarriers"),
+    ("bandwidth_hz", "grid.bandwidth_hz", float, "--bandwidth-hz"),
+    ("n_paths", "paths.count", int, "--paths"),
+    ("d_min_m", "paths.d_min_m", float, None),
+    ("d_max_m", "paths.d_max_m", float, None),
+    ("r_min_m", "paths.r_min_m", float, None),
+    ("r_max_m", "paths.r_max_m", float, None),
+    ("theta_max", "paths.theta_max", float, None),
+    ("theta_list", "paths.theta_list", "floats", None),
+    ("d_list_m", "paths.d_list_m", "floats", None),
+    ("r_list_m", "paths.r_list_m", "floats", None),
+    ("snr_db", "sweep.snr_db", "floats", "--snr-db"),
+    ("trials", "sweep.trials", int, "--trials"),
+    ("seed", "sweep.seed", int, "--seed"),
+    ("algorithms", "sweep.algorithms", "strs", "--algorithms"),
+    ("p_fa", "stopping.p_fa", float, "--p-fa"),
+    ("max_paths", "stopping.max_paths", int, "--max-paths"),
+    ("power", "sweep.power", float, "--power"),
+    ("clock_offset_frac_max", "impairments.clock_offset_frac_max", float, None),
+    ("gain_factor_min", "impairments.gain_factor_min", float, None),
+    ("angle_grid_size", "omp.angle_grid_size", int, None),
+    ("distance_grid_size", "omp.distance_grid_size", int, None),
+    ("distance_grid_min_m", "omp.distance_grid_min_m", float, None),
+    ("distance_grid_max_m", "omp.distance_grid_max_m", float, None),
+    ("csv_path", "output.csv_path", str, None),
+    ("timing", "sweep.timing", "bool", None),
+]
+
+
+def test_config_surface_is_pinned():
+    # renaming or dropping a key, kind or flag fails here instead of silently
+    # dropping a case of the flag test below
+    assert CONFIG_KEYS == {name: (key, kind) for name, key, kind, _ in _CONFIG_SURFACE}
+    assert cli._FLAGS == {flag: name for name, _, _, flag in _CONFIG_SURFACE if flag}
+
+
 # a valid value for each override flag, unlike the SimConfig default
 _FLAG_VALUES = {
     "n_antennas": "128", "n_subarrays": "16", "carrier_hz": "6e9",
@@ -376,7 +428,8 @@ _FLAG_VALUES = {
 }
 
 
-@pytest.mark.parametrize("flag, field", cli._OVERRIDE_FLAGS)
+@pytest.mark.parametrize("flag, field", [
+    (flag, name) for name, _, _, flag in _CONFIG_SURFACE if flag])
 def test_each_flag_sets_its_ini_key(tmp_path, capsys, flag, field):
     # a flag and its INI key share one parser, so both build the same config
     value = _FLAG_VALUES[field]

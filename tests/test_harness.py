@@ -194,7 +194,7 @@ def test_config_keys_match_simconfig_fields():
     # every field has exactly one INI key (and flag), and every key sets a field
     names = [field.name for field in dataclasses.fields(SimConfig)]
     assert sorted(CONFIG_KEYS) == sorted(names)
-    assert len(harness._SCHEMA) == len(names)
+    assert len(harness._INI_LOOKUP) == len(names)
     keys = [key for key, _ in CONFIG_KEYS.values()]
     assert len(set(keys)) == len(keys)
 
