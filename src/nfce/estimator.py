@@ -26,6 +26,7 @@ import numpy as np
 
 from nfce.model import (
     _PROFILE_CHUNK_ENTRIES,
+    _read_only,
     SPEED_OF_LIGHT,
     ArrayGeometry,
     SubcarrierGrid,
@@ -74,8 +75,10 @@ def grid_scores(y: np.ndarray, dictionary: DelayDictionary) -> np.ndarray:
     M = dictionary.size
     if y.shape != (M,):
         raise ValueError(f"expected length-{M} vector, got {y.shape}")
-    spectrum = np.fft.fft(y * _pre_rotation(M))
-    return np.abs(spectrum) ** 2 / M
+    scores = np.abs(np.fft.fft(y * _pre_rotation(M)))
+    np.square(scores, out=scores)
+    scores /= M
+    return scores
 
 
 def window_scores(y: np.ndarray, atoms_h: np.ndarray) -> np.ndarray:
@@ -84,7 +87,10 @@ def window_scores(y: np.ndarray, atoms_h: np.ndarray) -> np.ndarray:
     ``atoms_h`` holds the candidates' conjugated atoms b(tau)^* row by row,
     e.g. an extrapolation hop's candidate window.
     """
-    return np.abs(atoms_h @ y) ** 2 / atoms_h.shape[-1]
+    scores = np.abs(atoms_h @ y)
+    np.square(scores, out=scores)
+    scores /= atoms_h.shape[-1]
+    return scores
 
 
 def ml_delay_detect(y: np.ndarray, dictionary: DelayDictionary):
@@ -175,7 +181,8 @@ class SubarrayDelayTrack:
         return np.mod(np.round(taus * self.grid_size - 0.5).astype(int), self.grid_size)
 
     def all_equal(self) -> bool:
-        return bool(np.all(self.grid_indices == self.grid_indices[0]))
+        indices = self.grid_indices
+        return bool((indices == indices[0]).all())
 
 
 def extrapolate_delays(
@@ -195,8 +202,10 @@ def extrapolate_delays(
     """
     K, M = geom.n_subarrays, dictionary.size
     kc = central_index(K)
-    taus = np.zeros(K)
-    kappas = np.zeros(K, dtype=int)
+    # Python floats and ints until the track is built: the same sums, no
+    # per-hop array indexing
+    taus = [0.0] * K
+    kappas = [0] * K
     taus[kc] = seed_tau
     seed_window = shift_table(m_hop, M) * delay_steering(seed_tau, M).conj()
     for chain, back in ((range(kc + 1, K), -1), (range(kc - 1, -1, -1), 1)):
@@ -205,12 +214,34 @@ def extrapolate_delays(
             kappa, _ = extrapolate_step(Y[k], window, m_hop)
             kappas[k] = kappa
             taus[k] = taus[k + back] + kappa / M
-    return SubarrayDelayTrack(taus, kappas, m_hop, kc, dictionary.size)
+    return SubarrayDelayTrack(np.array(taus), np.array(kappas, dtype=int), m_hop, kc, M)
 
 
 # ---------------------------------------------------------------------------
 # parametric-symmetry decoupling (reflection differences / sums of the
 # delay profile)
+
+
+@functools.lru_cache(maxsize=8)
+def _half_offsets(n_subarrays: int) -> tuple[np.ndarray, float]:
+    """(delta, delta . delta): offsets of the first K/2 subarrays and their squared norm.
+
+    The decoupler's reflection pairs read these.  Built once per subarray
+    count, shared by every caller and read-only.
+    """
+    delta = index_offsets(n_subarrays)[: n_subarrays // 2]
+    delta.flags.writeable = False
+    return delta, float(delta @ delta)
+
+
+@functools.lru_cache(maxsize=8)
+def _fit_basis(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, x^2, [1, x, x^2]): :func:`fit_profile_exact`'s subarray offsets in metres and basis.
+
+    Built once per geometry, shared by every caller and read-only.
+    """
+    x = index_offsets(geom.n_subarrays) * geom.subarray_pitch_m
+    return _read_only(x, x * x, np.vander(x, 3, increasing=True))
 
 
 def decouple_angle(taus_unwrapped: np.ndarray, geom: ArrayGeometry, grid: SubcarrierGrid):
@@ -224,10 +255,9 @@ def decouple_angle(taus_unwrapped: np.ndarray, geom: ArrayGeometry, grid: Subcar
     if K % 2 != 0:
         raise ValueError("decoupling requires an even subarray count")
     half = K // 2
-    delta = index_offsets(K)[:half]
+    delta, denom = _half_offsets(K)
     diffs = taus_unwrapped[::-1][:half] - taus_unwrapped[:half]
     pitch = geom.subarray_pitch_m
-    denom = float(delta @ delta)
     theta = (
         SPEED_OF_LIGHT / (2.0 * pitch * grid.spacing_hz) * float(delta @ diffs) / denom
     )
@@ -251,7 +281,7 @@ def decouple_distance(
     """
     K = geom.n_subarrays
     half = K // 2
-    delta = index_offsets(K)[:half]
+    delta = _half_offsets(K)[0]
     pitch = geom.subarray_pitch_m
     v_de = (
         SPEED_OF_LIGHT / grid.spacing_hz * (taus_unwrapped[half:] - taus_unwrapped[:half])
@@ -280,7 +310,7 @@ def decouple_range(
     """
     K = geom.n_subarrays
     half = K // 2
-    delta = index_offsets(K)[:half]
+    delta = _half_offsets(K)[0]
     pitch = geom.subarray_pitch_m
     v_re = (
         0.5 * SPEED_OF_LIGHT / grid.spacing_hz
@@ -303,9 +333,8 @@ def fit_profile_exact(
     Returns (theta, d, r) or None when the profile carries no usable
     curvature (e.g. endfire or an all-equal track).
     """
-    x = index_offsets(geom.n_subarrays) * geom.subarray_pitch_m
+    x, x_sq, basis = _fit_basis(geom)  # basis columns 1, x, x^2
     eta = SPEED_OF_LIGHT / grid.spacing_hz * np.asarray(taus_unwrapped, dtype=float)
-    basis = np.vander(x, 3, increasing=True)  # columns 1, x, x^2
     coef_eta, *_ = np.linalg.lstsq(basis, eta, rcond=None)
     coef_eta2, *_ = np.linalg.lstsq(basis, eta * eta, rcond=None)
     curv = coef_eta[2]
@@ -313,7 +342,7 @@ def fit_profile_exact(
     if abs(curv) <= 1e-12 * max(scale, 1e-30):
         return None
     r = (coef_eta2[2] - 1.0) / (2.0 * curv)
-    z = (eta - r) ** 2 - x * x
+    z = (eta - r) ** 2 - x_sq
     coef_z, *_ = np.linalg.lstsq(basis[:, :2], z, rcond=None)
     if not np.isfinite(coef_z).all() or coef_z[0] <= 0.0:
         return None

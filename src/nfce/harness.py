@@ -361,10 +361,13 @@ def ls_rows(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> RowBloc
     K, ns = combiners.shape
     scale = np.sqrt(power)
     dtype = np.result_type(combiners, Y, scale)
+    # numpy divides a complex by a real s as (a + b 0) (1 / s): multiplying
+    # by 1 / s gives the same values without the complex division
+    inv_scale = 1.0 / scale
 
     def build(k0: int, k1: int) -> np.ndarray:
         blocks = np.multiply(combiners[k0:k1, :, None], Y[k0:k1, None, :], dtype=dtype)
-        blocks /= scale
+        blocks *= inv_scale
         return blocks.reshape((k1 - k0) * ns, Y.shape[1])
 
     return RowBlocks((K * ns, Y.shape[1]), ns, build)
@@ -601,6 +604,10 @@ def estimate(cfg: SimConfig, algorithm: str, Y: np.ndarray, combiners: np.ndarra
     geom, grid = cfg.geometry(), cfg.grid()
     rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
     if algorithm == "dps":
+        # the delay profile's mirror pairs need an even K; LS and OMP do not
+        if cfg.n_subarrays % 2:
+            raise ConfigError(f"{_ini_key('n_subarrays')} must be even for dps, "
+                              f"got {cfg.n_subarrays}")
         res = run_dps(Y, combiners, geom, grid, rule, power=cfg.power)
         paths = res.paths
         return paths, reconstruct_rows(paths, geom, grid), res.fallback, res.corr_total

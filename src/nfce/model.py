@@ -156,6 +156,36 @@ class PathParams:
         return self.range_m + self.dist_m
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only: a cached table is shared by every caller."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=8)
+def _antenna_table(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, delta^2), delta the antenna offsets in metres: :func:`exact_distances`' geometry terms.
+
+    Built once per geometry, shared by every caller and read-only.
+    """
+    delta = geom.antenna_offsets * geom.spacing_m
+    return _read_only(delta, delta * delta)
+
+
+@functools.lru_cache(maxsize=8)
+def _subarray_table(geom: ArrayGeometry):
+    """(pitch, 2 delta, delta pitch, delta^2 pitch^2), delta the subarray offsets.
+
+    :func:`subarray_centers`' geometry terms, each formed as that function's
+    expressions form it, so the products round the same.  Built once per
+    geometry, shared by every caller and read-only.
+    """
+    pitch = geom.subarray_pitch_m
+    delta = geom.subarray_offsets
+    return (pitch, *_read_only(2.0 * delta, delta * pitch, delta * delta * pitch * pitch))
+
+
 def exact_distances(theta: float, dist_m: float, geom: ArrayGeometry) -> np.ndarray:
     """Per-antenna propagation distance d_n for a spherical wavefront.
 
@@ -163,8 +193,8 @@ def exact_distances(theta: float, dist_m: float, geom: ArrayGeometry) -> np.ndar
     with the source at distance ``dist_m`` and sine-angle ``theta`` from the
     array normal.
     """
-    delta = geom.antenna_offsets * geom.spacing_m
-    return np.sqrt(dist_m * dist_m - 2.0 * dist_m * delta * theta + delta * delta)
+    delta, delta_sq = _antenna_table(geom)
+    return np.sqrt(dist_m * dist_m - 2.0 * dist_m * delta * theta + delta_sq)
 
 
 def steering_vector(theta: float, dist_m: float, geom: ArrayGeometry) -> np.ndarray:
@@ -194,6 +224,32 @@ def _ramp_split(count: int):
     return outer, j_offsets
 
 
+@functools.lru_cache(maxsize=8)
+def _half_ramps(count: int):
+    """(A, j h, moves): the exponents :func:`profile_factors` evaluates, and where each lands.
+
+    Both offset sets of :func:`_ramp_split` are symmetric about 0: offset
+    i < n/2 is minus offset n-1-i.  ``h`` is the non-negative half of c
+    followed by that of f.  Each set has one move (dst, src, dst_neg,
+    src_neg) of slices along the last axis: factor entries ``dst`` are the
+    exponentials ``src``, and entries ``dst_neg`` are the conjugates of the
+    exponentials ``src_neg`` (their mirrors, walked backwards).  The array
+    is shared by every caller, hence read-only.
+    """
+    outer, j_offsets = _ramp_split(count)
+    halves, moves, start = [], [], 0
+    for base, stop in ((0, outer), (outer, j_offsets.size)):
+        n_neg = (stop - base) // 2
+        halves.append(j_offsets[base + n_neg:stop])
+        end = start + stop - base - n_neg
+        moves.append((slice(base + n_neg, stop), slice(start, end), slice(base, base + n_neg),
+                      slice(end - 1, end - n_neg - 1 if end > n_neg else None, -1)))
+        start = end
+    j_half = np.concatenate(halves)
+    j_half.flags.writeable = False
+    return outer, j_half, tuple(moves)
+
+
 def profile_factors(length_m, grid: SubcarrierGrid) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker factors (coarse (..., A), fine (..., B)) of the frequency profile.
 
@@ -201,19 +257,20 @@ def profile_factors(length_m, grid: SubcarrierGrid) -> tuple[np.ndarray, np.ndar
     is kron(coarse, fine) along the last axis, M = A B: with phi = 2 pi df L / c
     the factors are exp(j phi c) and exp(j phi f) of :func:`_ramp_split`.
     ``length_m`` is a length or an array of them; the factors run along a new
-    last axis.  Both offset sets are symmetric about 0 (offset i < n/2 is
-    minus offset n-1-i), so only the non-negative half of each is
-    exponentiated and the other half is its conjugate, exp(-j phi o) =
-    exp(j phi o)^*: the same bits as exponentiating every offset.
+    last axis.  Both offset sets are symmetric about 0, so only their
+    non-negative halves are exponentiated, both in one product and one
+    ``np.exp`` (:func:`_half_ramps`), and each negative offset's entry is its
+    mirror's conjugate, exp(-j phi o) = exp(j phi o)^*: the same bits as
+    exponentiating every offset.
     """
-    outer, j_offsets = _ramp_split(grid.n_subcarriers)
+    outer, j_half, moves = _half_ramps(grid.n_subcarriers)
     phi = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * np.asarray(length_m, dtype=float)
-    e = np.empty(phi.shape + j_offsets.shape, dtype=complex)
-    for part in (slice(0, outer), slice(outer, None)):
-        factor, j_part = e[..., part], j_offsets[part]
-        n_neg = j_part.size // 2
-        np.exp(phi[..., None] * j_part[n_neg:], out=factor[..., n_neg:])
-        np.conjugate(factor[..., :-n_neg - 1:-1], out=factor[..., :n_neg])
+    exps = phi[..., None] * j_half
+    np.exp(exps, out=exps)
+    e = np.empty(phi.shape + (grid.n_subcarriers // outer + outer,), dtype=complex)
+    for dst, src, dst_neg, src_neg in moves:
+        e[..., dst] = exps[..., src]
+        np.conjugate(exps[..., src_neg], out=e[..., dst_neg])
     return e[..., :outer], e[..., outer:]
 
 
@@ -249,6 +306,14 @@ def profile_sum(weights, lengths, grid: SubcarrierGrid, out=None) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _delay_ramp(n_subcarriers: int) -> np.ndarray:
+    """j 2 pi delta_m, :func:`delay_steering`'s exponent per unit delay; shared and read-only."""
+    ramp = 2j * np.pi * index_offsets(n_subcarriers)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def delay_steering(tau, n_subcarriers: int) -> np.ndarray:
     """Delay-domain steering vector b(tau)_m = exp(j 2 pi delta_m tau).
 
@@ -257,7 +322,7 @@ def delay_steering(tau, n_subcarriers: int) -> np.ndarray:
     b is 1-periodic in tau up to a global sign when ``n_subcarriers`` is even
     (half-integer offsets).
     """
-    return np.exp(2j * np.pi * index_offsets(n_subcarriers) * tau)
+    return np.exp(_delay_ramp(n_subcarriers) * tau)
 
 
 def combined_gain(path: PathParams, geom: ArrayGeometry) -> complex:
@@ -278,12 +343,9 @@ def subarray_centers(theta: float, dist_m: float, geom: ArrayGeometry):
 
     Returns ``(dist_k, theta_k)`` arrays of length n_subarrays.
     """
-    pitch = geom.subarray_pitch_m
-    delta = geom.subarray_offsets
-    dist_k = np.sqrt(
-        dist_m * dist_m - 2.0 * delta * dist_m * pitch * theta + delta * delta * pitch * pitch
-    )
-    theta_k = (dist_m * theta - delta * pitch) / dist_k
+    pitch, two_delta, delta_pitch, delta_sq_pitch_sq = _subarray_table(geom)
+    dist_k = np.sqrt(dist_m * dist_m - two_delta * dist_m * pitch * theta + delta_sq_pitch_sq)
+    theta_k = (dist_m * theta - delta_pitch) / dist_k
     return dist_k, theta_k
 
 

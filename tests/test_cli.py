@@ -162,6 +162,19 @@ def test_exit_codes(tmp_path, capsys):
     assert "error: io:" in capsys.readouterr().err
 
 
+def test_odd_subarray_count_is_a_config_error_for_dps_only(capsys):
+    # DPS pairs mirrored subarrays, so it needs an even K; LS and OMP do not
+    odd = ["--n-antennas", "48", "--n-subarrays", "3", "--n-subcarriers", "64"]
+    for argv in (["sweep", *odd, "--trials", "1", "--algorithms", "dps,ls,omp"],
+                 ["estimate", *odd, "--algorithm", "dps"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: config:" in err and "geometry.n_subarrays" in err
+    assert main(["sweep", *odd, "--trials", "1", "--algorithms", "ls,omp"]) == 0
+    assert main(["estimate", *odd, "--algorithm", "omp"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("ini, flags, key", [
     ("[omp]\ndistance_grid_min_m = 0\n", [], "distance_grid_min_m"),
     ("[omp]\ndistance_grid_size = 0\n", [], "distance_grid_size"),

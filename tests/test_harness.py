@@ -370,6 +370,18 @@ def test_ls_baseline_projects_back():
     )
 
 
+@pytest.mark.parametrize("power", [1.0, 2.0, 3.7, 0.3])
+def test_ls_scales_by_the_reciprocal_with_the_division_s_values(power):
+    # ls_rows multiplies by 1 / sqrt(P); numpy divides a complex by a real s
+    # as (a + b 0) (1 / s), so the values equal the plain division
+    rng = np.random.default_rng(25)
+    K, ns, M = 6, 4, 40
+    W = rng.standard_normal((K, ns)) + 1j * rng.standard_normal((K, ns))
+    Y = rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))
+    blocks = (W[:, :, None] * Y[:, None, :]).reshape(K * ns, M)
+    assert np.array_equal(ls_rows(Y, W, power).build(0, K), blocks / np.sqrt(power))
+
+
 def test_draw_paths_ranges_and_rejection():
     cfg = SimConfig(n_paths=4, d_min_m=9.0, d_max_m=16.0, r_min_m=7.0,
                     r_max_m=19.0, theta_max=0.8, seed=3)

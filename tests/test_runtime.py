@@ -63,6 +63,12 @@ def test_detect_fallback():
     assert not _track([0.31, 0.38], 16).all_equal()
     # an unwrapped track that leaves [0, 1) compares wrapped bins
     assert _track([0.31, 1.31, -0.69], 16).all_equal()
+    # bin 0 holds [0, 1/16): these cross tau = 1 and wrap onto it, and a
+    # track that leaves it only at the last or only at the first subarray differs
+    on_bin_0 = [1.0 + 0.5 / 16, 0.5 / 16, 1.0 + 0.2 / 16, 0.9 / 16]
+    assert _track(on_bin_0, 16).all_equal()
+    assert not _track(on_bin_0[:-1] + [1.5 / 16], 16).all_equal()
+    assert not _track([1.5 / 16] + on_bin_0[1:], 16).all_equal()
 
 
 def _scenario(seed, n_paths=1, snr=None, N=128, K=32, M=128):
