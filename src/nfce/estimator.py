@@ -85,9 +85,10 @@ def window_scores(y: np.ndarray, atoms_h: np.ndarray) -> np.ndarray:
     """|b(tau)^H y|^2 / M for a handful of off-grid candidates (direct).
 
     ``atoms_h`` holds the candidates' conjugated atoms b(tau)^* row by row,
-    e.g. an extrapolation hop's candidate window.
+    e.g. an extrapolation hop's candidate window.  ``ndarray.dot`` runs the
+    same gemv as ``atoms_h @ y`` with less dispatch per call.
     """
-    scores = np.abs(atoms_h @ y)
+    scores = np.abs(atoms_h.dot(y))
     np.square(scores, out=scores)
     scores /= atoms_h.shape[-1]
     return scores

@@ -86,6 +86,20 @@ def test_window_scores_match_grid_scores_on_grid():
     )
 
 
+@pytest.mark.parametrize("M, m_hop", [(16, 1), (128, 1), (97, 2), (1024, 3)])
+def test_scores_are_the_bits_of_the_plain_expressions(M, m_hop):
+    # the kernels square and scale one buffer in place, and window_scores
+    # calls ndarray.dot; both must give the bits of the one-line expressions
+    rng = np.random.default_rng(M)
+    pre = np.exp(-1j * np.pi * np.arange(M) / M)
+    for _ in range(20):
+        y = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        window = shift_table(m_hop, M) * delay_steering(rng.uniform(), M).conj()
+        assert np.array_equal(window_scores(y, window), np.abs(window @ y) ** 2 / M)
+        assert np.array_equal(grid_scores(y, DelayDictionary(M)),
+                              np.abs(np.fft.fft(y * pre)) ** 2 / M)
+
+
 def test_ml_delay_detect_finds_planted_atom():
     dic = DelayDictionary(128)
     idx_true = 37
