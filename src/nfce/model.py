@@ -165,16 +165,17 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=8)
 def _antenna_table(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """(delta, delta^2), delta the antenna offsets in metres: :func:`exact_distances`' geometry terms.
+    """(delta, delta^2), delta the antenna offsets in metres.
 
-    Built once per geometry, shared by every caller and read-only.
+    :func:`exact_distances`' geometry terms.  Built once per geometry,
+    shared by every caller and read-only.
     """
     delta = geom.antenna_offsets * geom.spacing_m
     return _read_only(delta, delta * delta)
 
 
 @functools.lru_cache(maxsize=8)
-def _subarray_table(geom: ArrayGeometry):
+def _subarray_table(geom: ArrayGeometry) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """(pitch, 2 delta, delta pitch, delta^2 pitch^2), delta the subarray offsets.
 
     :func:`subarray_centers`' geometry terms, each formed as that function's
