@@ -90,16 +90,20 @@ def _cmd_estimate(args) -> int:
     cfg = _build_config(args)
     if args.scenario:
         try:
-            with np.load(args.scenario) as data:
+            data = np.load(args.scenario)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                # a .npy file loads as an array, which is no context manager
+                # (AttributeError before Python 3.11, TypeError since)
+                raise TypeError("not an .npz archive")
+            with data:
                 scene = {name: data[name].item() for name in _SCENARIO_FIELDS}
                 n_paths, H, W, Y = len(data["theta"]), data["H"], data["W"], data["Y"]
                 noise_var = float(data["noise_var"])
         except KeyError as exc:
             raise ConfigError(f"scenario {args.scenario}: {exc.args[0]}") from None
         except (TypeError, ValueError, zipfile.BadZipFile) as exc:
-            # not a readable .npz (a .npy file loads as an array, not an
-            # archive), or an entry of the wrong shape (a 0-d theta has no
-            # length); numpy's messages can span several lines
+            # not a readable .npz, or an entry of the wrong shape (a 0-d
+            # theta has no length); numpy's messages can span several lines
             raise ConfigError(f"scenario {args.scenario}: {' '.join(str(exc).split())}") from None
         # the file's geometry, grid and power, validated by SimConfig
         cfg = dataclasses.replace(cfg, **scene)

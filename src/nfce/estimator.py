@@ -2,9 +2,11 @@
 
 One iteration detects the strongest path's delay on the central subarray's
 DFT grid, extrapolates it outward across subarrays with a tiny candidate
-window, inverts the reflection symmetries of the resulting delay profile to
-decouple (theta, dist, range), fits one complex gain per subarray, and
-cancels the path from the residual.  A CFAR threshold on the central
+window, decouples (theta, dist, range) from the resulting delay profile, fits
+one complex gain per subarray, and cancels the path from the residual.  The
+decoupling tries the closed-form fit of the exact subarray-center geometry
+first; only when it fails does the paper's linear step, mirror differences
+and sums of the delays, give the path.  A CFAR threshold on the central
 correlation peak stops the iteration.
 
 Every detection attempt appends one :class:`Iteration` (central peak,
@@ -219,20 +221,8 @@ def extrapolate_delays(
 
 
 # ---------------------------------------------------------------------------
-# parametric-symmetry decoupling (reflection differences / sums of the
-# delay profile)
-
-
-@functools.lru_cache(maxsize=8)
-def _half_offsets(n_subarrays: int) -> tuple[np.ndarray, float]:
-    """(delta, delta . delta): offsets of the first K/2 subarrays and their squared norm.
-
-    The decoupler's reflection pairs read these.  Built once per subarray
-    count, shared by every caller and read-only.
-    """
-    delta = index_offsets(n_subarrays)[: n_subarrays // 2]
-    delta.flags.writeable = False
-    return delta, float(delta @ delta)
+# decoupling: the exact-geometry fit, and the linear solve on mirror
+# differences / sums of the delay profile
 
 
 @functools.lru_cache(maxsize=8)
@@ -245,81 +235,54 @@ def _fit_basis(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return _read_only(x, x * x, np.vander(x, 3, increasing=True))
 
 
-def decouple_angle(taus_unwrapped: np.ndarray, geom: ArrayGeometry, grid: SubcarrierGrid):
-    """Sine-angle from the odd symmetry of the delay profile.
+def decouple_linear(taus_unwrapped: np.ndarray, geom: ArrayGeometry, grid: SubcarrierGrid):
+    """(theta, d, r, clamped) from linear combinations of the delay profile.
 
     Pairing subarray k with its mirror K-k+1 cancels every even term of the
     profile, leaving a difference linear in theta; an LS fit over the K/2
-    pairs gives theta.  Returns (theta_hat, clamped_flag).
+    pairs gives theta, clamped into (-1, 1).  The half-array shift
+    v_de = (c/df)(tau_{K/2+k} - tau_k) + (K/2)*pitch*theta is proportional
+    to (delta_k + K/4)/d through the quadratic profile term, and its
+    pseudoinverse gives d.  Mirror sums cancel the angle term; subtracting
+    the quadratic bulge and d leaves r in every entry, averaged over the
+    pairs.  Returns None when d is not finite and positive (an
+    unidentifiable geometry).
     """
     K = geom.n_subarrays
     if K % 2 != 0:
         raise ValueError("decoupling requires an even subarray count")
     half = K // 2
-    delta, denom = _half_offsets(K)
-    diffs = taus_unwrapped[::-1][:half] - taus_unwrapped[:half]
+    delta = index_offsets(K)[:half]
     pitch = geom.subarray_pitch_m
+    mirror = taus_unwrapped[::-1][:half]
     theta = (
-        SPEED_OF_LIGHT / (2.0 * pitch * grid.spacing_hz) * float(delta @ diffs) / denom
+        SPEED_OF_LIGHT / (2.0 * pitch * grid.spacing_hz)
+        * float(delta @ (mirror - taus_unwrapped[:half])) / float(delta @ delta)
     )
     clamped = False
     limit = 1.0 - 1e-9
     if not -limit < theta < limit:
         theta = math.copysign(limit, theta) if math.isfinite(theta) else 0.0
         clamped = True
-    return theta, clamped
-
-
-def decouple_distance(
-    taus_unwrapped: np.ndarray, theta: float, geom: ArrayGeometry, grid: SubcarrierGrid
-) -> float:
-    """Scatterer distance from the half-array shift of the delay profile.
-
-    v_de stacks (c/df)(tau_{K/2+k} - tau_k) + (K/2)*pitch*theta, which the
-    quadratic profile term makes proportional to (delta_k + K/4)/d; solving
-    by pseudoinverse yields d.  Non-positive / non-finite results signal an
-    unidentifiable geometry (caller rejects the path).
-    """
-    K = geom.n_subarrays
-    half = K // 2
-    delta = _half_offsets(K)[0]
-    pitch = geom.subarray_pitch_m
     v_de = (
         SPEED_OF_LIGHT / grid.spacing_hz * (taus_unwrapped[half:] - taus_unwrapped[:half])
         + 0.5 * K * pitch * theta
     )
-    u = delta + K / 4.0
     denom = float(v_de @ v_de)
     if denom == 0.0:
-        return float("nan")
-    return (
-        0.5 * K * pitch * pitch * (1.0 - theta * theta) * float(v_de @ u) / denom
+        return None
+    dist = (
+        0.5 * K * pitch * pitch * (1.0 - theta * theta) * float(v_de @ (delta + K / 4.0))
+        / denom
     )
-
-
-def decouple_range(
-    taus_unwrapped: np.ndarray,
-    theta: float,
-    dist_m: float,
-    geom: ArrayGeometry,
-    grid: SubcarrierGrid,
-) -> float:
-    """Residual range from the even symmetry of the delay profile.
-
-    Mirror sums cancel the odd (angle) term; subtracting the known quadratic
-    bulge and the distance leaves r in every entry, averaged over pairs.
-    """
-    K = geom.n_subarrays
-    half = K // 2
-    delta = _half_offsets(K)[0]
-    pitch = geom.subarray_pitch_m
+    if not (math.isfinite(dist) and dist > 0.0):
+        return None
     v_re = (
-        0.5 * SPEED_OF_LIGHT / grid.spacing_hz
-        * (taus_unwrapped[::-1][:half] + taus_unwrapped[:half])
-        - delta * delta * pitch * pitch * (1.0 - theta * theta) / (2.0 * dist_m)
-        - dist_m
+        0.5 * SPEED_OF_LIGHT / grid.spacing_hz * (mirror + taus_unwrapped[:half])
+        - delta * delta * pitch * pitch * (1.0 - theta * theta) / (2.0 * dist)
+        - dist
     )
-    return float(np.mean(v_re))
+    return theta, dist, float(np.mean(v_re)), clamped
 
 
 def fit_profile_exact(
@@ -524,8 +487,8 @@ class PathEstimate:
     range_m: float
     lpu_gains: np.ndarray  # shape (K,)
     track: SubarrayDelayTrack
-    clamped: bool = False  # theta hit the (-1, 1) clamp during decoupling
-    refined: bool = False  # exact-geometry fit accepted over the Fresnel one
+    clamped: bool = False  # the linear fallback gave the path and clamped its theta into (-1, 1)
+    refined: bool = False  # the exact-geometry fit gave the path (never clamped)
 
     @property
     def gain(self) -> complex:
@@ -591,23 +554,21 @@ def decouple_profile(
 ):
     """Full parameter decoupling of one delay track.
 
-    The exact-geometry closed-form fit is kept when it is valid; otherwise
-    the Fresnel reflection solves give the path.  ``refine`` accepts only
-    "exact".  The angle solve always runs, since it supplies the clamp flag.
-    Returns (theta, d, r, clamped, refined) or None when the path is
-    unidentifiable.
+    The exact-geometry closed-form fit gives the path when it is valid;
+    only when it returns None does :func:`decouple_linear` solve the track,
+    so ``clamped`` marks only a path whose own theta hit the clamp.
+    ``refine`` accepts only "exact", and K must be even.  Returns
+    (theta, d, r, clamped, refined) or None when the path is unidentifiable.
     """
     if refine != "exact":
         raise ValueError(f"unknown refine mode {refine!r}")
-    taus = track.taus_unwrapped
-    theta, clamped = decouple_angle(taus, geom, grid)
-    fit = fit_profile_exact(taus, geom, grid)
+    if geom.n_subarrays % 2 != 0:
+        raise ValueError("decoupling requires an even subarray count")
+    fit = fit_profile_exact(track.taus_unwrapped, geom, grid)
     if fit is not None:
-        return fit[0], fit[1], fit[2], clamped, True
-    dist = decouple_distance(taus, theta, geom, grid)
-    if not (math.isfinite(dist) and dist > 0.0):
-        return None
-    return theta, dist, decouple_range(taus, theta, dist, geom, grid), clamped, False
+        return *fit, False, True
+    linear = decouple_linear(track.taus_unwrapped, geom, grid)
+    return None if linear is None else (*linear, False)
 
 
 def fit_and_cancel(

@@ -490,7 +490,7 @@ def polar_omp_fallback(
     dictionary = DelayDictionary(M)
     threshold = stopping_threshold(rule.noise_var, M, rule.p_fa)
     resid = np.array(Y, dtype=complex, copy=True)
-    kc = K // 2 - 1
+    kc = (K + 1) // 2 - 1  # DPS's detection row, the middle one at odd K too
     paths: list[PathEstimate] = []
 
     while len(paths) < rule.max_paths:

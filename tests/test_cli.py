@@ -315,6 +315,15 @@ def test_malformed_input_file_is_a_config_error(tmp_path, capsys, command, conte
     assert str(path) in err and "Traceback" not in err
 
 
+def test_npy_scenario_is_refused_before_it_is_read(tmp_path, capsys):
+    # np.load gives an array, not an archive; the refusal must not rest on
+    # the error a with-statement raises, which differs across Python versions
+    path = tmp_path / "scene.npy"
+    np.save(path, np.zeros(3))
+    assert main(["estimate", "--scenario", str(path), *COMMON]) == 2
+    assert capsys.readouterr().err == f"error: config: scenario {path}: not an .npz archive\n"
+
+
 def test_list_flags_read_like_ini_lists(capsys):
     # the flags share the INI parser: empty entries and spaces are skipped
     rc = main(["sweep", *COMMON, "--trials", "1", "--snr-db", "10,,20",

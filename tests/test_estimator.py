@@ -27,10 +27,8 @@ from nfce.estimator import (
     PathEstimate,
     StoppingRule,
     central_index,
-    decouple_angle,
-    decouple_distance,
+    decouple_linear,
     decouple_profile,
-    decouple_range,
     estimate_gain_lpu,
     extrapolate_delays,
     extrapolate_step,
@@ -195,28 +193,38 @@ def _profile_case(theta=0.35, d=14.0, r=9.0, K=64, N=256, M=512):
 
 def test_decouple_angle_recovers_theta():
     geom, grid, taus = _profile_case()
-    theta, clamped = decouple_angle(taus, geom, grid)
+    theta, _, _, clamped = decouple_linear(taus, geom, grid)
     assert not clamped
     assert theta == pytest.approx(0.35, rel=1e-12)
 
 
 def test_decouple_distance_and_range():
     geom, grid, taus = _profile_case()
-    theta, _ = decouple_angle(taus, geom, grid)
-    d = decouple_distance(taus, theta, geom, grid)
+    _, d, r, _ = decouple_linear(taus, geom, grid)
     assert d == pytest.approx(14.0, rel=1e-10)
-    r = decouple_range(taus, theta, d, geom, grid)
     assert r == pytest.approx(9.0, rel=1e-10)
 
 
 def test_decouple_angle_clamps_garbage():
     geom = ArrayGeometry(256, 64, 7e9)
     grid = SubcarrierGrid.from_bandwidth(512, 600e6)
-    # a wildly sloped profile implies |theta| > 1
-    taus = np.linspace(0.0, 0.5, 64)
-    theta, clamped = decouple_angle(taus, geom, grid)
+    # a wildly sloped profile implies |theta| > 1; its convex bulge keeps d
+    # positive (a pure ramp leaves d at zero up to rounding), so the solve
+    # returns the clamped path rather than None
+    ramp = np.linspace(0.0, 0.5, 64)
+    taus = ramp + 0.01 * (ramp - 0.25) ** 2
+    theta, d, _, clamped = decouple_linear(taus, geom, grid)
     assert clamped
     assert abs(theta) == pytest.approx(1.0, abs=1e-8)
+    assert math.isfinite(d) and d > 0.0
+
+
+def test_decouple_linear_rejects_odd_counts_and_flat_profiles():
+    grid = SubcarrierGrid.from_bandwidth(256, 600e6)
+    with pytest.raises(ValueError, match="even subarray count"):
+        decouple_linear(np.linspace(0.0, 0.1, 5), ArrayGeometry(40, 5, 7e9), grid)
+    # an all-equal track leaves v_de zero: d is undefined
+    assert decouple_linear(np.full(16, 0.3), ArrayGeometry(64, 16, 7e9), grid) is None
 
 
 def test_fit_profile_exact_roundtrip():
@@ -242,6 +250,10 @@ def test_fit_profile_exact_rejects_flat():
     assert fit_profile_exact(np.full(16, 0.3), geom, grid) is None
 
 
+def _no_solve(*args):
+    raise AssertionError("solve not expected")
+
+
 def test_decouple_profile_prefers_exact(monkeypatch):
     geom = ArrayGeometry(512, 128, 7e9)
     grid = SubcarrierGrid.from_bandwidth(1024, 600e6)
@@ -250,22 +262,59 @@ def test_decouple_profile_prefers_exact(monkeypatch):
     class FakeTrack:
         taus_unwrapped = taus
 
-    out = decouple_profile(FakeTrack(), geom, grid)
+    # a valid exact fit gives the path; the linear solve does not run
+    with monkeypatch.context() as patch:
+        patch.setattr("nfce.estimator.decouple_linear", _no_solve)
+        out = decouple_profile(FakeTrack(), geom, grid)
     assert out is not None
     theta, d, r, clamped, refined = out
     assert refined and not clamped
     assert theta == pytest.approx(0.5, rel=1e-9)
     assert d == pytest.approx(12.0, rel=1e-8)
-    # without an exact fit the reflection solves give the path (Fresnel-accurate only)
+    # without an exact fit the linear solve gives the path (Fresnel-accurate only)
     monkeypatch.setattr("nfce.estimator.fit_profile_exact", lambda *args: None)
-    theta2, d2, r2, clamped2, refined2 = decouple_profile(FakeTrack(), geom, grid)
-    assert refined2 is False and not clamped2
-    assert theta2 == decouple_angle(taus, geom, grid)[0]
-    assert d2 == decouple_distance(taus, theta2, geom, grid)
-    assert r2 == decouple_range(taus, theta2, d2, geom, grid)
+    out2 = decouple_profile(FakeTrack(), geom, grid)
+    assert out2 == (*decouple_linear(taus, geom, grid), False)
+    assert out2[3] is False
     for mode in ("none", "bogus"):
         with pytest.raises(ValueError):
             decouple_profile(FakeTrack(), geom, grid, refine=mode)
+    # an unidentifiable track is rejected
+    monkeypatch.setattr("nfce.estimator.decouple_linear", lambda *args: None)
+    assert decouple_profile(FakeTrack(), geom, grid) is None
+
+
+def test_decouple_profile_rejects_odd_count_before_any_solve(monkeypatch):
+    # three subarrays fit a quadratic exactly, so the exact fit alone would
+    # accept the track; the count is refused before either solve runs
+    geom = ArrayGeometry(48, 3, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(64, 600e6)
+
+    class FakeTrack:
+        taus_unwrapped = subarray_delay_profile(0.3, 12.0, 10.0, geom, grid)
+
+    assert fit_profile_exact(FakeTrack.taus_unwrapped, geom, grid) is not None
+
+    monkeypatch.setattr("nfce.estimator.fit_profile_exact", _no_solve)
+    monkeypatch.setattr("nfce.estimator.decouple_linear", _no_solve)
+    with pytest.raises(ValueError, match="even subarray count"):
+        decouple_profile(FakeTrack(), geom, grid)
+
+
+def test_clamped_marks_only_a_path_whose_own_theta_was_clamped(equivalence):
+    # a12 seed 18's third path carries theta = +0.42 from the exact fit,
+    # while the linear solve of its track clamps theta to -1
+    for seed in range(30):
+        cfg, _, W, Y, rule = equivalence.a12_scenario(seed)
+        geom, grid = cfg.geometry(), cfg.grid()
+        paths = run_dps(Y, W, geom, grid, rule, power=cfg.power).paths
+        assert not any(p.clamped and p.refined for p in paths), seed
+        if seed == 18:
+            path = paths[2]
+            assert decouple_linear(path.track.taus_unwrapped, geom, grid)[3] is True
+            theta, _, _, clamped, refined = decouple_profile(path.track, geom, grid)
+            assert refined and not clamped
+            assert theta == path.theta == pytest.approx(0.42, abs=0.005)
 
 
 def test_gain_fit_exact_on_matched_row():

@@ -616,6 +616,21 @@ def test_polar_omp_recovers_single_path():
     assert best.range_m + best.dist_m == pytest.approx(truth.total_m, abs=1.0)
 
 
+def test_polar_omp_stops_on_the_middle_row_at_odd_counts():
+    # K = 3: the stop rule reads the middle row, DPS's detection row, so a
+    # signal only there is extracted
+    geom = ArrayGeometry(48, 3, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(64, 600e6)
+    H = synthesize_channel([PathParams(0.25, 12.0, 10.0, 1.0 + 0j)], geom, grid)
+    W = random_phase_combiner(geom, np.random.default_rng(9))
+    Y = observe(H, W, 1.0, 0.0)
+    rule = StoppingRule(noise_var=1e-2 * float(np.mean(np.abs(Y) ** 2)), p_fa=1e-3)
+    Y[[0, 2]] = 0.0
+    paths, _ = polar_omp_fallback(Y, W, geom, grid, rule, 16,
+                                  SimConfig().distance_grid())
+    assert paths
+
+
 def _reference_atoms(W, geom, angle_grid_size, distance_grid):
     """(theta grid, (G_theta, G_d, K) table of f_k^H w_k(theta, d)), one vdot
     per entry."""
@@ -642,7 +657,7 @@ def _polar_omp_reference(Y, W, geom, grid, rule, angle_grid_size, distance_grid,
     resid = np.array(Y, dtype=complex, copy=True)
     paths, corr_per_iter = [], []
     while len(paths) < rule.max_paths:
-        if ml_delay_detect(resid[K // 2 - 1], dictionary)[2] <= threshold:
+        if ml_delay_detect(resid[(K + 1) // 2 - 1], dictionary)[2] <= threshold:
             break
         proj = np.einsum("ijk,km->ijm", atoms.conj(), resid)
         scores = np.sum(np.abs(proj) ** 2, axis=2) / norms**2

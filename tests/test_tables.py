@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from nfce import bounds, cli, estimator, frontend, harness, model, planar, runtime
-from nfce.estimator import StoppingRule, _fit_basis, _half_offsets, run_dps
-from nfce.frontend import observe, random_phase_combiner
-from nfce.harness import SimConfig, draw_paths, draw_trial, trial_rng
+from nfce.estimator import _fit_basis, run_dps
+from nfce.harness import SimConfig
 from nfce.model import (
     ArrayGeometry,
     _antenna_table,
@@ -19,7 +18,6 @@ from nfce.model import (
     _ramp_split,
     _subarray_table,
     index_offsets,
-    synthesize_channel,
 )
 
 # (N, K): even, odd and prime antenna and subarray counts
@@ -60,10 +58,6 @@ def test_geometry_tables_match_their_expressions(n, k):
 
 @pytest.mark.parametrize("count", COUNTS)
 def test_count_tables_match_their_expressions(count):
-    half, denom = _shared_read_only(_half_offsets, count)
-    want = index_offsets(count)[: count // 2]
-    assert np.array_equal(half, want) and denom == float(want @ want)
-
     ramp = _shared_read_only(_delay_ramp, count)
     assert np.array_equal(ramp, 2j * np.pi * index_offsets(count))
 
@@ -82,23 +76,12 @@ def test_count_tables_match_their_expressions(count):
     assert np.array_equal(placed, j_offsets)
 
 
-def _a12_scenario():
-    cfg = SimConfig(n_antennas=64, n_subarrays=16, n_subcarriers=128, n_paths=3,
-                    seed=11, snr_db=(15.0,))
-    geom, grid = cfg.geometry(), cfg.grid()
-    paths = draw_paths(cfg, trial_rng(cfg.seed, 0, 0), grid)
-    H = synthesize_channel(paths, geom, grid)
-    W = random_phase_combiner(geom, trial_rng(cfg.seed, 0, 1))
-    noise_var = float(np.mean(np.abs(observe(H, W, 1.0, 0.0)) ** 2)) / 10 ** 1.5
-    Y = observe(H, W, 1.0, noise_var, rng=trial_rng(cfg.seed, 0, 2))
-    return Y, W, geom, grid, StoppingRule(noise_var=noise_var, p_fa=1e-3, max_paths=8)
+def _a12_scenario(equivalence):
+    return equivalence.a12_scenario(11)
 
 
-def _default_scenario():
-    cfg = SimConfig()
-    _, _, W, noise_var, Y = draw_trial(cfg, 0, 10.0)
-    rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
-    return Y, W, cfg.geometry(), cfg.grid(), rule
+def _default_scenario(equivalence):
+    return equivalence.harness_scenario(SimConfig(), 10.0)
 
 
 def _record(res):
@@ -124,12 +107,13 @@ def _nfce_caches():
 
 
 @pytest.mark.parametrize("scenario", [_a12_scenario, _default_scenario])
-def test_emptied_caches_leave_the_iteration_record_unchanged(scenario):
-    args = scenario()
+def test_emptied_caches_leave_the_iteration_record_unchanged(scenario, equivalence):
+    cfg, _, W, Y, rule = scenario(equivalence)
+    args = (Y, W, cfg.geometry(), cfg.grid(), rule, cfg.power)
     first = _record(run_dps(*args))
     caches = _nfce_caches()
     assert {_antenna_table, _subarray_table, _half_ramps, _delay_ramp,
-            _half_offsets, _fit_basis} <= caches
+            _fit_basis} <= caches
     for cache in caches:
         cache.cache_clear()
     assert _record(run_dps(*args)) == first
