@@ -5,8 +5,10 @@ DFT grid, extrapolates it outward across subarrays with a tiny candidate
 window, decouples (theta, dist, range) from the resulting delay profile, fits
 one complex gain per subarray, and cancels the path from the residual.  The
 decoupling tries the closed-form fit of the exact subarray-center geometry
-first; only when it fails does the paper's linear step, mirror differences
-and sums of the delays, give the path.  A CFAR threshold on the central
+first, whose least-squares fits are per-geometry pseudo-inverses applied as
+matvecs, so both steps only linearly combine the delays; only when it fails
+does the paper's linear step, mirror differences and sums of the delays,
+give the path.  A CFAR threshold on the central
 correlation peak stops the iteration.
 
 Every detection attempt appends one :class:`Iteration` (central peak,
@@ -226,13 +228,21 @@ def extrapolate_delays(
 
 
 @functools.lru_cache(maxsize=8)
-def _fit_basis(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, x^2, [1, x, x^2]): :func:`fit_profile_exact`'s subarray offsets in metres and basis.
+def _fit_basis(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(x, x^2, pinv [1, x, x^2], pinv [1, x]): :func:`fit_profile_exact`'s tables.
 
-    Built once per geometry, shared by every caller and read-only.
+    x holds the subarray offsets in metres.  The two least-squares operators,
+    (3, K) and (2, K), are the pseudo-inverses of the Vandermonde bases with
+    the singular-value cutoff ``lstsq(rcond=None)`` uses, max(K, columns)
+    times eps of the largest one, so a fit is one matvec.  Built once per
+    geometry, shared by every caller and read-only.
     """
     x = index_offsets(geom.n_subarrays) * geom.subarray_pitch_m
-    return _read_only(x, x * x, np.vander(x, 3, increasing=True))
+    operators = []
+    for cols in (3, 2):
+        rcond = max(geom.n_subarrays, cols) * np.finfo(float).eps
+        operators.append(np.linalg.pinv(np.vander(x, cols, increasing=True), rcond=rcond))
+    return _read_only(x, x * x, *operators)
 
 
 def decouple_linear(taus_unwrapped: np.ndarray, geom: ArrayGeometry, grid: SubcarrierGrid):
@@ -294,20 +304,22 @@ def fit_profile_exact(
     x_k = delta_k * pitch (law of cosines), so the quadratic-in-x LS
     coefficients of eta and eta^2 give r linearly, after which
     (eta - r)^2 - x^2 is an affine function of x yielding d and theta.
-    Returns (theta, d, r) or None when the profile carries no usable
-    curvature (e.g. endfire or an all-equal track).
+    Each LS fit applies :func:`_fit_basis`' cached pseudo-inverse of the
+    basis [1, x, x^2] or [1, x] as one matvec, so no track calls into
+    ``np.linalg``.  Returns (theta, d, r) or None when the profile carries no
+    usable curvature (e.g. endfire or an all-equal track).
     """
-    x, x_sq, basis = _fit_basis(geom)  # basis columns 1, x, x^2
+    x, x_sq, fit_quad, fit_line = _fit_basis(geom)
     eta = SPEED_OF_LIGHT / grid.spacing_hz * np.asarray(taus_unwrapped, dtype=float)
-    coef_eta, *_ = np.linalg.lstsq(basis, eta, rcond=None)
-    coef_eta2, *_ = np.linalg.lstsq(basis, eta * eta, rcond=None)
+    coef_eta = fit_quad.dot(eta)
+    coef_eta2 = fit_quad.dot(eta * eta)
     curv = coef_eta[2]
     scale = max(abs(coef_eta[1]) / (abs(x[-1]) + 1.0), abs(coef_eta[0]) / (x[-1] ** 2 + 1.0))
     if abs(curv) <= 1e-12 * max(scale, 1e-30):
         return None
     r = (coef_eta2[2] - 1.0) / (2.0 * curv)
     z = (eta - r) ** 2 - x_sq
-    coef_z, *_ = np.linalg.lstsq(basis[:, :2], z, rcond=None)
+    coef_z = fit_line.dot(z)
     if not np.isfinite(coef_z).all() or coef_z[0] <= 0.0:
         return None
     d = math.sqrt(coef_z[0])

@@ -89,3 +89,20 @@ def test_perturbed_observation_is_flagged(equivalence, tmp_path, capsys):
     b.write_text(json.dumps(records))
     assert equivalence.main(["compare", str(a), str(b)]) == 1
     assert "default/seed1000/0dB observation: different dump formats" in capsys.readouterr().out
+
+
+def test_flipped_path_flags_are_discrete_mismatches(equivalence, tmp_path, capsys):
+    # each DPS path's clamped and refined flags are dumped and compared
+    # exactly, so a flip is a mismatch even when every number agrees
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert equivalence.main(["dump", str(a), "--limit", "1"]) == 0
+    records = json.loads(a.read_text())
+    dps = records[0]["dps"]
+    assert len(dps["clamped"]) == len(dps["refined"]) == dps["n_paths"] >= 1
+    for flag in ("clamped", "refined"):
+        flipped = json.loads(a.read_text())
+        flipped[0]["dps"][flag][0] = not flipped[0]["dps"][flag][0]
+        b.write_text(json.dumps(flipped))
+        capsys.readouterr()
+        assert equivalence.main(["compare", str(a), str(b)]) == 1
+        assert f"MISMATCH default/seed1000/0dB dps: {flag}" in capsys.readouterr().out

@@ -250,8 +250,71 @@ def test_fit_profile_exact_rejects_flat():
     assert fit_profile_exact(np.full(16, 0.3), geom, grid) is None
 
 
-def _no_solve(*args):
+def _no_solve(*args, **kwargs):
     raise AssertionError("solve not expected")
+
+
+def _lstsq_fit(taus, geom, grid):
+    """fit_profile_exact's steps with np.linalg.lstsq solving each LS fit."""
+    x = index_offsets(geom.n_subarrays) * geom.subarray_pitch_m
+    basis = np.vander(x, 3, increasing=True)
+    eta = SPEED_OF_LIGHT / grid.spacing_hz * np.asarray(taus, dtype=float)
+    coef_eta = np.linalg.lstsq(basis, eta, rcond=None)[0]
+    coef_eta2 = np.linalg.lstsq(basis, eta * eta, rcond=None)[0]
+    curv = coef_eta[2]
+    scale = max(abs(coef_eta[1]) / (abs(x[-1]) + 1.0), abs(coef_eta[0]) / (x[-1] ** 2 + 1.0))
+    if abs(curv) <= 1e-12 * max(scale, 1e-30):
+        return None
+    r = (coef_eta2[2] - 1.0) / (2.0 * curv)
+    coef_z = np.linalg.lstsq(basis[:, :2], (eta - r) ** 2 - x * x, rcond=None)[0]
+    if not np.isfinite(coef_z).all() or coef_z[0] <= 0.0:
+        return None
+    d = math.sqrt(coef_z[0])
+    theta = -coef_z[1] / (2.0 * d)
+    if not (math.isfinite(theta) and -1.0 < theta < 1.0 and math.isfinite(r)):
+        return None
+    return theta, d, r
+
+
+def _fit_cases(equivalence):
+    """(taus, geom, grid): every DPS track of a12 seeds 0-29, then exact profiles."""
+    for seed in range(30):
+        cfg, _, W, Y, rule = equivalence.a12_scenario(seed)
+        geom, grid = cfg.geometry(), cfg.grid()
+        for step in run_dps(Y, W, geom, grid, rule, power=cfg.power).iterations:
+            if step.track is not None:
+                yield step.track.taus_unwrapped, geom, grid
+    rng = np.random.default_rng(47)
+    for n, k, m in ((64, 16, 128), (1024, 256, 1024)):
+        cfg = SimConfig(n_antennas=n, n_subarrays=k, n_subcarriers=m)
+        geom, grid = cfg.geometry(), cfg.grid()
+        for _ in range(40):
+            theta, d, r = rng.uniform(-0.95, 0.95), rng.uniform(3.0, 30.0), rng.uniform(5.0, 40.0)
+            yield subarray_delay_profile(theta, d, r, geom, grid), geom, grid
+
+
+def test_fit_profile_exact_matches_lstsq_reference(equivalence):
+    # the cached pseudo-inverses give lstsq's verdicts and its (theta, d, r)
+    # up to rounding, on grid-valued tracks and on exact profiles alike
+    verdicts = []
+    for taus, geom, grid in _fit_cases(equivalence):
+        fit, want = fit_profile_exact(taus, geom, grid), _lstsq_fit(taus, geom, grid)
+        verdicts.append(want is None)
+        assert (fit is None) == (want is None)
+        if fit is not None:
+            for got, ref in zip(fit, want):
+                assert abs(got - ref) <= 1e-9 * abs(ref)
+    # both verdicts occur: 30 a12 scenarios hold rejected tracks
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_run_dps_makes_no_lstsq_call(equivalence, monkeypatch):
+    scenarios = [equivalence.a12_scenario(11),
+                 equivalence.harness_scenario(SimConfig(), 10.0)]
+    monkeypatch.setattr(np.linalg, "lstsq", _no_solve)
+    for cfg, _, W, Y, rule in scenarios:
+        res = run_dps(Y, W, cfg.geometry(), cfg.grid(), rule, power=cfg.power)
+        assert res.n_paths >= 1
 
 
 def test_decouple_profile_prefers_exact(monkeypatch):

@@ -50,10 +50,15 @@ def test_geometry_tables_match_their_expressions(n, k):
     assert np.array_equal(delta_pitch, sub * pitch)
     assert np.array_equal(delta_sq_pitch_sq, sub * sub * pitch * pitch)
 
-    x, x_sq, basis = _shared_read_only(_fit_basis, geom)
+    x, x_sq, fit_quad, fit_line = _shared_read_only(_fit_basis, geom)
     want_x = index_offsets(k) * geom.subarray_pitch_m
     assert np.array_equal(x, want_x) and np.array_equal(x_sq, want_x * want_x)
-    assert np.array_equal(basis, np.vander(want_x, 3, increasing=True))
+    # each LS operator is the pseudo-inverse of its Vandermonde basis with
+    # lstsq(rcond=None)'s cutoff, max(K, columns) eps
+    for op, cols in ((fit_quad, 3), (fit_line, 2)):
+        want = np.linalg.pinv(np.vander(want_x, cols, increasing=True),
+                              rcond=max(k, cols) * np.finfo(float).eps)
+        assert op.shape == (cols, k) and np.array_equal(op, want)
 
 
 @pytest.mark.parametrize("count", COUNTS)

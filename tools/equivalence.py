@@ -15,7 +15,8 @@ first N, so a small limit skips the slow full-scale ones.  To dump another
 checkout, point PYTHONPATH at its ``src``.  The tool pins BLAS to one thread.
 
 ``compare`` prints every discrete mismatch (stop reason, path count,
-correlation count, fallback, rejected count, delay-hop track) and the largest
+correlation count, fallback, rejected count, delay-hop track, and each DPS
+path's ``clamped`` and ``refined`` flags) and the largest
 differences of theta/d/r, per-LPU gains, nmse_db and, relative, of the
 channel's and the observation's norm and projection; the observation must
 agree exactly.  Records whose keys or
@@ -60,7 +61,8 @@ TOLERANCES = {"theta/d/r": 0.0, "lpu gain": 1e-10, "nmse_db": 1e-9, "channel (re
 _DIGESTS = (("channel", "channel (relative)"), ("observation", "observation (relative)"))
 PROJECTION_SEED = 20261018
 _DISCRETE = {
-    "dps": ("stop_reason", "n_paths", "corr_total", "fallback", "rejected", "kappas"),
+    "dps": ("stop_reason", "n_paths", "corr_total", "fallback", "rejected", "kappas",
+            "clamped", "refined"),
     "omp": ("n_paths", "corr"),
 }
 _NUMERIC = ("params", "gains_re", "gains_im", "nmse_db")
@@ -140,6 +142,7 @@ def dump(limit: int | None = None) -> list[dict]:
             fallback=res.fallback, rejected=res.rejected,
             kappas=[s.track.kappas.tolist() for s in res.iterations
                     if s.track is not None],
+            clamped=[p.clamped for p in res.paths], refined=[p.refined for p in res.paths],
         )
         paths, corr = polar_omp_fallback(Y, W, geom, grid, rule, cfg.angle_grid_size,
                                          cfg.distance_grid(), cfg.power)
