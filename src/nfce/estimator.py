@@ -5,11 +5,10 @@ DFT grid, extrapolates it outward across subarrays with a tiny candidate
 window, decouples (theta, dist, range) from the resulting delay profile, fits
 one complex gain per subarray, and cancels the path from the residual.  The
 decoupling tries the closed-form fit of the exact subarray-center geometry
-first, whose least-squares fits are per-geometry pseudo-inverses applied as
-matvecs, so both steps only linearly combine the delays; only when it fails
-does the paper's linear step, mirror differences and sums of the delays,
-give the path.  A CFAR threshold on the central
-correlation peak stops the iteration.
+first, each of its least-squares fits one matvec with a cached per-geometry
+pseudo-inverse; only when it fails does the paper's linear step, mirror
+differences and sums of the delays, give the path.  A CFAR threshold on the
+central correlation peak stops the iteration.
 
 Every detection attempt appends one :class:`Iteration` (central peak,
 correlations spent, delay track, accepted path) to the result, and every
@@ -233,8 +232,8 @@ def _fit_basis(geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
     x holds the subarray offsets in metres.  The two least-squares operators,
     (3, K) and (2, K), are the pseudo-inverses of the Vandermonde bases with
-    the singular-value cutoff ``lstsq(rcond=None)`` uses, max(K, columns)
-    times eps of the largest one, so a fit is one matvec.  Built once per
+    the singular-value cutoff ``lstsq(rcond=None)`` uses, max(K, columns) eps
+    relative to the largest, so a fit is one matvec.  Built once per
     geometry, shared by every caller and read-only.
     """
     x = index_offsets(geom.n_subarrays) * geom.subarray_pitch_m

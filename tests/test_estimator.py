@@ -250,7 +250,7 @@ def test_fit_profile_exact_rejects_flat():
     assert fit_profile_exact(np.full(16, 0.3), geom, grid) is None
 
 
-def _no_solve(*args, **kwargs):
+def _no_solve(*args):
     raise AssertionError("solve not expected")
 
 
@@ -304,14 +304,18 @@ def test_fit_profile_exact_matches_lstsq_reference(equivalence):
         if fit is not None:
             for got, ref in zip(fit, want):
                 assert abs(got - ref) <= 1e-9 * abs(ref)
-    # both verdicts occur: 30 a12 scenarios hold rejected tracks
+    # both verdicts occur: some a12 tracks carry no usable curvature
     assert any(verdicts) and not all(verdicts)
 
 
 def test_run_dps_makes_no_lstsq_call(equivalence, monkeypatch):
     scenarios = [equivalence.a12_scenario(11),
                  equivalence.harness_scenario(SimConfig(), 10.0)]
-    monkeypatch.setattr(np.linalg, "lstsq", _no_solve)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
     for cfg, _, W, Y, rule in scenarios:
         res = run_dps(Y, W, cfg.geometry(), cfg.grid(), rule, power=cfg.power)
         assert res.n_paths >= 1
