@@ -84,17 +84,19 @@ def grid_scores(y: np.ndarray, dictionary: DelayDictionary) -> np.ndarray:
     return scores
 
 
-def window_scores(y: np.ndarray, atoms_h: np.ndarray) -> np.ndarray:
-    """|b(tau)^H y|^2 / M for a handful of off-grid candidates (direct).
+def window_scores(y: np.ndarray, atoms_h: np.ndarray) -> list[float]:
+    """|b(tau)^H y|^2 / M for a handful of off-grid candidates (direct), as a list.
 
     ``atoms_h`` holds the candidates' conjugated atoms b(tau)^* row by row,
     e.g. an extrapolation hop's candidate window.  ``ndarray.dot`` runs the
-    same gemv as ``atoms_h @ y`` with less dispatch per call.
+    same gemv as ``atoms_h @ y`` with less dispatch per call.  The few
+    magnitudes are squared and scaled as Python floats, which gives the bits
+    of ``np.square`` and ``/=`` without two ufunc dispatches; the complex
+    magnitude itself stays ``np.abs``, whose last bit differs from Python's
+    ``abs`` on some inputs.
     """
-    scores = np.abs(atoms_h.dot(y))
-    np.square(scores, out=scores)
-    scores /= atoms_h.shape[-1]
-    return scores
+    M = atoms_h.shape[-1]
+    return [a * a / M for a in np.abs(atoms_h.dot(y)).tolist()]
 
 
 def ml_delay_detect(y: np.ndarray, dictionary: DelayDictionary):
@@ -149,8 +151,8 @@ def extrapolate_step(y: np.ndarray, window: np.ndarray, m_hop: int):
     leaves the window as it is.
     """
     scores = window_scores(y, window)
-    j = int(scores.argmax())
-    kappa = j - m_hop
+    best = max(scores)
+    kappa = scores.index(best) - m_hop
     if kappa:
         # slide toward the winner: a negative kappa slides the row-reversed view up
         rows, n = (window, kappa) if kappa > 0 else (window[::-1], -kappa)
@@ -158,7 +160,7 @@ def extrapolate_step(y: np.ndarray, window: np.ndarray, m_hop: int):
         step = shift_table(m_hop, y.shape[-1])[m_hop + kappa // n]
         for row in range(len(rows) - n, len(rows)):
             np.multiply(rows[row - 1], step, out=rows[row])
-    return kappa, float(scores[j])
+    return kappa, best
 
 
 def central_index(n_subarrays: int) -> int:
@@ -185,8 +187,18 @@ class SubarrayDelayTrack:
         return np.mod(np.round(taus * self.grid_size - 0.5).astype(int), self.grid_size)
 
     def all_equal(self) -> bool:
-        indices = self.grid_indices
-        return bool((indices == indices[0]).all())
+        """Whether every delay falls in one grid bin (:attr:`grid_indices`' rule).
+
+        A plain loop over Python floats that stops at the first bin that
+        differs; K is small and most tracks differ early.
+        """
+        M = self.grid_size
+        taus = self.taus_unwrapped.tolist()
+        first = round((taus[0] % 1.0) * M - 0.5) % M
+        for tau in taus:
+            if round((tau % 1.0) * M - 0.5) % M != first:
+                return False
+        return True
 
 
 def extrapolate_delays(

@@ -1,5 +1,6 @@
 """tools/equivalence.py: dumps of one code version compare clean."""
 import json
+import struct
 
 import numpy as np
 
@@ -106,3 +107,21 @@ def test_flipped_path_flags_are_discrete_mismatches(equivalence, tmp_path, capsy
         capsys.readouterr()
         assert equivalence.main(["compare", str(a), str(b)]) == 1
         assert f"MISMATCH default/seed1000/0dB dps: {flag}" in capsys.readouterr().out
+
+
+def test_flipped_message_payload_bit_is_flagged(equivalence, tmp_path, capsys):
+    # the a12 scenarios dump run_distributed's message log with exact
+    # payload values, so one flipped bit of one payload is a mismatch
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert equivalence.main(["dump", str(a), "--limit", "121"]) == 0
+    records = json.loads(a.read_text())
+    assert all(r["dps"]["messages"] is None for r in records[:120])
+    assert records[120]["name"] == "a12/seed0"
+    log = records[120]["dps"]["messages"]
+    i, msg = next((i, m) for i, m in enumerate(log) if m[1] == "DelaySeed")
+    bits = struct.unpack("<q", struct.pack("<d", float.fromhex(msg[3][0])))[0] ^ 1
+    msg[3][0] = struct.unpack("<d", struct.pack("<q", bits))[0].hex()
+    b.write_text(json.dumps(records))
+    capsys.readouterr()
+    assert equivalence.main(["compare", str(a), str(b)]) == 1
+    assert f"MISMATCH a12/seed0 dps: messages: message {i} " in capsys.readouterr().out

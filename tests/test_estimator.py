@@ -86,14 +86,17 @@ def test_window_scores_match_grid_scores_on_grid():
 
 @pytest.mark.parametrize("M, m_hop", [(16, 1), (128, 1), (97, 2), (1024, 3)])
 def test_scores_are_the_bits_of_the_plain_expressions(M, m_hop):
-    # the kernels square and scale one buffer in place, and window_scores
-    # calls ndarray.dot; both must give the bits of the one-line expressions
+    # grid_scores squares and scales one buffer in place, and window_scores
+    # calls ndarray.dot and squares and scales Python floats; both must give
+    # the bits of the one-line expressions
     rng = np.random.default_rng(M)
     pre = np.exp(-1j * np.pi * np.arange(M) / M)
     for _ in range(20):
         y = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         window = shift_table(m_hop, M) * delay_steering(rng.uniform(), M).conj()
-        assert np.array_equal(window_scores(y, window), np.abs(window @ y) ** 2 / M)
+        scores = window_scores(y, window)
+        assert type(scores) is list and all(type(v) is float for v in scores)
+        assert np.array_equal(scores, np.abs(window @ y) ** 2 / M)
         assert np.array_equal(grid_scores(y, DelayDictionary(M)),
                               np.abs(np.fft.fft(y * pre)) ** 2 / M)
 
@@ -153,6 +156,26 @@ def test_extrapolate_step_window():
     kappa1, _ = extrapolate_step(y, window1, 1)
     assert kappa1 == 1
     np.testing.assert_allclose(window1, _window_at(delay_grid(dic)[21], 1, 64), rtol=0, atol=1e-12)
+
+
+def test_extrapolate_step_on_a_zero_row_takes_the_most_negative_hop():
+    # every score is 0.0, so the first candidate, kappa = -m_hop, wins
+    for m_hop in (1, 3):
+        window = shift_table(m_hop, 32) * delay_steering(0.3, 32).conj()
+        kappa, score = extrapolate_step(np.zeros(32, dtype=complex), window, m_hop)
+        assert (kappa, score) == (-m_hop, 0.0)
+        assert type(score) is float
+
+
+def test_extrapolate_step_exact_tie_goes_to_the_more_negative_hop():
+    # integer-valued rows make every product exact, so kappa = -1 and +1
+    # score exactly M each (kappa = 0 scores 0) in any summation order
+    M = 16
+    y = np.ones(M, dtype=complex)
+    window = np.ones((3, M), dtype=complex)
+    window[1, ::2] = -1.0
+    assert window_scores(y, window) == [float(M), 0.0, float(M)]
+    assert extrapolate_step(y, window, 1) == (-1, float(M))
 
 
 def test_stopping_threshold_frozen_values():

@@ -1,6 +1,7 @@
 """Message-passing runtime: protocol shape, counters, and exact equivalence."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nfce.model import (
     ArrayGeometry,
@@ -36,6 +37,29 @@ def test_message_validation():
         Message(0, "GainReport", 1, ([1.0, 2.0],))
 
 
+def test_message_is_immutable():
+    m = Message(0, "GainReport", 3, (1.0 + 2.0j,))
+    with pytest.raises(AttributeError):
+        m.payload = ()
+    with pytest.raises(AttributeError):
+        m.kind = "StopQuery"
+    assert m == Message(0, "GainReport", 3, (1.0 + 2.0j,))
+
+
+def test_replayed_messages_are_valid_and_hold_python_scalars(equivalence):
+    # the replay skips the validating constructor, so every message it logs
+    # must pass that constructor unchanged and carry plain Python scalars
+    for seed in range(30):
+        cfg, _, W, Y, rule = equivalence.a12_scenario(seed)
+        res = run_distributed(Y, W, cfg.geometry(), cfg.grid(), rule, trace=True)
+        assert res.trace
+        for msg in res.trace:
+            assert type(msg) is Message
+            assert Message(*msg) == msg
+            assert type(msg.iteration) is int
+            assert all(type(item) in (int, float, complex) for item in msg.payload)
+
+
 def test_schedule_extrapolation_chains():
     # center LPU 3 of 6: ascending 3->4->5->6 then descending 3->2->1
     sched = schedule_extrapolation(6, 3)
@@ -69,6 +93,29 @@ def test_detect_fallback():
     assert _track(on_bin_0, 16).all_equal()
     assert not _track(on_bin_0[:-1] + [1.5 / 16], 16).all_equal()
     assert not _track([1.5 / 16] + on_bin_0[1:], 16).all_equal()
+    # a delay just below 0 wraps to tau % 1 == 1.0 exactly, which rounds to
+    # bin M, i.e. bin 0 again
+    assert _track([-1e-20, 0.5 / 16], 16).all_equal()
+    assert _track([0.5 / 16, -1e-20], 16).all_equal()
+
+
+# a delay as (whole turns, bin, position in the bin): position 0.0 is the
+# bin's lower edge, 0.5 its grid point; the turns move it below 0 or past 1
+_wrapped_delay = st.tuples(
+    st.integers(-2, 2), st.integers(-1, 1),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(M=st.sampled_from([2, 3, 16, 97, 128, 1024]), base=st.integers(0, 1023),
+       delays=st.lists(_wrapped_delay, min_size=1, max_size=12))
+@example(M=16, base=0, delays=[(1, 0, 0.5), (0, 0, 0.5), (-1, 0, 0.0), (2, 0, 1.0)])
+@example(M=16, base=15, delays=[(0, 0, 1.0), (-1, 0, 0.0), (0, 0, 0.5)])
+def test_all_equal_matches_the_wrapped_grid_indices(M, base, delays):
+    taus = [turns + (base + step + pos) / M for turns, step, pos in delays]
+    track = _track(taus, M)
+    assert track.all_equal() == (len(set(track.grid_indices.tolist())) == 1)
 
 
 def _scenario(seed, n_paths=1, snr=None, N=128, K=32, M=128):

@@ -14,9 +14,14 @@ full 1024/256/1024 scale with 4 paths at 10 dB.  ``--limit N`` keeps the
 first N, so a small limit skips the slow full-scale ones.  To dump another
 checkout, point PYTHONPATH at its ``src``.  The tool pins BLAS to one thread.
 
+For each a12 scenario the dump also holds ``run_distributed(trace=True)``'s
+message log: per message its iteration, kind, sender and payload, each
+payload value written exactly with ``float.hex`` (a complex one as its real
+and imaginary parts); the other scenarios record no log.
+
 ``compare`` prints every discrete mismatch (stop reason, path count,
-correlation count, fallback, rejected count, delay-hop track, and each DPS
-path's ``clamped`` and ``refined`` flags) and the largest
+correlation count, fallback, rejected count, delay-hop track, each DPS
+path's ``clamped`` and ``refined`` flags, and the message log) and the largest
 differences of theta/d/r, per-LPU gains, nmse_db and, relative, of the
 channel's and the observation's norm and projection; the observation must
 agree exactly.  Records whose keys or
@@ -53,6 +58,7 @@ from nfce.harness import (  # noqa: E402
     trial_rng,
 )
 from nfce.model import synthesize_channel  # noqa: E402
+from nfce.runtime import run_distributed  # noqa: E402
 
 UNPHYSICAL_RANGE_M = 1e4
 TOLERANCES = {"theta/d/r": 0.0, "lpu gain": 1e-10, "nmse_db": 1e-9, "channel (relative)": 1e-12,
@@ -62,7 +68,7 @@ _DIGESTS = (("channel", "channel (relative)"), ("observation", "observation (rel
 PROJECTION_SEED = 20261018
 _DISCRETE = {
     "dps": ("stop_reason", "n_paths", "corr_total", "fallback", "rejected", "kappas",
-            "clamped", "refined"),
+            "clamped", "refined", "messages"),
     "omp": ("n_paths", "corr"),
 }
 _NUMERIC = ("params", "gains_re", "gains_im", "nmse_db")
@@ -105,6 +111,19 @@ def scenarios():
         yield (f"full/seed{seed}/10dB",) + harness_scenario(cfg, 10.0)
 
 
+def _exact(value) -> str | list[str]:
+    """A payload value as ``float.hex``; a complex one as [real, imaginary]."""
+    if isinstance(value, complex):
+        return [value.real.hex(), value.imag.hex()]
+    return float(value).hex()
+
+
+def message_log(messages) -> list[list]:
+    """[iteration, kind, sender, payload] per message, payload values exact."""
+    return [[m.iteration, m.kind, m.sender, [_exact(v) for v in m.payload]]
+            for m in messages]
+
+
 def _paths_record(paths, H, geom, grid) -> dict:
     return {
         "n_paths": len(paths),
@@ -143,7 +162,11 @@ def dump(limit: int | None = None) -> list[dict]:
             kappas=[s.track.kappas.tolist() for s in res.iterations
                     if s.track is not None],
             clamped=[p.clamped for p in res.paths], refined=[p.refined for p in res.paths],
+            messages=None,
         )
+        if name.startswith("a12/"):
+            dist = run_distributed(Y, W, geom, grid, rule, power=cfg.power, trace=True)
+            dps["messages"] = message_log(dist.trace)
         paths, corr = polar_omp_fallback(Y, W, geom, grid, rule, cfg.angle_grid_size,
                                          cfg.distance_grid(), cfg.power)
         omp = _paths_record(paths, H, geom, grid)
@@ -151,6 +174,16 @@ def dump(limit: int | None = None) -> list[dict]:
         records.append({"name": name, "channel": channel_record(H),
                         "observation": channel_record(Y), "dps": dps, "omp": omp})
     return records
+
+
+def _difference(key: str, a, b) -> str:
+    """One discrete field's mismatch; a message log names its first differing message."""
+    if key == "messages" and a is not None and b is not None:
+        for i, (ma, mb) in enumerate(zip(a, b)):
+            if ma != mb:
+                return f"messages: message {i} {ma!r} != {mb!r}"
+        return f"messages: {len(a)} != {len(b)} messages"
+    return f"{key} {a!r} != {b!r}"
 
 
 def compare(a: list[dict], b: list[dict]) -> tuple[list[str], dict, dict]:
@@ -173,7 +206,7 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], dict, dict]:
                 mismatches.append(f"{ra['name']} {alg}: different dump formats (keys)")
                 continue
             bad = [k for k in keys if xa[k] != xb[k]]
-            mismatches += [f"{ra['name']} {alg}: {k} {xa[k]!r} != {xb[k]!r}" for k in bad]
+            mismatches += [f"{ra['name']} {alg}: {_difference(k, xa[k], xb[k])}" for k in bad]
             if bad:
                 continue
             # with the discrete fields equal, every numeric field has one shape
