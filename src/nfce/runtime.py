@@ -11,9 +11,8 @@ not a second copy of the estimator loop.
 
 A :class:`Message` is a named tuple.  The replay reads each delay track and
 each path's per-LPU gains as Python floats once and builds every message of
-the log from those Python scalars, without the per-message checks of the
-public constructor, so a traced run costs a fraction of a microsecond per
-message.
+the log from those Python scalars, skipping the public constructor's
+per-message checks, so a traced run adds little to the run it replays.
 
 The simulation is deterministic and in-process; there is no transport layer.
 """
