@@ -50,9 +50,9 @@ def sum_quart_offsets(K: int) -> float:
 
 @dataclass(frozen=True)
 class FimReport:
-    coeff: np.ndarray        # 3x3 coefficient matrix U (delay-profile geometry)
-    fim: np.ndarray          # 3x3 Fisher information = scale * U
-    scale: float             # 2 pi^2 P |g|^2 N_s M (M^2-1) df^2 / (3 c^2 sigma^2)
+    # 3x3 Fisher information scale * U: U = rho rho^T is the delay-profile
+    # geometry, scale = 2 pi^2 P |g|^2 N_s M (M^2-1) df^2 / (3 c^2 sigma^2)
+    fim: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,6 @@ class BoundsReport:
     r_cb_cf: float
     tau_cb: float
     theta_lb: float
-    inv_d_lb: float
     d_lb: float
     r_lb: float
 
@@ -100,8 +99,7 @@ def fim_numeric(path: PathParams, geom: ArrayGeometry, grid: SubcarrierGrid,
     """FIM for (theta, d, r) from the analytic profile sensitivities."""
     rho = delay_sensitivities(path, geom)
     coeff = rho @ rho.T
-    scale = fim_scale(geom, grid, power, noise_var, path.gain)
-    return FimReport(coeff=coeff, fim=scale * coeff, scale=scale)
+    return FimReport(fim=fim_scale(geom, grid, power, noise_var, path.gain) * coeff)
 
 
 def fim_finite_diff(path: PathParams, geom: ArrayGeometry, grid: SubcarrierGrid,
@@ -126,8 +124,7 @@ def fim_finite_diff(path: PathParams, geom: ArrayGeometry, grid: SubcarrierGrid,
         (profile(th, d, r + h_r) - profile(th, d, r - h_r)) / (2 * h_r),
     ])
     coeff = rho @ rho.T
-    scale = fim_scale(geom, grid, power, noise_var, path.gain)
-    return FimReport(coeff=coeff, fim=scale * coeff, scale=scale)
+    return FimReport(fim=fim_scale(geom, grid, power, noise_var, path.gain) * coeff)
 
 
 def crlb_numeric(report: FimReport) -> tuple[float, float, float]:
@@ -216,12 +213,11 @@ def bounds_report(path: PathParams, geom: ArrayGeometry, grid: SubcarrierGrid,
     rep = fim_numeric(path, geom, grid, power, noise_var)
     th_n, d_n, r_n = crlb_numeric(rep)
     th_c, d_c, r_c = crlb_closed_form(path, geom, grid, power, noise_var, form)
-    tau_cb, th_lb, invd_lb, d_lb, r_lb = lb_closed_form(path, geom, grid,
-                                                        power, noise_var)
+    tau_cb, th_lb, _, d_lb, r_lb = lb_closed_form(path, geom, grid, power, noise_var)
     return BoundsReport(
         theta_cb=th_n, d_cb=d_n, r_cb=r_n,
         theta_cb_cf=th_c, d_cb_cf=d_c, r_cb_cf=r_c,
-        tau_cb=tau_cb, theta_lb=th_lb, inv_d_lb=invd_lb, d_lb=d_lb, r_lb=r_lb,
+        tau_cb=tau_cb, theta_lb=th_lb, d_lb=d_lb, r_lb=r_lb,
     )
 
 

@@ -164,10 +164,27 @@ def extrapolate_step(y: np.ndarray, window: np.ndarray, m_hop: int):
 
 
 def central_index(n_subarrays: int) -> int:
-    """0-based index of the detection subarray, floor((K+1)/2) in 1-based."""
-    if n_subarrays % 2 != 0:
-        raise ValueError(f"subarray count must be even, got {n_subarrays}")
+    """0-based index of the detection subarray, floor((K+1)/2) in 1-based (middle at odd K)."""
     return (n_subarrays + 1) // 2 - 1
+
+
+def check_even_count(n_subarrays: int) -> None:
+    """Reject an odd K: the decoupling pairs each subarray with its mirror."""
+    if n_subarrays % 2 != 0:
+        raise ValueError(f"decoupling requires an even subarray count, got {n_subarrays}")
+
+
+@functools.lru_cache(maxsize=8)
+def hop_schedule(n_subarrays: int) -> tuple[tuple[int, int], ...]:
+    """The K-1 serial extrapolation hops as 0-based (source, target) pairs.
+
+    Two chains leave the central subarray kc (:func:`central_index`): the
+    ascending one kc -> K-1 first, then the descending one kc -> 0.  Each hop
+    carries one delay seed from a subarray to its neighbour.
+    """
+    kc = central_index(n_subarrays)
+    return (tuple((k, k + 1) for k in range(kc, n_subarrays - 1))
+            + tuple((k, k - 1) for k in range(kc, 0, -1)))
 
 
 @dataclass
@@ -210,10 +227,11 @@ def extrapolate_delays(
 ) -> SubarrayDelayTrack:
     """Serial outward extrapolation of the central delay across subarrays.
 
-    Ascending chain center -> K-1 and descending chain center -> 0, each hop
-    evaluating exactly 2*m_hop+1 correlations on that subarray's row.  The
-    candidate window around seed_tau, ``shift_table`` times b(seed_tau)^*,
-    is built once; each chain slides its own copy from hop to hop
+    Walks :func:`hop_schedule`'s two chains, each hop evaluating exactly
+    2*m_hop+1 correlations on its target subarray's row.  The candidate
+    window around seed_tau, ``shift_table`` times b(seed_tau)^*, is built
+    once; each chain takes its own copy at its first hop, the one that leaves
+    the central subarray, and slides it from hop to hop
     (:func:`extrapolate_step`).
     """
     K, M = geom.n_subarrays, dictionary.size
@@ -224,12 +242,12 @@ def extrapolate_delays(
     kappas = [0] * K
     taus[kc] = seed_tau
     seed_window = shift_table(m_hop, M) * delay_steering(seed_tau, M).conj()
-    for chain, back in ((range(kc + 1, K), -1), (range(kc - 1, -1, -1), 1)):
-        window = seed_window.copy()
-        for k in chain:
-            kappa, _ = extrapolate_step(Y[k], window, m_hop)
-            kappas[k] = kappa
-            taus[k] = taus[k + back] + kappa / M
+    for src, k in hop_schedule(K):
+        if src == kc:
+            window = seed_window.copy()
+        kappa, _ = extrapolate_step(Y[k], window, m_hop)
+        kappas[k] = kappa
+        taus[k] = taus[src] + kappa / M
     return SubarrayDelayTrack(np.array(taus), np.array(kappas, dtype=int), m_hop, kc, M)
 
 
@@ -270,8 +288,7 @@ def decouple_linear(taus_unwrapped: np.ndarray, geom: ArrayGeometry, grid: Subca
     unidentifiable geometry).
     """
     K = geom.n_subarrays
-    if K % 2 != 0:
-        raise ValueError("decoupling requires an even subarray count")
+    check_even_count(K)
     half = K // 2
     delta = index_offsets(K)[:half]
     pitch = geom.subarray_pitch_m
@@ -483,18 +500,15 @@ class StoppingRule:
         if self.max_paths < 0:
             raise ValueError(f"max_paths must be nonnegative, got {self.max_paths}")
 
+    def threshold(self, n_subcarriers: int) -> float:
+        """CFAR level: sigma^2 ln M - sigma^2 ln(ln(1/(1-P_fa))).
 
-def stopping_threshold(noise_var: float, n_subcarriers: int, p_fa: float) -> float:
-    """CFAR threshold: sigma^2 ln M - sigma^2 ln(ln(1/(1-P_fa))).
-
-    Under pure noise the grid scores are i.i.d. Exp(sigma^2); the maximum
-    exceeds this level with probability P_fa (asymptotically in M).
-    """
-    if not 0.0 < p_fa < 1.0:
-        raise ValueError(f"p_fa must lie in (0, 1), got {p_fa}")
-    return noise_var * math.log(n_subcarriers) - noise_var * math.log(
-        math.log(1.0 / (1.0 - p_fa))
-    )
+        Under pure noise the M grid scores are i.i.d. Exp(sigma^2); their
+        maximum exceeds this level with probability P_fa (asymptotically in M).
+        """
+        return self.noise_var * math.log(n_subcarriers) - self.noise_var * math.log(
+            math.log(1.0 / (1.0 - self.p_fa))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +599,7 @@ def decouple_profile(
     """
     if refine != "exact":
         raise ValueError(f"unknown refine mode {refine!r}")
-    if geom.n_subarrays % 2 != 0:
-        raise ValueError("decoupling requires an even subarray count")
+    check_even_count(geom.n_subarrays)
     fit = fit_profile_exact(track.taus_unwrapped, geom, grid)
     if fit is not None:
         return *fit, False, True
@@ -633,14 +646,16 @@ def run_dps(
     K-1 other subarrays), symmetry decoupling, per-subarray gain fit, and
     residual cancellation.  Stops when the central peak falls below the CFAR
     threshold, the path cap is reached, a path is rejected as
-    unidentifiable, or the all-delays-equal fallback fires.
+    unidentifiable, or the all-delays-equal fallback fires.  An odd K, which
+    no path could be decoupled from, is refused before the first detection.
     """
     check_inputs(Y, combiners, power, geom, grid)
+    check_even_count(geom.n_subarrays)
     K, M = geom.n_subarrays, grid.n_subcarriers
     dictionary = DelayDictionary(M)
     m_hop = max_hop(geom, grid)
     kc = central_index(K)
-    threshold = stopping_threshold(rule.noise_var, M, rule.p_fa)
+    threshold = rule.threshold(M)
     resid = np.array(Y, dtype=complex, copy=True)
 
     iterations: list[Iteration] = []

@@ -38,12 +38,12 @@ from .estimator import (
     PathEstimate,
     RowBlocks,
     StoppingRule,
+    central_index,
     check_inputs,
     fit_and_cancel,
     ml_delay_detect,
     reconstruct_rows,
     run_dps,
-    stopping_threshold,
 )
 from .bounds import resolution_predicate
 
@@ -488,9 +488,9 @@ def polar_omp_fallback(
     n_dist = distance_grid.size
 
     dictionary = DelayDictionary(M)
-    threshold = stopping_threshold(rule.noise_var, M, rule.p_fa)
+    threshold = rule.threshold(M)
     resid = np.array(Y, dtype=complex, copy=True)
-    kc = (K + 1) // 2 - 1  # DPS's detection row, the middle one at odd K too
+    kc = central_index(K)  # DPS's detection row
     paths: list[PathEstimate] = []
 
     while len(paths) < rule.max_paths:

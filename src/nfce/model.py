@@ -94,13 +94,6 @@ class ArrayGeometry:
     def subarray_pitch_m(self) -> float:
         return self.subarray_size * self.spacing_m
 
-    def subarray_slice(self, k: int) -> slice:
-        """Row slice of subarray ``k`` (0-based) into length-N arrays."""
-        if not 0 <= k < self.n_subarrays:
-            raise ValueError(f"subarray index {k} out of range")
-        ns = self.subarray_size
-        return slice(k * ns, (k + 1) * ns)
-
 
 @dataclass(frozen=True)
 class SubcarrierGrid:
@@ -126,11 +119,6 @@ class SubcarrierGrid:
     @property
     def bandwidth_hz(self) -> float:
         return self.n_subcarriers * self.spacing_hz
-
-    @property
-    def freq_offsets_hz(self) -> np.ndarray:
-        """Baseband frequency of each subcarrier, symmetric around 0."""
-        return index_offsets(self.n_subcarriers) * self.spacing_hz
 
 
 @dataclass(frozen=True)
@@ -280,21 +268,19 @@ def profile_factors(length_m, grid: SubcarrierGrid) -> tuple[np.ndarray, np.ndar
 _PROFILE_CHUNK_ENTRIES = 2**13
 
 
-def profile_sum(weights, lengths, grid: SubcarrierGrid, out=None) -> np.ndarray:
+def profile_sum(weights, lengths, grid: SubcarrierGrid, out: np.ndarray) -> np.ndarray:
     """Weighted profile sums S[g, r] = sum_l weights[g, r, l] p(lengths[g, l]), shape (G, R, M).
 
     ``weights`` is (G, R, L) and ``lengths`` (G, L).  With p = kron(coarse,
     fine), S[g, r] viewed as an A x B matrix is sum_l weights[g, r, l]
     coarse[g, l] fine[g, l]^T, so each chunk of groups is one batched product
-    (c, R A, L) @ (c, L, B) written straight into ``out`` (C-contiguous, made
-    when None); no profile is formed.  Chunks hold about
-    ``_PROFILE_CHUNK_ENTRIES`` coarse-times-weights entries.
+    (c, R A, L) @ (c, L, B) written straight into ``out``, a C-contiguous
+    (G, R, M) array, which is returned; no profile is formed.  Chunks hold
+    about ``_PROFILE_CHUNK_ENTRIES`` coarse-times-weights entries.
     """
     G, R, L = np.shape(weights)
     M = grid.n_subcarriers
     A = _ramp_split(M)[0]
-    if out is None:
-        out = np.empty((G, R, M), dtype=complex)
     blocks = out.reshape(G, R * A, M // A)  # view: blocks[g] is S[g] as R A x B
     chunk = max(1, _PROFILE_CHUNK_ENTRIES // (R * A * L))
     left = np.empty((min(chunk, G), R, A, L), dtype=complex)

@@ -6,8 +6,11 @@ parameter, and gain messages.  ``run_distributed`` runs ``run_dps`` once and
 replays its per-iteration record (central peak, delay track, accepted path)
 as the messages and per-LPU correlation counters that split implies, so the
 result equals ``run_dps`` on the same inputs by construction.  This module
-adds the information-flow structure (schedule, messages, per-unit counters),
-not a second copy of the estimator loop.
+adds the information-flow structure (messages and per-unit counters), not a
+second copy of the estimator loop.  The delay seeds hop along
+:func:`nfce.estimator.hop_schedule`, the same (source, target) pairs that
+``extrapolate_delays`` walks, and the central LPU is
+:func:`nfce.estimator.central_index`; the log names LPUs 1-based.
 
 A :class:`Message` is a named tuple.  The replay reads each delay track and
 each path's per-LPU gains as Python floats once and builds every message of
@@ -30,6 +33,7 @@ from .estimator import (
     Iteration,
     StoppingRule,
     central_index,
+    hop_schedule,
     max_hop,
     run_dps,
 )
@@ -67,22 +71,6 @@ class Message(NamedTuple("_MessageFields", [("iteration", int), ("kind", str),
                     f"{kind} payload must be scalars, got {type(item).__name__}"
                 )
         return super().__new__(cls, iteration, kind, sender, payload)
-
-
-def schedule_extrapolation(n_subarrays: int, center: int) -> list[tuple[int, int]]:
-    """Serial hop schedule as (source, target) pairs, 1-based indices.
-
-    Two chains leave the central subarray: ascending center -> K and
-    descending center -> 1.  Total hops K-1; each hop carries one delay seed.
-    """
-    K = n_subarrays
-    if K % 2 != 0:
-        raise ValueError(f"subarray count must be even, got {K}")
-    if not 1 <= center <= K:
-        raise ValueError(f"center {center} outside 1..{K}")
-    up = [(k, k + 1) for k in range(center, K)]
-    down = [(k, k - 1) for k in range(center, 1, -1)]
-    return up + down
 
 
 @dataclass
@@ -135,24 +123,25 @@ def _replay_messages(iterations: list[Iteration], n_subarrays: int) -> list[Mess
     """The LPU/CPU message log of one ``run_dps`` iteration record.
 
     Per detection attempt the CPU polls the central LPU's peak; if the loop
-    went on, delay seeds hop LPU-to-LPU along ``schedule_extrapolation`` and
-    every LPU reports its delay; an accepted path is broadcast as three
-    scalars and every LPU reports its fitted gain.
+    went on, delay seeds hop LPU-to-LPU along the estimator's
+    ``hop_schedule`` and every LPU reports its delay; an accepted path is
+    broadcast as three scalars and every LPU reports its fitted gain.
+    Senders are 1-based.
     """
-    center = central_index(n_subarrays) + 1
-    hops = schedule_extrapolation(n_subarrays, center)
+    kc = central_index(n_subarrays)
+    hops = hop_schedule(n_subarrays)
     make = Message._make
     log: list[Message] = []
     for it, step in enumerate(iterations):
         log.append(make((it, "StopQuery", "cpu", ())))
-        log.append(make((it, "StopReport", center, (step.peak,))))
+        log.append(make((it, "StopReport", kc + 1, (step.peak,))))
         if step.track is None:
             continue
         taus = step.track.taus_unwrapped.tolist()
-        log.append(make((it, "DelayReport", center, (taus[center - 1],))))
+        log.append(make((it, "DelayReport", kc + 1, (taus[kc],))))
         for src, tgt in hops:
-            log.append(make((it, "DelaySeed", src, (taus[src - 1],))))
-            log.append(make((it, "DelayReport", tgt, (taus[tgt - 1],))))
+            log.append(make((it, "DelaySeed", src + 1, (taus[src],))))
+            log.append(make((it, "DelayReport", tgt + 1, (taus[tgt],))))
         path = step.path
         if path is None:
             continue

@@ -164,7 +164,8 @@ def test_bounds_report_fields():
     path = PathParams(0.25, 14.0, 10.0, 1.0 + 0j)
     rep = bounds_report(path, geom, grid, 1.0, 1e-2)
     assert rep.theta_cb > 0 and rep.d_cb > 0 and rep.r_cb > 0
-    assert rep.d_lb == pytest.approx(path.dist_m**4 * rep.inv_d_lb, rel=1e-12)
+    inv_d_lb = lb_closed_form(path, geom, grid, 1.0, 1e-2)[2]
+    assert rep.d_lb == pytest.approx(path.dist_m**4 * inv_d_lb, rel=1e-12)
     # distributed bounds can only be looser than the full-observation CRLB
     assert rep.theta_lb >= 0.5 * rep.theta_cb
 

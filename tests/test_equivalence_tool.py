@@ -1,6 +1,9 @@
 """tools/equivalence.py: dumps of one code version compare clean."""
 import json
+import pathlib
 import struct
+import subprocess
+import sys
 
 import numpy as np
 
@@ -125,3 +128,18 @@ def test_flipped_message_payload_bit_is_flagged(equivalence, tmp_path, capsys):
     capsys.readouterr()
     assert equivalence.main(["compare", str(a), str(b)]) == 1
     assert f"MISMATCH a12/seed0 dps: messages: message {i} " in capsys.readouterr().out
+
+
+def test_compare_runs_without_nfce(equivalence, tmp_path):
+    # compare only reads two dumps, so it must run where nfce cannot be
+    # imported; a None entry in sys.modules makes any nfce import fail
+    a = tmp_path / "a.json"
+    assert equivalence.main(["dump", str(a), "--limit", "1"]) == 0
+    tool = pathlib.Path(equivalence.__file__)
+    code = ("import runpy, sys; sys.modules['nfce'] = None; "
+            f"sys.argv = [{str(tool)!r}, 'compare', {str(a)!r}, {str(a)!r}]; "
+            f"runpy.run_path({str(tool)!r}, run_name='__main__')")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "1 scenarios, 0 discrete mismatches" in out.stdout

@@ -36,13 +36,13 @@ from nfce.estimator import (
     fit_profile_exact,
     gain_column,
     grid_scores,
+    hop_schedule,
     max_hop,
     ml_delay_detect,
     reconstruct_channel,
     residual_update,
     run_dps,
     shift_table,
-    stopping_threshold,
     window_scores,
 )
 
@@ -128,8 +128,21 @@ def test_central_index():
     assert central_index(2) == 0
     assert central_index(6) == 2
     assert central_index(256) == 127
-    with pytest.raises(ValueError):
-        central_index(5)
+    # only the decoupling needs an even K; the detection row is the middle one
+    assert central_index(5) == 2
+
+
+def test_hop_schedule():
+    # center 2 of 6 (0-based): ascending 2->3->4->5 first, then descending 2->1->0
+    assert hop_schedule(6) == ((2, 3), (3, 4), (4, 5), (2, 1), (1, 0))
+    assert hop_schedule(2) == ((0, 1),)
+    long = hop_schedule(256)
+    assert len(long) == 255
+    assert sorted(tgt for _, tgt in long) == [k for k in range(256) if k != 127]
+    # at odd K the chains leave the middle subarray
+    assert hop_schedule(5) == ((2, 3), (3, 4), (2, 1), (1, 0))
+    # one cached tuple per K
+    assert hop_schedule(6) is hop_schedule(6)
 
 
 def _window_at(tau, m_hop, M):
@@ -179,14 +192,15 @@ def test_extrapolate_step_exact_tie_goes_to_the_more_negative_hop():
 
 
 def test_stopping_threshold_frozen_values():
-    assert stopping_threshold(1.0, 1024, 1e-3) == pytest.approx(
+    assert StoppingRule(noise_var=1.0, p_fa=1e-3).threshold(1024) == pytest.approx(
         13.838726876123081, rel=1e-12
     )
-    assert stopping_threshold(2.5, 256, 1e-2) == pytest.approx(
+    assert StoppingRule(noise_var=2.5, p_fa=1e-2).threshold(256) == pytest.approx(
         25.36331667814034, rel=1e-12
     )
+    # a P_fa outside (0, 1) has no level; the rule itself refuses it
     with pytest.raises(ValueError):
-        stopping_threshold(1.0, 1024, 0.0)
+        StoppingRule(noise_var=1.0, p_fa=0.0)
 
 
 def test_stopping_threshold_false_alarm_rate():
@@ -195,7 +209,7 @@ def test_stopping_threshold_false_alarm_rate():
     dic = DelayDictionary(256)
     rng = np.random.default_rng(99)
     nv = 2.0
-    thr = stopping_threshold(nv, 256, 0.05)
+    thr = StoppingRule(noise_var=nv, p_fa=0.05).threshold(256)
     hits = 0
     trials = 2000
     for _ in range(trials):
@@ -557,6 +571,37 @@ def test_extrapolate_delays_tracks_profile():
     assert not track.all_equal()
 
 
+def test_extrapolate_delays_walks_the_hop_schedule(monkeypatch):
+    # the rows are scored in hop_schedule's order, each chain's first hop
+    # (the one leaving the center) is handed the seed window's bits, and
+    # each delay is its source's plus the hop
+    calls = []
+
+    def record(y, window, m_hop):
+        calls.append((y, window.copy()))
+        return extrapolate_step(y, window, m_hop)
+
+    monkeypatch.setattr("nfce.estimator.extrapolate_step", record)
+    M, m_hop = 32, 2
+    dic = DelayDictionary(M)
+    rng = np.random.default_rng(8)
+    for K in (2, 6, 8):
+        geom = ArrayGeometry(2 * K, K, 7e9)
+        Y = rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))
+        seed_window = shift_table(m_hop, M) * delay_steering(0.3, M).conj()
+        track = extrapolate_delays(Y, 0.3, geom, dic, m_hop)
+        kc = central_index(K)
+        hops = hop_schedule(K)
+        assert len(calls) == len(hops) == K - 1
+        for (src, tgt), (y, window) in zip(hops, calls):
+            assert np.shares_memory(y, Y[tgt])
+            if src == kc:
+                np.testing.assert_array_equal(window, seed_window)
+            assert track.taus_unwrapped[tgt] == (track.taus_unwrapped[src]
+                                                 + track.kappas[tgt] / M)
+        calls.clear()
+
+
 def _extrapolate_rebuilt(Y, seed_tau, geom, dictionary, m_hop):
     """Reference walk that rebuilds the de-rotation b(tau_prev)^* at every hop."""
     K, M = geom.n_subarrays, dictionary.size
@@ -625,7 +670,7 @@ def test_run_dps_iteration_record(equivalence, reason):
     assert res.stop_reason == reason
     K, M = geom.n_subarrays, grid.n_subcarriers
     hop = max_hop(geom, grid)
-    assert res.threshold == stopping_threshold(rule.noise_var, M, rule.p_fa)
+    assert res.threshold == rule.threshold(M)
     steps = res.iterations
     tracked = [s for s in steps if s.track is not None]
     # one record per detection attempt: each costs M correlations at the
@@ -733,10 +778,11 @@ def test_hop_scores_match_direct_window(off_grid):
 def _gain_column_row(k, theta, dist_m, range_m, combiner_row, geom, grid):
     """Subarray k's model column, built on its own from the formula."""
     w = steering_vector(theta, dist_m, geom)
-    fk_wk = np.vdot(combiner_row, w[geom.subarray_slice(k)])
+    ns = geom.subarray_size
+    fk_wk = np.vdot(combiner_row, w[k * ns:(k + 1) * ns])
     dist_k, _ = subarray_centers(theta, dist_m, geom)
-    return fk_wk * np.exp(2j * np.pi / SPEED_OF_LIGHT * grid.freq_offsets_hz
-                          * (range_m + dist_k[k]))
+    freqs = index_offsets(grid.n_subcarriers) * grid.spacing_hz
+    return fk_wk * np.exp(2j * np.pi / SPEED_OF_LIGHT * freqs * (range_m + dist_k[k]))
 
 
 def test_gain_columns_match_per_row_build():
@@ -829,6 +875,8 @@ def test_residual_update_subtracts_in_place():
 def _reconstruct_per_block(paths, geom, grid):
     """Block-by-block reconstruction: one outer product per subarray and path."""
     H = np.zeros((geom.n_antennas, grid.n_subcarriers), dtype=complex)
+    ns = geom.subarray_size
+    freqs = index_offsets(grid.n_subcarriers) * grid.spacing_hz
     for est in paths:
         w = steering_vector(est.theta, est.dist_m, geom)
         dist_k, _ = subarray_centers(est.theta, est.dist_m, geom)
@@ -836,9 +884,8 @@ def _reconstruct_per_block(paths, geom, grid):
             rho = est.lpu_gains[k]
             if rho == 0:
                 continue
-            p = np.exp(2j * np.pi / SPEED_OF_LIGHT * grid.freq_offsets_hz
-                       * (est.range_m + dist_k[k]))
-            sl = geom.subarray_slice(k)
+            p = np.exp(2j * np.pi / SPEED_OF_LIGHT * freqs * (est.range_m + dist_k[k]))
+            sl = slice(k * ns, (k + 1) * ns)
             H[sl] += rho * np.outer(w[sl], p)
     return H
 

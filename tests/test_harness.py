@@ -22,12 +22,12 @@ from nfce.frontend import observe, random_phase_combiner
 from nfce.estimator import (
     DelayDictionary,
     StoppingRule,
+    central_index,
     fit_and_cancel,
     ml_delay_detect,
     reconstruct_channel,
     reconstruct_rows,
     run_dps,
-    stopping_threshold,
 )
 from nfce.harness import (
     ALGORITHMS,
@@ -635,13 +635,14 @@ def _reference_atoms(W, geom, angle_grid_size, distance_grid):
     """(theta grid, (G_theta, G_d, K) table of f_k^H w_k(theta, d)), one vdot
     per entry."""
     theta_grid = (2.0 * np.arange(angle_grid_size) + 1.0) / angle_grid_size - 1.0
+    ns = geom.subarray_size
     atoms = np.zeros((angle_grid_size, distance_grid.size, geom.n_subarrays),
                      dtype=complex)
     for i, th in enumerate(theta_grid):
         for j, dg in enumerate(distance_grid):
             w = steering_vector(th, dg, geom)
             for k in range(geom.n_subarrays):
-                atoms[i, j, k] = np.vdot(W[k], w[geom.subarray_slice(k)])
+                atoms[i, j, k] = np.vdot(W[k], w[k * ns:(k + 1) * ns])
     return theta_grid, atoms
 
 
@@ -653,11 +654,11 @@ def _polar_omp_reference(Y, W, geom, grid, rule, angle_grid_size, distance_grid,
     theta_grid, atoms = _reference_atoms(W, geom, angle_grid_size, distance_grid)
     norms = np.maximum(np.linalg.norm(atoms, axis=2), 1e-300)
     dictionary = DelayDictionary(M)
-    threshold = stopping_threshold(rule.noise_var, M, rule.p_fa)
+    threshold = rule.threshold(M)
     resid = np.array(Y, dtype=complex, copy=True)
     paths, corr_per_iter = [], []
     while len(paths) < rule.max_paths:
-        if ml_delay_detect(resid[(K + 1) // 2 - 1], dictionary)[2] <= threshold:
+        if ml_delay_detect(resid[central_index(K)], dictionary)[2] <= threshold:
             break
         proj = np.einsum("ijk,km->ijm", atoms.conj(), resid)
         scores = np.sum(np.abs(proj) ** 2, axis=2) / norms**2

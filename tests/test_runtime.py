@@ -15,6 +15,7 @@ from nfce.estimator import (
     StoppingRule,
     SubarrayDelayTrack,
     central_index,
+    hop_schedule,
     max_hop,
     run_dps,
 )
@@ -22,7 +23,6 @@ from nfce.runtime import (
     MESSAGE_KINDS,
     Message,
     run_distributed,
-    schedule_extrapolation,
 )
 
 
@@ -60,15 +60,47 @@ def test_replayed_messages_are_valid_and_hold_python_scalars(equivalence):
             assert all(type(item) in (int, float, complex) for item in msg.payload)
 
 
-def test_schedule_extrapolation_chains():
-    # center LPU 3 of 6: ascending 3->4->5->6 then descending 3->2->1
-    sched = schedule_extrapolation(6, 3)
-    assert sched == [(3, 4), (4, 5), (5, 6), (3, 2), (2, 1)]
-    assert len(schedule_extrapolation(256, 128)) == 255
-    with pytest.raises(ValueError):
-        schedule_extrapolation(5, 2)
-    with pytest.raises(ValueError):
-        schedule_extrapolation(6, 0)
+def test_replayed_delay_messages_follow_the_hop_schedule(equivalence):
+    # per extrapolating iteration: the center's report, then per hop of
+    # hop_schedule a seed from its source and a report from its target,
+    # with 1-based senders and each sender's own delay as the payload
+    for seed in range(3):
+        cfg, _, W, Y, rule = equivalence.a12_scenario(seed)
+        K = cfg.n_subarrays
+        res = run_distributed(Y, W, cfg.geometry(), cfg.grid(), rule, trace=True)
+        kc = central_index(K)
+        pairs = [("DelayReport", kc)] + [
+            msg for src, tgt in hop_schedule(K)
+            for msg in (("DelaySeed", src), ("DelayReport", tgt))
+        ]
+        assert any(step.track is not None for step in res.iterations)
+        for it, step in enumerate(res.iterations):
+            got = [m for m in res.trace
+                   if m.iteration == it and m.kind in ("DelaySeed", "DelayReport")]
+            if step.track is None:
+                assert got == []
+                continue
+            taus = step.track.taus_unwrapped.tolist()
+            assert [(m.kind, m.sender, m.payload) for m in got] == [
+                (kind, k + 1, (taus[k],)) for kind, k in pairs
+            ]
+
+
+def test_odd_subarray_count_is_refused_before_any_detection(monkeypatch):
+    geom = ArrayGeometry(40, 5, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(64, 600e6)
+    rng = np.random.default_rng(4)
+    W = random_phase_combiner(geom, rng)
+    Y = rng.standard_normal((5, 64)) + 1j * rng.standard_normal((5, 64))
+
+    def no_detection(*args):
+        raise AssertionError("a detection ran")
+
+    monkeypatch.setattr("nfce.estimator.ml_delay_detect", no_detection)
+    for run in (run_dps, run_distributed):
+        with pytest.raises(ValueError,
+                           match="decoupling requires an even subarray count, got 5"):
+            run(Y, W, geom, grid, StoppingRule(noise_var=1.0))
 
 
 def _track(taus, grid_size):

@@ -1,7 +1,7 @@
 """Check that two versions of nfce give the same estimates on a fixed scenario set.
 
     PYTHONPATH=src python3 tools/equivalence.py dump OUT.json [--limit N]
-    PYTHONPATH=src python3 tools/equivalence.py compare A.json B.json
+    python3 tools/equivalence.py compare A.json B.json
 
 ``dump`` runs ``run_dps``, ``polar_omp_fallback`` and ``reconstruct_channel``
 on 153 scenarios and writes what they return as JSON, together with a
@@ -30,7 +30,8 @@ reported as different dump formats.  Paths whose range exceeds 1e4 m are
 unphysical; their gains, and the nmse_db of scenarios that hold one, are
 counted and left out of the tolerances.  Exit status: 1 on a discrete
 mismatch or a format difference, 2 when only a difference exceeds its
-tolerance, 0 when the dumps agree.
+tolerance, 0 when the dumps agree.  ``compare`` runs no estimator and
+needs only numpy, not nfce.
 """
 
 from __future__ import annotations
@@ -47,18 +48,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 
-from nfce.estimator import StoppingRule, reconstruct_channel, run_dps  # noqa: E402
-from nfce.frontend import observe, random_phase_combiner  # noqa: E402
-from nfce.harness import (  # noqa: E402
-    SimConfig,
-    draw_paths,
-    draw_trial,
-    nmse_db,
-    polar_omp_fallback,
-    trial_rng,
-)
-from nfce.model import synthesize_channel  # noqa: E402
-from nfce.runtime import run_distributed  # noqa: E402
+# nfce is imported only by the functions that run it, on the ``dump`` path,
+# so ``compare`` reads two dumps without the package on the path
 
 UNPHYSICAL_RANGE_M = 1e4
 TOLERANCES = {"theta/d/r": 0.0, "lpu gain": 1e-10, "nmse_db": 1e-9, "channel (relative)": 1e-12,
@@ -80,6 +71,11 @@ def a12_scenario(seed: int):
     64/16/128, 1 + seed % 3 paths, 15 dB relative to the noiseless
     observation's power, unit power, P_fa 1e-3 and at most 8 paths.
     """
+    from nfce.estimator import StoppingRule
+    from nfce.frontend import observe, random_phase_combiner
+    from nfce.harness import SimConfig, draw_paths, trial_rng
+    from nfce.model import synthesize_channel
+
     cfg = SimConfig(n_antennas=64, n_subarrays=16, n_subcarriers=128,
                     n_paths=1 + seed % 3, seed=seed, snr_db=(15.0,))
     geom, grid = cfg.geometry(), cfg.grid()
@@ -92,6 +88,9 @@ def a12_scenario(seed: int):
 
 def harness_scenario(cfg: SimConfig, snr_db: float):
     """(cfg, H, W, Y, rule) of run_trial's trial 0 of ``cfg`` at ``snr_db``."""
+    from nfce.estimator import StoppingRule
+    from nfce.harness import draw_trial
+
     _, H, W, noise_var, Y = draw_trial(cfg, 0, snr_db)
     return cfg, H, W, Y, StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa,
                                       max_paths=cfg.max_paths)
@@ -99,6 +98,8 @@ def harness_scenario(cfg: SimConfig, snr_db: float):
 
 def scenarios():
     """Yield (name, cfg, H, W, Y, rule) for the fixed scenario set, in order."""
+    from nfce.harness import SimConfig
+
     for seed in range(1000, 1040):
         cfg = SimConfig(seed=seed)
         for snr in (0.0, 10.0, 20.0):
@@ -125,6 +126,9 @@ def message_log(messages) -> list[list]:
 
 
 def _paths_record(paths, H, geom, grid) -> dict:
+    from nfce.estimator import reconstruct_channel
+    from nfce.harness import nmse_db
+
     return {
         "n_paths": len(paths),
         "params": [[p.theta, p.dist_m, p.range_m] for p in paths],
@@ -149,6 +153,10 @@ def _channel_difference(a: dict, b: dict) -> float:
 
 
 def dump(limit: int | None = None) -> list[dict]:
+    from nfce.estimator import run_dps
+    from nfce.harness import polar_omp_fallback
+    from nfce.runtime import run_distributed
+
     records = []
     for i, (name, cfg, H, W, Y, rule) in enumerate(scenarios()):
         if limit is not None and i >= limit:
