@@ -30,8 +30,9 @@ from .harness import (
     nmse_db,
     parse_value,
     records_csv_text,
+    true_channel,
 )
-from .model import PathParams
+from .model import PathParams, synthesize_channel
 
 # flag -> the SimConfig field it sets, parsed as the field's INI key is
 _FLAGS = {f.metadata["flag"]: f.name
@@ -69,12 +70,12 @@ def _build_config(args) -> SimConfig:
 def _cmd_simulate(args) -> int:
     cfg = _build_config(args)
     snr = cfg.snr_db[0]
-    paths, H, W, noise_var, Y = draw_trial(cfg, args.trial, snr)
+    paths, W, noise_var, Y = draw_trial(cfg, args.trial, snr)
     # the spacing it was drawn with: None in the config means half a wavelength
     saved = dataclasses.replace(cfg, spacing_m=cfg.geometry().spacing_m)
     np.savez(
         args.out,
-        H=H, Y=Y, W=W,
+        H=synthesize_channel(paths, cfg.geometry(), cfg.grid()), Y=Y, W=W,
         theta=[p.theta for p in paths],
         d_m=[p.dist_m for p in paths],
         r_m=[p.range_m for p in paths],
@@ -97,7 +98,9 @@ def _cmd_estimate(args) -> int:
                 raise TypeError("not an .npz archive")
             with data:
                 scene = {name: data[name].item() for name in _SCENARIO_FIELDS}
-                n_paths, H, W, Y = len(data["theta"]), data["H"], data["W"], data["Y"]
+                paths = [PathParams(*entry) for entry in zip(
+                    data["theta"], data["d_m"], data["r_m"], data["gain"], strict=True)]
+                W, Y = data["W"], data["Y"]
                 noise_var = float(data["noise_var"])
         except KeyError as exc:
             raise ConfigError(f"scenario {args.scenario}: {exc.args[0]}") from None
@@ -108,13 +111,14 @@ def _cmd_estimate(args) -> int:
         # the file's geometry, grid and power, validated by SimConfig
         cfg = dataclasses.replace(cfg, **scene)
     else:
-        paths, H, W, noise_var, Y = draw_trial(cfg, args.trial, cfg.snr_db[0])
-        n_paths = len(paths)
+        paths, W, noise_var, Y = draw_trial(cfg, args.trial, cfg.snr_db[0])
+    # scored in path space, as run_trial scores, against the paths' channel
+    truth = true_channel(paths, W, cfg.geometry(), cfg.grid())
     est, H_hat, fallback, corr = estimate(cfg, args.algorithm, Y, W, noise_var)
     extra = {"dps": f" fallback={fallback} corr={corr}",
              "omp": f" corr={corr}", "ls": ""}[args.algorithm]
     print(f"algorithm={args.algorithm} L_hat={len(est)} "
-          f"nmse_db={nmse_db(H_hat, H):.3f} L={n_paths}{extra}")
+          f"nmse_db={nmse_db(H_hat, truth):.3f} L={len(paths)}{extra}")
     for i, p in enumerate(est):
         print(f"  path {i}: theta={p.theta:+.6f} d={p.dist_m:.4f} m "
               f"r={p.range_m:.4f} m |gain|={abs(p.gain):.4f}")

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -693,43 +691,18 @@ def run_dps(
     return DpsResult(iterations, stop_reason, threshold)
 
 
-@dataclass
-class RowBlocks:
-    """An (N, M) channel estimate that is built a block of whole subarrays at a time.
-
-    ``build(k0, k1)`` returns the rows of subarrays k0..k1-1, shape
-    ((k1 - k0) * subarray_size, M).  :meth:`rows` calls it and adds the wall
-    time it took to ``build_s``, so a caller that never forms the whole
-    estimate can still count the time spent building it.
-    """
-
-    shape: tuple
-    subarray_size: int
-    build: Callable
-    build_s: float = 0.0
-
-    def rows(self, k0: int, k1: int) -> np.ndarray:
-        t0 = time.perf_counter()
-        block = self.build(k0, k1)
-        self.build_s += time.perf_counter() - t0
-        return block
-
-
-def reconstruct_rows(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> RowBlocks:
-    """The channel rebuilt from path estimates, as blocks of subarray rows.
+def estimate_terms(paths, geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The channel estimate's path terms: (weights (K, ns, L), lengths (K, L)).
 
     Each path contributes per-subarray rank-1 blocks
     rho_k * w_k(theta, d) p(r + d~_k)^T with rho_k subarray k's own fitted
     gain, which absorbs per-subarray phase error.  So row i of subarray k's
-    block of H is sum_l rho_lk w_lk[i] p(r_l + d~_lk): the steering rows,
-    gains and lengths are prepared once, and each block is one
-    :func:`nfce.model.profile_sum` over its subarrays, with ns rows each.  A
-    subarray's rows are the same bits in any block.
+    block of H is sum_l weights[k, i, l] p(lengths[k, l]), with weights
+    rho_lk w_lk[i] and lengths r_l + d~_lk.  No paths give L = 0.
     """
-    K, ns, M = geom.n_subarrays, geom.subarray_size, grid.n_subcarriers
+    K, ns = geom.n_subarrays, geom.subarray_size
     if not paths:
-        return RowBlocks((K * ns, M), ns,
-                         lambda k0, k1: np.zeros(((k1 - k0) * ns, M), dtype=complex))
+        return np.zeros((K, ns, 0), dtype=complex), np.zeros((K, 0))
     steer = np.stack(
         [steering_vector(e.theta, e.dist_m, geom).reshape(K, ns) for e in paths], axis=-1
     )  # (K, ns, L)
@@ -738,18 +711,17 @@ def reconstruct_rows(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> RowBlo
     )  # (K, L)
     gains = np.stack([e.lpu_gains for e in paths], axis=-1)  # (K, L)
     steer *= gains[:, None, :]
-
-    def build(k0: int, k1: int) -> np.ndarray:
-        block = np.empty(((k1 - k0) * ns, M), dtype=complex)
-        profile_sum(steer[k0:k1], lengths[k0:k1], grid, out=block.reshape(k1 - k0, ns, M))
-        return block
-
-    return RowBlocks((K * ns, M), ns, build)
+    return steer, lengths
 
 
 def reconstruct_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
     """Rebuild the antenna-domain channel from path estimates, shape (N, M).
 
-    The whole of :func:`reconstruct_rows` as one block.
+    One :func:`nfce.model.profile_sum` over :func:`estimate_terms`, with K
+    groups of ns rows.
     """
-    return reconstruct_rows(paths, geom, grid).build(0, geom.n_subarrays)
+    K, ns, M = geom.n_subarrays, geom.subarray_size, grid.n_subcarriers
+    H = np.zeros((K * ns, M), dtype=complex)
+    if paths:
+        profile_sum(*estimate_terms(paths, geom), grid, out=H.reshape(K, ns, M))
+    return H

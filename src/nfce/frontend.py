@@ -56,14 +56,23 @@ def observe(
 
     Noise is circular complex Gaussian, variance ``noise_var`` per combined
     sample (i.e. injected after the analog combiner, which preserves the
-    variance because the combiner rows are unit-norm).  Its real part, then
-    its imaginary part, is drawn into one (K, M) buffer and added to Y in
-    place: the same stream as one (2, K, M) draw, at half its size.
+    variance because the combiner rows are unit-norm); see :func:`add_noise`.
+    """
+    return add_noise(combine(H, combiners).astype(complex, copy=False), power, noise_var, rng)
+
+
+def add_noise(Y: np.ndarray, power: float, noise_var: float,
+              rng: np.random.Generator | None = None) -> np.ndarray:
+    """Turn the clean combined observation A H into sqrt(P) A H + Z, in place.
+
+    ``Y`` is a complex (K, M) array that is overwritten and returned.  The
+    noise's real part, then its imaginary part, is drawn into one (K, M)
+    buffer and added to Y in place: the same stream as one (2, K, M) draw,
+    at half its size.
     """
     _check_finite_positive("power", power)
     if not (np.isfinite(noise_var) and noise_var >= 0.0):
         raise ValueError(f"noise_var must be finite and nonnegative, got {noise_var!r}")
-    Y = combine(H, combiners).astype(complex, copy=False)
     Y *= np.sqrt(power)
     if noise_var > 0.0:
         if rng is None:
@@ -77,7 +86,7 @@ def observe(
     return Y
 
 
-# entries of A H per chunk of noise_var_for_snr's energy sum
+# entries of A H per chunk of signal_noise_var's energy sum
 _SUM_CHUNK = 1 << 14
 
 
@@ -86,6 +95,14 @@ def noise_var_for_snr(
 ) -> float:
     """Noise variance that realizes ``snr_target_db`` for this channel draw.
 
+    :func:`signal_noise_var` of the combined observation A H.
+    """
+    return signal_noise_var(combine(H, combiners), power, snr_target_db)
+
+
+def signal_noise_var(AH: np.ndarray, power: float, snr_target_db: float) -> float:
+    """Noise variance that realizes ``snr_target_db`` for a clean combined observation A H.
+
     The signal energy sum |A H|^2 is a numpy reduction, not a BLAS dot
     product, so it does not depend on the BLAS thread count; it runs over
     chunks of rows, so it forms no temporary of A H's size.
@@ -93,7 +110,6 @@ def noise_var_for_snr(
     _check_finite_positive("power", power)
     if not np.isfinite(snr_target_db):
         raise ValueError(f"snr_target_db must be finite, got {snr_target_db!r}")
-    AH = combine(H, combiners)
     rows = max(1, _SUM_CHUNK // max(1, AH.shape[1]))
     energy = 0.0
     for start in range(0, len(AH), rows):

@@ -15,6 +15,7 @@ import io
 import math
 import time
 from dataclasses import astuple, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,26 +24,27 @@ from .model import (
     PathParams,
     SubcarrierGrid,
     SPEED_OF_LIGHT,
+    antenna_terms,
     check_delay_validity,
+    profile_kernel,
+    profile_sum,
     steering_vector,
-    synthesize_channel,
 )
 from .frontend import (
+    add_noise,
     apply_impairments,
-    noise_var_for_snr,
-    observe,
     random_phase_combiner,
+    signal_noise_var,
 )
 from .estimator import (
     DelayDictionary,
     PathEstimate,
-    RowBlocks,
     StoppingRule,
     central_index,
     check_inputs,
+    estimate_terms,
     fit_and_cancel,
     ml_delay_detect,
-    reconstruct_rows,
     run_dps,
 )
 from .bounds import resolution_predicate
@@ -290,15 +292,12 @@ class RunRecord:
 # metrics and baselines
 
 
-# entries of H per chunk of nmse's error sum: 256 KB of complex128, so two
-# chunks (the one being freed and the next) stay well under H's size
+# entries of H per chunk of nmse's error sum: 256 KB of complex128
 _NMSE_CHUNK = 1 << 14
 
-# entries per block of estimate rows that nmse builds (or slices) at a time:
-# 2 MB of complex128, an eighth of H at 1024/256/1024 and all of it at the
-# SimConfig defaults.  Blocks much smaller than this cost a run time: each
-# one is a profile_sum call.
-_SCORE_BLOCK = 1 << 17
+# entries per chunk of a path-space energy sum's gathered terms: 128 KB of
+# float64 per temporary (larger chunks read slower at the SimConfig defaults)
+_KERNEL_CHUNK = 1 << 14
 
 
 def _sum_squares(x: np.ndarray) -> float:
@@ -308,51 +307,153 @@ def _sum_squares(x: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, x))
 
 
-def nmse(H_est, H_true: np.ndarray) -> float:
+def _real_pairs(x: np.ndarray) -> np.ndarray:
+    """A complex (..., M) array as the float view (..., 2M) of its real and imaginary parts."""
+    return np.ascontiguousarray(x, dtype=complex).view(float)
+
+
+class TrueChannel(NamedTuple):
+    """A drawn channel held in path space: the (N, M) array H is never formed.
+
+    Row n of H is sum_l weights[n, l] p(lengths[n, l]), the (N, L) terms of
+    :func:`nfce.model.antenna_terms`; ``combined`` is the clean combined
+    observation A H, (K, M), and ``energy`` is ||H||_F^2.
+    """
+
+    weights: np.ndarray
+    lengths: np.ndarray
+    combined: np.ndarray
+    energy: float
+    grid: SubcarrierGrid
+
+
+class LsEstimate(NamedTuple):
+    """The minimum-norm LS estimate A^H Y / sqrt(P), held as its inputs."""
+
+    Y: np.ndarray
+    combiners: np.ndarray
+    power: float
+
+
+def _pair_sum(wa, la, wb, lb, pairs, grid: SubcarrierGrid) -> float:
+    """Re sum_g sum_(i, j) in pairs (sum_r wa[g, r, i]^* wb[g, r, j]) D(lb[g, j] - la[g, i]).
+
+    ``wa`` is (G, R, I) and ``la`` (G, I), likewise ``wb`` and ``lb`` with J
+    terms, and ``pairs`` is (i, j), two index arrays: the pairs of profile
+    terms sum_r <wa p(la), wb p(lb)> takes, D their profile kernel
+    (:func:`nfce.model.profile_kernel`), so no profile is formed.  The sums
+    are einsum loops, not BLAS, so the bits do not depend on the thread
+    count; groups are taken a chunk of about ``_KERNEL_CHUNK`` entries at a
+    time.
+    """
+    i, j = pairs
+    # term-major copies, so a pair's gather takes whole rows; Re(a^* b) is
+    # a.re b.re + a.im b.im, so the parts are stacked as 2R real rows
+    ra, rb = (np.ascontiguousarray(np.concatenate([w.real, w.imag], axis=1).T)
+              for w in (wa, wb))  # (I, 2R, G), (J, 2R, G)
+    la, lb = la.T, lb.T
+    chunk = max(1, _KERNEL_CHUNK // max(1, i.size * ra.shape[1]))
+    total = 0.0
+    for g0 in range(0, ra.shape[-1], chunk):
+        gs = slice(g0, g0 + chunk)
+        coef = np.einsum("prg,prg->pg", ra[:, :, gs][i], rb[:, :, gs][j])
+        kernel = profile_kernel(lb[:, gs][j] - la[:, gs][i], grid)
+        total += float(np.einsum("pg,pg->", coef, kernel))
+    return total
+
+
+def _profile_energy(weights, lengths, grid: SubcarrierGrid) -> float:
+    """sum_g sum_r ||sum_i weights[g, r, i] p(lengths[g, i])||^2 (weights (G, R, I), lengths (G, I)).
+
+    Each term's inner product with itself is M ||w||^2; a pair of distinct
+    terms counts twice, as D is even and the coefficient Hermitian.
+    """
+    pairs = np.triu_indices(weights.shape[-1], 1)
+    return (grid.n_subcarriers * _sum_squares(weights)
+            + 2.0 * _pair_sum(weights, lengths, weights, lengths, pairs, grid))
+
+
+def true_channel(paths, combiners: np.ndarray, geom: ArrayGeometry,
+                 grid: SubcarrierGrid) -> TrueChannel:
+    """The :class:`TrueChannel` of ``paths`` seen through ``combiners``, its arrays read-only.
+
+    A H is one :func:`nfce.model.profile_sum` with K groups of ns L terms:
+    row k is sum_{i, l} f_ki^* weights[n, l] p(lengths[n, l]) over subarray
+    k's antennas n.  ||H||^2 is a kernel sum over the N L^2 pairs of terms.
+    """
+    K, ns, M = geom.n_subarrays, geom.subarray_size, grid.n_subcarriers
+    if np.shape(combiners) != (K, ns):
+        raise ValueError(f"combiners must be {K}x{ns}, got {np.shape(combiners)}")
+    weights, lengths = antenna_terms(paths, geom)
+    n_terms = ns * weights.shape[1]
+    combined = np.empty((K, M), dtype=complex)
+    seen = np.conj(combiners)[:, :, None] * weights.reshape(K, ns, -1)
+    profile_sum(seen.reshape(K, 1, n_terms), lengths.reshape(K, n_terms), grid,
+                out=combined.reshape(K, 1, M))
+    energy = _profile_energy(weights[:, None], lengths, grid)
+    for arr in (weights, lengths, combined):
+        arr.flags.writeable = False
+    return TrueChannel(weights, lengths, combined, energy, grid)
+
+
+def _path_error(H_est, truth: TrueChannel) -> float:
+    """||H_est - H||^2 = ||H||^2 - 2 Re<H, H_est> + ||H_est||^2 from path-space terms.
+
+    LS: Re<H, A^H Y> / sqrt(P) = Re<A H, Y> / sqrt(P), and ||A^H Y||^2 / P is
+    sum_k ||f_k||^2 ||y_k||^2 / P.  Path estimates: the cross term pairs each
+    antenna's N L true terms with its subarray's estimate terms, and the
+    estimate's energy pairs the K L_hat^2 estimate terms, the ns rows of a
+    subarray folded into one steering Gram.
+    """
+    if isinstance(H_est, LsEstimate):
+        Y, combiners, power = _real_pairs(H_est.Y), _real_pairs(H_est.combiners), H_est.power
+        cross = float(np.einsum("ij,ij->", _real_pairs(truth.combined), Y)) / math.sqrt(power)
+        row_energy = np.einsum("ij,ij->i", Y, Y)
+        est_energy = float(np.einsum("ij,ij,i->", combiners, combiners, row_energy)) / power
+    else:
+        weights, lengths = H_est  # (K, ns, L_hat), (K, L_hat)
+        K, ns, n_est = weights.shape
+        every_pair = np.divmod(np.arange(truth.weights.shape[1] * n_est), n_est)
+        cross = _pair_sum(truth.weights[:, None], truth.lengths,
+                          weights.reshape(K * ns, 1, n_est), np.repeat(lengths, ns, axis=0),
+                          every_pair, truth.grid)
+        est_energy = _profile_energy(weights, lengths, truth.grid)
+    return truth.energy - 2.0 * cross + est_energy
+
+
+def nmse(H_est, H_true) -> float:
     """||vec(H_est - H_true)||^2 / ||vec(H_true)||^2.
 
-    ``H_est`` is an array of H_true's shape, or the :class:`RowBlocks` of an
-    estimate that :func:`estimate` returns, which is built block by block
-    and never whole.  Each block is whole subarrays and a whole number of
-    chunks; the error energy is summed chunk by chunk in row order, so no
-    array of H's size is formed and the sum is the same bits whichever form
-    the estimate takes.
+    ``H_true`` is an array of H_est's shape, or the :class:`TrueChannel` of a
+    harness draw.  Then ``H_est`` is the estimate as :func:`estimate` returns
+    it, and the error energy is summed in path space (:func:`_path_error`),
+    so neither channel is formed.  Between two arrays the error energy is
+    summed chunk by chunk in row order, so no array of H's size is formed.
     """
-    shape = H_est.shape if isinstance(H_est, RowBlocks) else np.shape(H_est)
-    if shape != np.shape(H_true):
-        raise ValueError(f"H_est has shape {shape}, "
+    if isinstance(H_true, TrueChannel):
+        return _path_error(H_est, H_true) / H_true.energy
+    if np.shape(H_est) != np.shape(H_true):
+        raise ValueError(f"H_est has shape {np.shape(H_est)}, "
                          f"H_true has shape {np.shape(H_true)}")
-    H_true = np.atleast_2d(H_true)
-    if not isinstance(H_est, RowBlocks):
-        dense = np.atleast_2d(H_est)
-        H_est = RowBlocks(dense.shape, 1, lambda r0, r1: dense[r0:r1])
-    width = max(1, H_true[0].size)
-    chunk = max(1, _NMSE_CHUNK // width)
-    ns = H_est.subarray_size
-    unit = math.lcm(chunk, ns)
-    block = unit * max(1, _SCORE_BLOCK // (unit * width))
+    H_est, H_true = np.atleast_2d(H_est), np.atleast_2d(H_true)
+    chunk = max(1, _NMSE_CHUNK // max(1, H_true[0].size))
     err = energy = 0.0
-    for b0 in range(0, len(H_true), block):
-        b1 = min(b0 + block, len(H_true))
-        rows = H_est.rows(b0 // ns, b1 // ns)
-        for start in range(0, b1 - b0, chunk):
-            true = H_true[b0 + start:b0 + start + chunk]
-            diff = rows[start:start + chunk] - true
-            err += _sum_squares(diff)
-            # summed chunk by chunk like err, so an all-zero H_est reads exactly 1
-            energy += _sum_squares(true)
-        del rows  # freed before the next block is built
+    for start in range(0, len(H_true), chunk):
+        true = H_true[start:start + chunk]
+        err += _sum_squares(H_est[start:start + chunk] - true)
+        # summed chunk by chunk like err, so an all-zero H_est reads exactly 1
+        energy += _sum_squares(true)
     if energy == 0.0:
         raise ValueError("true channel is identically zero")
     return err / energy
 
 
-def nmse_db(H_est, H_true: np.ndarray) -> float:
+def nmse_db(H_est, H_true) -> float:
     return 10.0 * np.log10(nmse(H_est, H_true))
 
 
-def ls_rows(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> RowBlocks:
-    """The minimum-norm LS estimate A^H Y / sqrt(P), as blocks of subarray rows.
+def ls_baseline(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> np.ndarray:
+    """Minimum-norm LS estimate A^H Y / sqrt(P); rank-K in an N-dim space.
 
     A is block diagonal with rows f_k^H, so subarray k's block of A^H Y is
     the outer product f_k y_k^T; the dense K x N matrix is never formed.
@@ -360,36 +461,23 @@ def ls_rows(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> RowBloc
     check_inputs(Y, combiners, power)
     K, ns = combiners.shape
     scale = np.sqrt(power)
-    dtype = np.result_type(combiners, Y, scale)
+    blocks = np.multiply(combiners[:, :, None], Y[:, None, :],
+                         dtype=np.result_type(combiners, Y, scale))
     # numpy divides a complex by a real s as (a + b 0) (1 / s): multiplying
     # by 1 / s gives the same values without the complex division
-    inv_scale = 1.0 / scale
-
-    def build(k0: int, k1: int) -> np.ndarray:
-        blocks = np.multiply(combiners[k0:k1, :, None], Y[k0:k1, None, :], dtype=dtype)
-        blocks *= inv_scale
-        return blocks.reshape((k1 - k0) * ns, Y.shape[1])
-
-    return RowBlocks((K * ns, Y.shape[1]), ns, build)
-
-
-def ls_baseline(Y: np.ndarray, combiners: np.ndarray, power: float = 1.0) -> np.ndarray:
-    """Minimum-norm LS estimate A^H Y / sqrt(P); rank-K in an N-dim space.
-
-    The whole of :func:`ls_rows` as one block.
-    """
-    return ls_rows(Y, combiners, power).build(0, len(combiners))
+    blocks *= 1.0 / scale
+    return blocks.reshape(K * ns, Y.shape[1])
 
 
 # One slot for what a trial's runs share, entry name -> (key, value):
-#   "channel"      (paths, H, W) of the last (config, trial) drawn;
+#   "channel"      (paths, W, TrueChannel) of the last (config, trial) drawn;
 #   "observation"  (noise_var, Y) of that trial's last SNR;
 #   "atoms"        polar OMP's atom table for its last (geometry, polar grid, W).
 # A sweep runs every SNR and algorithm of a trial back to back, so each
-# trial is synthesized once, each (trial, SNR) observed once and each atom
-# table built once, however many algorithms read them.  Keys hold values,
-# not identities (a config snapshot, W's bytes), so an input changed in
-# place builds afresh.  Every held array is read-only.
+# trial is drawn once, each (trial, SNR) observed once and each atom table
+# built once, however many algorithms read them.  Keys hold values, not
+# identities (a config snapshot, W's bytes), so an input changed in place
+# builds afresh.  Every held array is read-only.
 _SLOT: dict = {}
 
 
@@ -595,12 +683,14 @@ def estimate(cfg: SimConfig, algorithm: str, Y: np.ndarray, combiners: np.ndarra
 
     The one place a config becomes estimator inputs: ``cfg``'s geometry,
     grid, stopping rule (``noise_var`` with its p_fa and path cap) and
-    power, and for polar OMP its dictionary.  H_hat is the estimate's
-    :class:`RowBlocks`, which :func:`nmse` scores without forming it whole.
-    LS extracts no paths and counts no correlations.
+    power, and for polar OMP its dictionary.  H_hat is the estimate in path
+    space, which :func:`nmse` scores against a :class:`TrueChannel` without
+    forming it: :func:`nfce.estimator.estimate_terms` of the paths, or an
+    :class:`LsEstimate`.  LS extracts no paths and counts no correlations.
     """
     if algorithm == "ls":
-        return [], ls_rows(Y, combiners, cfg.power), False, 0
+        check_inputs(Y, combiners, cfg.power)
+        return [], LsEstimate(Y, combiners, cfg.power), False, 0
     geom, grid = cfg.geometry(), cfg.grid()
     rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
     if algorithm == "dps":
@@ -610,33 +700,32 @@ def estimate(cfg: SimConfig, algorithm: str, Y: np.ndarray, combiners: np.ndarra
                               f"got {cfg.n_subarrays}")
         res = run_dps(Y, combiners, geom, grid, rule, power=cfg.power)
         paths = res.paths
-        return paths, reconstruct_rows(paths, geom, grid), res.fallback, res.corr_total
+        return paths, estimate_terms(paths, geom), res.fallback, res.corr_total
     if algorithm == "omp":
         paths, corr_iters = polar_omp_fallback(
             Y, combiners, geom, grid, rule, cfg.angle_grid_size, cfg.distance_grid(),
             cfg.power
         )
-        return paths, reconstruct_rows(paths, geom, grid), False, int(sum(corr_iters))
+        return paths, estimate_terms(paths, geom), False, int(sum(corr_iters))
     raise ConfigError(f"unknown algorithm {algorithm!r}")
 
 
 def _draw_channel(cfg: SimConfig, trial: int):
-    """(paths, H, W) of one trial, with H and W read-only."""
+    """(paths, W, truth) of one trial, with W and the truth's arrays read-only."""
     geom, grid = cfg.geometry(), cfg.grid()
     paths = draw_paths(cfg, trial_rng(cfg.seed, trial, _STREAM_PATHS), grid)
     check_delay_validity(paths, geom, grid)
-    H = synthesize_channel(paths, geom, grid)
     W = random_phase_combiner(geom, trial_rng(cfg.seed, trial, _STREAM_COMBINER))
-    H.flags.writeable = False
     W.flags.writeable = False
-    return tuple(paths), H, W
+    return tuple(paths), W, true_channel(paths, W, geom, grid)
 
 
-def _draw_observation(cfg: SimConfig, trial: int, snr_db: float, H, W):
+def _draw_observation(cfg: SimConfig, trial: int, snr_db: float, truth: TrueChannel):
     """(noise_var, Y) of one trial at one SNR, with the configured impairments."""
     geom, grid = cfg.geometry(), cfg.grid()
-    noise_var = noise_var_for_snr(H, W, cfg.power, snr_db)
-    Y = observe(H, W, cfg.power, noise_var, trial_rng(cfg.seed, trial, _STREAM_NOISE))
+    noise_var = signal_noise_var(truth.combined, cfg.power, snr_db)
+    Y = add_noise(np.array(truth.combined), cfg.power, noise_var,
+                  trial_rng(cfg.seed, trial, _STREAM_NOISE))
     if cfg.clock_offset_frac_max > 0.0 or cfg.gain_factor_min < 1.0:
         rng_imp = trial_rng(cfg.seed, trial, _STREAM_IMPAIR)
         K = geom.n_subarrays
@@ -653,36 +742,43 @@ def _draw_observation(cfg: SimConfig, trial: int, snr_db: float, H, W):
     return noise_var, Y
 
 
-def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
-    """One trial's scenario: (paths, H, W, noise_var, Y), held in the slot.
-
-    Y carries the configured impairments, so every caller (``run_trial``,
-    ``simulate``, ``estimate``) estimates from the same observation.  H, W and
-    Y are shared by every caller of the trial and read-only; each call gets a
-    new list of the (frozen) paths.
-    """
+def _draw(cfg: SimConfig, trial: int, snr_db: float):
+    """(paths, W, truth, noise_var, Y) of one trial at one SNR, held in the slot."""
     key = (astuple(cfg), trial)
     if _SLOT.get("channel", (None,))[0] != key:
-        # the old trial's Y and atom table go before the new H is drawn, and
-        # a draw that raises leaves nothing a later trial could be served
+        # the old trial's Y and atom table go before the new channel is
+        # drawn, and a draw that raises leaves nothing a later trial could
+        # be served
         _SLOT.clear()
-    paths, H, W = _slot_entry("channel", key, lambda: _draw_channel(cfg, trial))
+    paths, W, truth = _slot_entry("channel", key, lambda: _draw_channel(cfg, trial))
     noise_var, Y = _slot_entry("observation", (key, snr_db),
-                               lambda: _draw_observation(cfg, trial, snr_db, H, W))
-    return list(paths), H, W, noise_var, Y
+                               lambda: _draw_observation(cfg, trial, snr_db, truth))
+    return paths, W, truth, noise_var, Y
+
+
+def draw_trial(cfg: SimConfig, trial: int, snr_db: float):
+    """One trial's scenario: (paths, W, noise_var, Y), held in the slot.
+
+    The channel is drawn in path space (:class:`TrueChannel`) and never
+    formed; :func:`nfce.model.synthesize_channel` of the paths gives it.  Y
+    carries the configured impairments, so every caller (``run_trial``,
+    ``simulate``, ``estimate``) estimates from the same observation.  W and Y
+    are shared by every caller of the trial and read-only; each call gets a
+    new list of the (frozen) paths.
+    """
+    paths, W, _, noise_var, Y = _draw(cfg, trial, snr_db)
+    return list(paths), W, noise_var, Y
 
 
 def run_trial(cfg: SimConfig, trial: int, snr_db: float, algorithm: str
               ) -> RunRecord:
     # every estimator copies Y or only reads it, so it reads the shared draw
-    paths, H, W, noise_var, Y = draw_trial(cfg, trial, snr_db)
+    paths, W, truth, noise_var, Y = _draw(cfg, trial, snr_db)
 
     t0 = time.perf_counter()
     est_paths, H_hat, fallback, corr_count = estimate(cfg, algorithm, Y, W, noise_var)
-    elapsed_s = time.perf_counter() - t0
-    score = nmse_db(H_hat, H)
-    # building the estimate is part of the run, as when it was formed whole
-    elapsed_ms = (elapsed_s + H_hat.build_s) * 1e3
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
+    score = nmse_db(H_hat, truth)
 
     th_err, d_err, r_err = parameter_errors(est_paths, paths, cfg.grid())
     return RunRecord(

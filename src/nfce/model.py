@@ -11,7 +11,9 @@ the Kronecker product of A + B exponentials (:func:`profile_factors`).  Nothing
 multiplies the factors out into profiles: :func:`profile_sum`, the one kernel
 that synthesis and the estimator's reconstruction call, contracts weighted sums
 of profiles straight from them, and the estimator's gain fit reads each model
-row as a bilinear form in them.
+row as a bilinear form in them.  Two profiles' inner product is a closed form,
+:func:`profile_kernel`, so the energy of a weighted sum of profiles, or of a
+difference of two, needs no profile either.
 
 Conventions
 -----------
@@ -293,6 +295,33 @@ def profile_sum(weights, lengths, grid: SubcarrierGrid, out: np.ndarray) -> np.n
     return out
 
 
+def profile_kernel(length_diff_m, grid: SubcarrierGrid) -> np.ndarray:
+    """Profile inner products p(x)^H p(y) for length differences y - x, elementwise.
+
+    With the symmetric offsets the inner product is the real, even Dirichlet
+    kernel D(u) = sin(pi M u) / sin(pi u), u = df (y - x) / c.  u is first
+    reduced to e = u - k, k = round(u): D(u) = (-1)^(k (M-1)) sin(pi M e) /
+    sin(pi e), and e = 0 gives M.  So a length far beyond the delay range
+    (an unphysical estimate) keeps the sines' arguments small and the value
+    finite.
+    """
+    M = grid.n_subcarriers
+    u = np.array(length_diff_m, dtype=float, ndmin=1)
+    u *= grid.spacing_hz / SPEED_OF_LIGHT
+    k = np.rint(u)
+    e = np.subtract(u, k, out=u)
+    e *= np.pi
+    den = np.sin(e)
+    kernel = np.sin(np.multiply(e, M, out=e), out=e)
+    centred = den == 0.0
+    den[centred] = 1.0
+    kernel[centred] = M
+    kernel /= den
+    if M % 2 == 0:
+        np.negative(kernel, out=kernel, where=np.fmod(k, 2.0) != 0.0)
+    return kernel.reshape(np.shape(length_diff_m))
+
+
 @functools.lru_cache(maxsize=8)
 def _delay_ramp(n_subcarriers: int) -> np.ndarray:
     """j 2 pi delta_m, :func:`delay_steering`'s exponent per unit delay; shared and read-only."""
@@ -344,22 +373,33 @@ def antenna_lengths(paths, geom: ArrayGeometry) -> np.ndarray:
     return lengths
 
 
+def antenna_terms(paths, geom: ArrayGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The channel's path terms per antenna: (weights, lengths), shape (N, L) each.
+
+    Row n of H is sum_l weights[n, l] p(lengths[n, l]) with weights rho_l w_ln,
+    rho_l the gain carrying the center-of-array carrier phase and w_l the
+    carrier steering vector, and lengths r_l + d_n, antenna n's own path
+    length.  At least one path is needed.
+    """
+    weights = np.stack(
+        [combined_gain(path, geom) * steering_vector(path.theta, path.dist_m, geom)
+         for path in paths], axis=-1)
+    return weights, antenna_lengths(paths, geom)
+
+
 def synthesize_channel(paths, geom: ArrayGeometry, grid: SubcarrierGrid) -> np.ndarray:
     """Multipath frequency-domain channel H of shape (N, M).
 
     H[n, m] = sum_l g_l exp(j 2 pi f_m (r_l + d_n) / c) per path: row n is
-    sum_l rho_l w_ln p(r_l + d_n), with rho_l the gain carrying the
-    center-of-array carrier phase, w_l the carrier steering vector and p the
+    sum_l rho_l w_ln p(r_l + d_n) (:func:`antenna_terms`), with p the
     frequency profile of antenna n's own path length, so the beam squint
     across the whole aperture is kept.  The rows are one :func:`profile_sum`.
     """
     if not paths:
         return np.zeros((geom.n_antennas, grid.n_subcarriers), dtype=complex)
-    weights = np.stack(
-        [combined_gain(path, geom) * steering_vector(path.theta, path.dist_m, geom)
-         for path in paths], axis=-1)  # (N, L)
+    weights, lengths = antenna_terms(paths, geom)
     H = np.empty((geom.n_antennas, grid.n_subcarriers), dtype=complex)
-    profile_sum(weights[:, None, :], antenna_lengths(paths, geom), grid,
+    profile_sum(weights[:, None, :], lengths, grid,
                 out=H.reshape(geom.n_antennas, 1, grid.n_subcarriers))
     return H
 

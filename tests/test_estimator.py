@@ -626,7 +626,7 @@ def _first_observations(equivalence):
         yield geom, grid, Y
     cfg = SimConfig(n_antennas=1024, n_subarrays=256, n_subcarriers=1024, n_paths=4,
                     seed=3)
-    yield cfg.geometry(), cfg.grid(), draw_trial(cfg, 0, 10.0)[4]
+    yield cfg.geometry(), cfg.grid(), draw_trial(cfg, 0, 10.0)[3]
 
 
 def test_chained_hops_match_rebuilt_ramps(equivalence):

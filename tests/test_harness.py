@@ -18,15 +18,15 @@ from nfce.model import (
     steering_vector,
     synthesize_channel,
 )
-from nfce.frontend import observe, random_phase_combiner
+from nfce.frontend import add_noise, combine, observe, random_phase_combiner
 from nfce.estimator import (
     DelayDictionary,
     StoppingRule,
     central_index,
+    estimate_terms,
     fit_and_cancel,
     ml_delay_detect,
     reconstruct_channel,
-    reconstruct_rows,
     run_dps,
 )
 from nfce.harness import (
@@ -42,7 +42,6 @@ from nfce.harness import (
     estimate,
     load_config,
     ls_baseline,
-    ls_rows,
     match_paths,
     monte_carlo_sweep,
     nmse,
@@ -52,6 +51,7 @@ from nfce.harness import (
     records_csv_text,
     run_trial,
     trial_rng,
+    true_channel,
 )
 
 
@@ -221,13 +221,10 @@ def test_nmse_matches_plain_formula(shape):
 
 def test_nmse_rejects_mismatched_shapes():
     # these used to broadcast (or raise numpy's own error); a transposed
-    # estimate of a square channel has the right shape and cannot be caught.
-    # Row blocks of another geometry are caught before any block is built.
+    # estimate of a square channel has the right shape and cannot be caught
     rng = np.random.default_rng(5)
     H = rng.standard_normal((64, 128)) + 1j * rng.standard_normal((64, 128))
-    blocks = reconstruct_rows([], ArrayGeometry(128, 16, 7e9),
-                              SubcarrierGrid.from_bandwidth(128, 600e6))
-    for bad in (H[:1], H[:, :1], H[0], H.T, blocks):
+    for bad in (H[:1], H[:, :1], H[0], H.T):
         with pytest.raises(ValueError, match="H_est has shape"):
             nmse(bad, H)
 
@@ -261,75 +258,143 @@ def _full_scale(**kw) -> SimConfig:
                      **kw)
 
 
+def _nm_bytes(cfg: SimConfig) -> int:
+    """Bytes of one complex128 N x M array, the size of H and of a dense estimate."""
+    return cfg.n_antennas * cfg.n_subcarriers * 16
+
+
+# (config, SNR) of the scores checked against dense ones: the defaults,
+# 512/128/512 at power 2, full scale, an odd M and a prime M
+_SCORED = (
+    (SimConfig(seed=3), 10.0),
+    (SimConfig(n_antennas=512, n_subarrays=128, n_subcarriers=512, n_paths=3, seed=5,
+               power=2.0), 10.0),
+    (_full_scale(seed=3), 10.0),
+    (SimConfig(n_subcarriers=255, n_paths=3, seed=9), 20.0),
+    (SimConfig(n_subcarriers=127, seed=4), 0.0),
+)
+
+
 @pytest.mark.parametrize("alg", ALGORITHMS)
-def test_run_trial_scores_blocks_as_the_dense_estimate(alg):
-    # at 512/128/512 the estimate is scored as two blocks of subarray rows;
-    # the score is the same bits as nmse_db of the whole estimate
+def test_run_trial_score_matches_the_dense_estimate(alg):
+    # run_trial scores in path space; the dense estimate against H
+    # synthesized from the same paths gives the same score to rounding
+    for cfg, snr in _SCORED:
+        harness._SLOT.clear()
+        geom, grid = cfg.geometry(), cfg.grid()
+        paths, W, noise_var, Y = draw_trial(cfg, 0, snr)
+        rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
+        if alg == "dps":
+            dense = reconstruct_channel(run_dps(Y, W, geom, grid, rule, cfg.power).paths,
+                                        geom, grid)
+        elif alg == "omp":
+            est, _ = polar_omp_fallback(Y, W, geom, grid, rule, cfg.angle_grid_size,
+                                        cfg.distance_grid(), cfg.power)
+            dense = reconstruct_channel(est, geom, grid)
+        else:
+            dense = ls_baseline(Y, W, cfg.power)
+        want = nmse_db(dense, synthesize_channel(paths, geom, grid))
+        assert run_trial(cfg, 0, snr, alg).nmse_db == pytest.approx(want, rel=0, abs=1e-9)
     harness._SLOT.clear()
-    cfg = SimConfig(n_antennas=512, n_subarrays=128, n_subcarriers=512, n_paths=3,
-                    seed=5, power=2.0)
+
+
+def test_empty_estimate_scores_exactly_zero_db():
+    harness._SLOT.clear()
+    cfg = SimConfig(seed=3)
+    geom = cfg.geometry()
+    paths, W, _, _ = draw_trial(cfg, 0, 10.0)
+    truth = true_channel(paths, W, geom, cfg.grid())
+    assert nmse_db(estimate_terms([], geom), truth) == 0.0
+    harness._SLOT.clear()
+
+
+def test_near_perfect_estimate_scores_as_dense():
+    # a noiseless a06-like run near -40 dB: the path-space error is the
+    # small difference of three terms of ||H||^2's size
+    geom = ArrayGeometry(1024, 256, 7e9)
+    grid = SubcarrierGrid.from_bandwidth(1024, 600e6)
+    paths = [PathParams(0.046093994419191424, 68.90279373725338, 86.23781590612461)]
+    W = np.full((geom.n_subarrays, geom.subarray_size), 0.5)
+    H = synthesize_channel(paths, geom, grid)
+    Y = observe(H, W, 1.0, 0.0)
+    scale = float(np.mean(np.abs(Y[central_index(geom.n_subarrays)]) ** 2))
+    est = run_dps(Y, W, geom, grid, StoppingRule(noise_var=0.01 * scale)).paths
+    dense = nmse_db(reconstruct_channel(est, geom, grid), H)
+    assert dense < -35.0
+    score = nmse_db(estimate_terms(est, geom), true_channel(paths, W, geom, grid))
+    assert score == pytest.approx(dense, rel=0, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", [47, 82])
+def test_unphysical_estimates_score_finite(equivalence, seed):
+    # DPS gives these a12 scenarios paths ~6e15 m away; the kernel's
+    # argument reduction keeps their score finite
+    cfg, H, W, Y, rule = equivalence.a12_scenario(seed)
     geom, grid = cfg.geometry(), cfg.grid()
-    _, H, W, noise_var, Y = draw_trial(cfg, 0, 10.0)
-    assert H.size > harness._SCORE_BLOCK
-    rule = StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa, max_paths=cfg.max_paths)
-    if alg == "dps":
-        paths = run_dps(Y, W, geom, grid, rule, cfg.power).paths
-        dense = reconstruct_channel(paths, geom, grid)
-    elif alg == "omp":
-        paths, _ = polar_omp_fallback(Y, W, geom, grid, rule, cfg.angle_grid_size,
-                                      cfg.distance_grid(), cfg.power)
-        dense = reconstruct_channel(paths, geom, grid)
-    else:
-        dense = ls_baseline(Y, W, cfg.power)
-    assert run_trial(cfg, 0, 10.0, alg).nmse_db == nmse_db(dense, H)
-    # any block of subarrays is the same bits as those rows of the whole
-    rows = estimate(cfg, alg, Y, W, noise_var)[1]
-    ns = geom.subarray_size
-    assert rows.shape == dense.shape
-    for k0, k1 in ((0, 128), (3, 70), (127, 128)):
-        assert np.array_equal(rows.build(k0, k1), dense[k0 * ns:k1 * ns])
+    est = run_dps(Y, W, geom, grid, rule).paths
+    assert max(abs(p.range_m) for p in est) > 1e15
+    paths = draw_paths(cfg, trial_rng(seed, 0, 0), grid)
+    assert np.isfinite(nmse_db(estimate_terms(est, geom), true_channel(paths, W, geom, grid)))
+
+
+@pytest.mark.parametrize("cfg", [SimConfig(seed=3), _full_scale(seed=4),
+                                 SimConfig(n_subcarriers=127, n_paths=3, seed=4)])
+def test_drawn_combined_observation_matches_synthesis(cfg):
+    harness._SLOT.clear()
+    geom, grid = cfg.geometry(), cfg.grid()
+    paths, W, truth, noise_var, Y = harness._draw(cfg, 0, 10.0)
+    H = synthesize_channel(paths, geom, grid)
+    AH = combine(H, W)
+    assert np.abs(truth.combined - AH).max() <= 1e-12 * np.abs(AH).max()
+    assert truth.energy == pytest.approx(np.sum(np.abs(H) ** 2), rel=1e-12)
+    # Y is A H scaled and noised as observe does it, from the same stream
+    noisy = add_noise(AH, cfg.power, noise_var, trial_rng(cfg.seed, 0, 2))
+    assert np.abs(Y - noisy).max() <= 1e-12 * np.abs(noisy).max()
     harness._SLOT.clear()
 
 
 def test_run_trial_peak_memory():
-    # with the draw held, a full-scale run forms no estimate of H's size: it
-    # is scored one block of rows at a time (1.3x H for dps and 1.0x for ls
-    # when it was formed whole).  DPS's own working set, its residual copy
-    # of Y (0.25x) and the gain fit's temporaries, peaks at about 0.30x.
+    # with the draw held, a full-scale run forms no array of H's size: DPS's
+    # own working set, its residual copy of Y (0.25 of an N x M array) and
+    # the gain fit's temporaries, peaks at about 0.30 of one, and its path
+    # -space score at about 0.06.  LS forms nothing of Y's size.
     harness._SLOT.clear()
     cfg = _full_scale(seed=3)
-    _, H, W, _, Y = draw_trial(cfg, 0, 10.0)
+    _, W, truth, noise_var, Y = harness._draw(cfg, 0, 10.0)
     run_trial(cfg, 0, 10.0, "dps")  # first-call caches are not the run's
-    for alg, bound in (("dps", 0.32), ("ls", 0.3)):
+    for alg, bound in (("dps", 0.31), ("ls", 0.02)):
         peak, _ = _traced_peak(lambda: run_trial(cfg, 0, 10.0, alg))
-        assert peak <= bound * H.nbytes, alg
-    # scoring holds one block and one chunk's difference at a time
-    peak, _ = _traced_peak(lambda: nmse(ls_rows(Y, W), H))
-    assert peak <= 0.2 * H.nbytes
+        assert peak <= bound * _nm_bytes(cfg), alg
+    # the LS score reads A H and Y where they are
+    ls = estimate(cfg, "ls", Y, W, noise_var)[1]
+    peak, _ = _traced_peak(lambda: nmse(ls, truth))
+    assert peak <= 0.002 * _nm_bytes(cfg)
     harness._SLOT.clear()
 
 
 def test_new_draw_frees_the_old_one_first():
-    # a new SNR frees the old Y, and a new trial the old H and Y, before it
-    # draws; while the old ones lived on, this peaked at 2.35x H
+    # a new SNR frees the old Y, and a new trial the old channel and Y,
+    # before it draws.  A draw holds A H and Y (0.25 of an N x M array
+    # each) and the noise buffer while it fills Y; while H was drawn and
+    # the old draws lived on, this peaked at 2.35 N x M arrays
     harness._SLOT.clear()
     cfg = _full_scale(seed=3)
 
     def draws():
         draw_trial(cfg, 0, 10.0)
         draw_trial(cfg, 0, 20.0)
-        return draw_trial(cfg, 1, 10.0)[1]
+        draw_trial(cfg, 1, 10.0)
 
-    peak, H = _traced_peak(draws)
+    peak, _ = _traced_peak(draws)
     harness._SLOT.clear()
-    assert peak <= 1.6 * H.nbytes
+    assert peak <= 0.7 * _nm_bytes(cfg)
 
 
 _DRAW_DIGEST = """
 import hashlib
 from nfce.harness import SimConfig, draw_trial, run_trial
 cfg = SimConfig(n_antennas=1024, n_subarrays=256, n_subcarriers=1024, n_paths=4, seed=3)
-_, _, _, noise_var, Y = draw_trial(cfg, 0, 10.0)
+_, _, noise_var, Y = draw_trial(cfg, 0, 10.0)
 print(noise_var.hex(), hashlib.sha256(Y.tobytes()).hexdigest())
 print(run_trial(cfg, 0, 10.0, "ls").nmse_db.hex())
 """
@@ -372,14 +437,14 @@ def test_ls_baseline_projects_back():
 
 @pytest.mark.parametrize("power", [1.0, 2.0, 3.7, 0.3])
 def test_ls_scales_by_the_reciprocal_with_the_division_s_values(power):
-    # ls_rows multiplies by 1 / sqrt(P); numpy divides a complex by a real s
-    # as (a + b 0) (1 / s), so the values equal the plain division
+    # ls_baseline multiplies by 1 / sqrt(P); numpy divides a complex by a
+    # real s as (a + b 0) (1 / s), so the values equal the plain division
     rng = np.random.default_rng(25)
     K, ns, M = 6, 4, 40
     W = rng.standard_normal((K, ns)) + 1j * rng.standard_normal((K, ns))
     Y = rng.standard_normal((K, M)) + 1j * rng.standard_normal((K, M))
     blocks = (W[:, :, None] * Y[:, None, :]).reshape(K * ns, M)
-    assert np.array_equal(ls_rows(Y, W, power).build(0, K), blocks / np.sqrt(power))
+    assert np.array_equal(ls_baseline(Y, W, power), blocks / np.sqrt(power))
 
 
 def test_draw_paths_ranges_and_rejection():
@@ -487,7 +552,7 @@ def test_sweep_csv_byte_determinism(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the one-slot trial memo: a trial's paths, H and W are drawn once
+# the one-slot trial memo: a trial's paths, channel and W are drawn once
 
 
 _SMALL = dict(n_antennas=64, n_subarrays=16, n_subcarriers=128, n_paths=2)
@@ -499,9 +564,9 @@ def test_sweep_synthesizes_each_trial_once(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return synthesize_channel(*args, **kwargs)
+        return true_channel(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "synthesize_channel", counted)
+    monkeypatch.setattr(harness, "true_channel", counted)
     cfg = SimConfig(**_SMALL, trials=2, seed=21, snr_db=(0.0, 10.0, 20.0),
                     algorithms=ALGORITHMS)
     assert len(monte_carlo_sweep(cfg)) == 2 * 3 * 3
@@ -517,9 +582,9 @@ def test_sweep_observes_each_trial_snr_once(monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return observe(*args, **kwargs)
+        return add_noise(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "observe", counted)
+    monkeypatch.setattr(harness, "add_noise", counted)
     cfg = SimConfig(**_SMALL, trials=2, seed=21, snr_db=(0.0, 10.0, 20.0),
                     algorithms=ALGORITHMS)
     assert len(monte_carlo_sweep(cfg)) == 2 * 3 * 3
@@ -576,13 +641,15 @@ def test_config_changed_in_place_draws_afresh():
 def test_shared_trial_arrays_are_read_only():
     harness._SLOT.clear()
     cfg = SimConfig(**_SMALL, seed=24)
-    paths, H, W, _, Y = draw_trial(cfg, 0, 10.0)
-    assert draw_trial(cfg, 0, 20.0)[1] is H  # shared across SNRs
+    paths, W, _, Y = draw_trial(cfg, 0, 10.0)
+    truth = harness._draw(cfg, 0, 10.0)[2]
+    assert draw_trial(cfg, 0, 20.0)[1] is W  # shared across SNRs
+    assert harness._draw(cfg, 0, 20.0)[2] is truth
     # every caller of the trial, run_trial included, reads the same arrays
     # and none can write them
-    Y = draw_trial(cfg, 0, 10.0)[4]
-    assert draw_trial(cfg, 0, 10.0)[4] is Y
-    for arr in (H, W, Y):
+    Y = draw_trial(cfg, 0, 10.0)[3]
+    assert draw_trial(cfg, 0, 10.0)[3] is Y
+    for arr in (W, Y, truth.weights, truth.lengths, truth.combined):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
     assert Y[0, 0] != 0.0
@@ -700,7 +767,7 @@ def test_gram_scores_equal_projection_energy():
     # a^H (R R^H) a, as polar_omp_fallback scores atoms, against ||a^H R||^2
     # over the default config's polar dictionary
     cfg = SimConfig(seed=1001)
-    _, _, W, _, Y = draw_trial(cfg, 0, 10.0)
+    _, W, _, Y = draw_trial(cfg, 0, 10.0)
     atoms = _reference_atoms(W, cfg.geometry(), cfg.angle_grid_size,
                              cfg.distance_grid())[1].reshape(-1, cfg.n_subarrays)
     gram = Y @ Y.conj().T

@@ -24,6 +24,7 @@ from nfce.model import (
     exact_distances,
     index_offsets,
     profile_factors,
+    profile_kernel,
     profile_sum,
     steering_vector,
     subarray_centers,
@@ -346,3 +347,29 @@ def test_synthesize_channel_needs_no_channel_sized_scratch():
         tracemalloc.stop()
     assert H.shape == (1024, 1024)
     assert peak <= 1.25 * H.nbytes
+
+
+@pytest.mark.parametrize("M", [256, 255, 127, 2])
+def test_profile_kernel_matches_the_explicit_inner_product(M):
+    # p(x)^H p(y) summed over the subcarriers, for differences within one
+    # bin and across several (|u| > 1), and at whole numbers of bins, where
+    # the kernel is +-M exactly
+    grid = SubcarrierGrid.from_bandwidth(M, 600e6)
+    bin_m = SPEED_OF_LIGHT / grid.spacing_hz  # the length of u = 1
+    rng = np.random.default_rng(M)
+    diff = np.concatenate([rng.uniform(-1.0, 1.0, 50) * bin_m,
+                           rng.uniform(-7.0, 7.0, 50) * bin_m])
+    x = rng.uniform(0.0, 30.0, diff.size)
+    k_m = 2.0 * np.pi * grid.spacing_hz / SPEED_OF_LIGHT * index_offsets(M)
+    explicit = np.einsum("im,im->i", np.exp(1j * np.outer(x, k_m)).conj(),
+                         np.exp(1j * np.outer(x + diff, k_m)))
+    np.testing.assert_allclose(profile_kernel(diff, grid), explicit.real, rtol=0,
+                               atol=1e-10 * M)
+    assert np.abs(explicit.imag).max() <= 1e-10 * M
+    whole = np.arange(-5, 6)
+    want = np.where(whole % 2 == 0, 1.0, (-1.0) ** (M - 1)) * M
+    assert np.array_equal(profile_kernel(whole * bin_m, grid), want)
+    # even and elementwise over any shape, a scalar included
+    assert np.array_equal(profile_kernel(-diff, grid), profile_kernel(diff, grid))
+    assert profile_kernel(diff[:6].reshape(2, 3), grid).shape == (2, 3)
+    assert profile_kernel(diff[0], grid) == profile_kernel(diff[:1], grid)[0]

@@ -4,10 +4,13 @@
     python3 tools/equivalence.py compare A.json B.json
 
 ``dump`` runs ``run_dps``, ``polar_omp_fallback`` and ``reconstruct_channel``
-on 153 scenarios and writes what they return as JSON, together with a
-digest of the synthesized channel H and of the observation Y the estimators
-read: each one's Frobenius norm and its projection on one fixed random
-matrix.  The scenarios are
+on 153 scenarios and writes what they return as JSON, together with each
+scenario's true path count and a digest of the synthesized channel H and of
+the observation Y the estimators read: each one's Frobenius norm and its
+projection on one fixed random matrix.  Each estimate is scored densely,
+``nmse_db`` of the reconstructed channel against ``synthesize_channel`` of
+the scenario's paths, an oracle independent of the harness's path-space
+score.  The scenarios are
 seeds 1000-1039 at the ``SimConfig`` defaults at 0, 10 and 20 dB, then seeds
 0-29 at the 64/16/128 config of acceptance test a12, then seeds 3-5 at the
 full 1024/256/1024 scale with 4 paths at 10 dB.  ``--limit N`` keeps the
@@ -19,7 +22,10 @@ message log: per message its iteration, kind, sender and payload, each
 payload value written exactly with ``float.hex`` (a complex one as its real
 and imaginary parts); the other scenarios record no log.
 
-``compare`` prints every discrete mismatch (stop reason, path count,
+``compare`` prints, per side and per scenario group (the defaults at each
+SNR, a12, full scale), the mean and median ``nmse_db`` of DPS and of polar
+OMP, their mean |L_hat - L| and DPS's stop-reason counts.  It then prints
+every discrete mismatch (stop reason, path count,
 correlation count, fallback, rejected count, delay-hop track, each DPS
 path's ``clamped`` and ``refined`` flags, and the message log) and the largest
 differences of theta/d/r, per-LPU gains, nmse_db and, relative, of the
@@ -91,7 +97,12 @@ def harness_scenario(cfg: SimConfig, snr_db: float):
     from nfce.estimator import StoppingRule
     from nfce.harness import draw_trial
 
-    _, H, W, noise_var, Y = draw_trial(cfg, 0, snr_db)
+    from nfce.model import synthesize_channel
+
+    # the paths lead and W, noise_var and Y close the tuple in every version
+    # of draw_trial, which gave H itself before it drew in path space
+    paths, *_, W, noise_var, Y = draw_trial(cfg, 0, snr_db)
+    H = synthesize_channel(paths, cfg.geometry(), cfg.grid())
     return cfg, H, W, Y, StoppingRule(noise_var=noise_var, p_fa=cfg.p_fa,
                                       max_paths=cfg.max_paths)
 
@@ -179,7 +190,8 @@ def dump(limit: int | None = None) -> list[dict]:
                                          cfg.distance_grid(), cfg.power)
         omp = _paths_record(paths, H, geom, grid)
         omp["corr"] = [int(c) for c in corr]
-        records.append({"name": name, "channel": channel_record(H),
+        # every scenario draws cfg.n_paths paths
+        records.append({"name": name, "n_paths": cfg.n_paths, "channel": channel_record(H),
                         "observation": channel_record(Y), "dps": dps, "omp": omp})
     return records
 
@@ -202,6 +214,9 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], dict, dict]:
     if [r["name"] for r in a] != [r["name"] for r in b]:
         return ["the two dumps hold different scenario lists"], worst, skipped
     for ra, rb in zip(a, b):
+        if ra.get("n_paths") != rb.get("n_paths"):
+            mismatches.append(f"{ra['name']}: true path count {ra.get('n_paths')!r} != "
+                              f"{rb.get('n_paths')!r}")
         for key, quantity in _DIGESTS:
             if key not in ra or key not in rb:
                 mismatches.append(f"{ra['name']} {key}: different dump formats (keys)")
@@ -241,6 +256,40 @@ def compare(a: list[dict], b: list[dict]) -> tuple[list[str], dict, dict]:
     return mismatches, worst, skipped
 
 
+def _group(name: str) -> str:
+    """A scenario's group: its name without the seed, e.g. default/0dB."""
+    return "/".join(part for part in name.split("/") if not part.startswith("seed"))
+
+
+def accuracy(records: list[dict]) -> dict:
+    """Per group, in scenario order: its size, the mean and median nmse_db and
+    the mean |L_hat - L| of dps and of omp, and dps's stop-reason counts."""
+    groups: dict = {}
+    for rec in records:
+        groups.setdefault(_group(rec["name"]), []).append(rec)
+    summary = {}
+    for group, recs in groups.items():
+        row = {"count": len(recs)}
+        for alg in ("dps", "omp"):
+            scores = [r[alg]["nmse_db"] for r in recs]
+            row[alg] = (float(np.mean(scores)), float(np.median(scores)),
+                        float(np.mean([abs(r[alg]["n_paths"] - r["n_paths"]) for r in recs])))
+        stops: dict = {}
+        for r in recs:
+            stops[r["dps"]["stop_reason"]] = stops.get(r["dps"]["stop_reason"], 0) + 1
+        row["stops"] = dict(sorted(stops.items(), key=lambda kv: (-kv[1], kv[0])))
+        summary[group] = row
+    return summary
+
+
+def print_accuracy(label: str, records: list[dict]) -> None:
+    for group, row in accuracy(records).items():
+        algs = "; ".join(f"{alg} nmse_db mean {row[alg][0]:.3f} median {row[alg][1]:.3f} "
+                         f"|L_hat-L| {row[alg][2]:.2f}" for alg in ("dps", "omp"))
+        stops = ", ".join(f"{reason} {n}" for reason, n in row["stops"].items())
+        print(f"{label} {group} ({row['count']}): {algs}; dps stops {stops}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -264,6 +313,9 @@ def main(argv=None) -> int:
     with open(args.b) as fh:
         b = json.load(fh)
     mismatches, worst, skipped = compare(a, b)
+    for label, records in (("A", a), ("B", b)):
+        if all("n_paths" in r for r in records):
+            print_accuracy(label, records)
     for line in mismatches:
         print(f"MISMATCH {line}")
     print(f"{len(a)} scenarios, {len(mismatches)} discrete mismatches")
