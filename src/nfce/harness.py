@@ -292,7 +292,8 @@ class RunRecord:
 # metrics and baselines
 
 
-# entries of H per chunk of nmse's error sum: 256 KB of complex128
+# entries of H per chunk of nmse's error sum: 256 KB of complex128, so two
+# chunks (the one being freed and the next) stay well under H's size
 _NMSE_CHUNK = 1 << 14
 
 # entries per chunk of a path-space energy sum's gathered terms: 128 KB of

@@ -143,3 +143,36 @@ def test_compare_runs_without_nfce(equivalence, tmp_path):
                          timeout=120)
     assert out.returncode == 0, out.stderr
     assert "1 scenarios, 0 discrete mismatches" in out.stdout
+
+
+def test_compare_prints_the_accuracy_summary(equivalence, tmp_path, capsys):
+    # each dumped scenario holds its true path count, and compare prints per
+    # side and group the mean and median nmse_db, the mean |L_hat - L| and
+    # DPS's stop reasons
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert equivalence.main(["dump", str(a), "--limit", "2"]) == 0
+    records = json.loads(a.read_text())
+    assert [r["n_paths"] for r in records] == [2, 2]
+    capsys.readouterr()
+    assert equivalence.main(["compare", str(a), str(a)]) == 0
+    out = capsys.readouterr().out
+    for side in "AB":
+        for group in ("default/0dB", "default/10dB"):
+            assert f"{side} {group} (1): dps nmse_db mean " in out
+    # a different true path count is a mismatch
+    records[1]["n_paths"] = 3
+    b.write_text(json.dumps(records))
+    assert equivalence.main(["compare", str(a), str(b)]) == 1
+    assert "MISMATCH default/seed1000/10dB: true path count 2 != 3" in capsys.readouterr().out
+
+    # the summary's arithmetic on three records of one group
+    made = [{"name": f"a12/seed{i}", "n_paths": 2,
+             "dps": {"nmse_db": x, "n_paths": n, "stop_reason": reason},
+             "omp": {"nmse_db": -x, "n_paths": 16}}
+            for i, (x, n, reason) in enumerate([(-1.0, 2, "threshold"), (-3.0, 5, "max_paths"),
+                                                (2.0, 3, "threshold")])]
+    row = equivalence.accuracy(made)["a12"]
+    assert row["count"] == 3
+    np.testing.assert_allclose(row["dps"], (-2.0 / 3.0, -1.0, 4.0 / 3.0), rtol=1e-15)
+    np.testing.assert_allclose(row["omp"], (2.0 / 3.0, 1.0, 14.0), rtol=1e-15)
+    assert row["stops"] == {"threshold": 2, "max_paths": 1}

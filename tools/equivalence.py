@@ -25,7 +25,7 @@ and imaginary parts); the other scenarios record no log.
 ``compare`` prints, per side and per scenario group (the defaults at each
 SNR, a12, full scale), the mean and median ``nmse_db`` of DPS and of polar
 OMP, their mean |L_hat - L| and DPS's stop-reason counts.  It then prints
-every discrete mismatch (stop reason, path count,
+every discrete mismatch (true path count, stop reason, path count,
 correlation count, fallback, rejected count, delay-hop track, each DPS
 path's ``clamped`` and ``refined`` flags, and the message log) and the largest
 differences of theta/d/r, per-LPU gains, nmse_db and, relative, of the
